@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import MetadataError, ShapeError, TooShortError
+from .errors import MetadataError, ShapeError
 
 #: Hard cap on alignment counters; silent wraparound would corrupt slicing.
 MAX_COUNTER = 2**31 - 1

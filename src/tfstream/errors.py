@@ -20,10 +20,6 @@ class MetadataError(TFStreamError):
     """Unknown continuity code or negative alignment counter."""
 
 
-class TooShortError(TFStreamError):
-    """Chunk time-length does not satisfy d + p < length."""
-
-
 # --- alignment algebra ---------------------------------------------------
 
 class EmptyInput(TFStreamError):
@@ -108,10 +104,6 @@ class ShapeMismatch(TFStreamError):
 
 class NotACalibrationChunk(TFStreamError):
     """Calibration requested on a chunk not flagged as calibration."""
-
-
-class DeviceError(TFStreamError):
-    """Live audio device failure."""
 
 
 # --- wire ----------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each channel is a complex gammachirp band-pass filter (gammatone for
 chirp 0); the published value is the squared magnitude of the filter
-output.  Filter history is carried across continuous chunks so chunked
-output equals the unchunked convolution exactly.
+output.  Filter history is carried across continuous chunks, and every
+output column is one fixed-shape GEMM row over its own input window, so
+chunked output equals the whole-signal output bit for bit.
 """
 
 from __future__ import annotations
@@ -11,11 +12,17 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
 from ..errors import ShapeMismatch, SpecMismatch, TooFewChannels
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
+
+#: Rows of every filterbank GEMM call.  BLAS may take a different code
+#: path (and so give different bits) for a different matrix shape, so
+#: every call has this shape and the last block of a chunk is zero-padded.
+GEMM_ROWS = 256
 
 
 def erb_bandwidth(cf: np.ndarray) -> np.ndarray:
@@ -43,7 +50,10 @@ def gammachirp_ir(
 
 @register
 class GammaChirpFilterbank(Processor):
-    """Per-channel band-pass energy via direct streaming convolution.
+    """Per-channel band-pass energy from windowed dot products.
+
+    Each output column is the row of a GEMM of the sliding input window
+    against the time-reversed real and imaginary taps; see ``_energy``.
 
     Parameters: channels, f_min, f_max (center frequencies log-spaced),
     impulse_ms (filter length, default 50 ms), order, chirp, and
@@ -68,6 +78,8 @@ class GammaChirpFilterbank(Processor):
         self.impulse_length: Optional[int] = None
         self.center_freqs = np.geomspace(self.f_min, self.f_max, self.channels)
         self._window: Optional[TimeWindowState] = None
+        #: reversed-tap matrix and GEMM scratch blocks, built on first use
+        self._gemm: Optional[tuple] = None
         if "sample_rate" in params:
             self.prepare(float(params["sample_rate"]))
 
@@ -87,6 +99,7 @@ class GammaChirpFilterbank(Processor):
         )
         self._h_real = np.ascontiguousarray(bank.real)
         self._h_imag = np.ascontiguousarray(bank.imag)
+        self._gemm = None
         self._window = TimeWindowState(declared_d=self.impulse_length, declared_p=0)
         return in_rate
 
@@ -99,14 +112,44 @@ class GammaChirpFilterbank(Processor):
         if self._window is not None:
             self._window.reset()
 
-    def _energy(self, buf: np.ndarray) -> np.ndarray:
-        out = np.empty((self.channels, buf.shape[-1]))
-        n = buf.shape[-1]
-        for c in range(self.channels):
-            yr = np.convolve(buf, self._h_real[c], mode="full")[:n]
-            yi = np.convolve(buf, self._h_imag[c], mode="full")[:n]
-            out[c] = yr * yr + yi * yi
-        return out
+    def _energy(self, buf: np.ndarray, out: slice) -> np.ndarray:
+        """Energy at buffer positions ``out`` (channels x positions).
+
+        Position t is the dot product of buf[t - L + 1 .. t] with the
+        reversed taps, so it needs out.start >= L - 1 (the window state
+        guarantees out.start = d = L).  Rows go through GEMM_ROWS-row
+        blocks in per-instance scratch arrays, so every value comes from
+        the same BLAS call shape wherever its chunk starts or ends.
+        """
+        length = self.impulse_length
+        channels = self.channels
+        if self._gemm is None:
+            # (L, 2C): column c holds channel c's real taps reversed, column
+            # C + c its imaginary taps, so windows @ taps is the convolution
+            taps = np.concatenate([self._h_real, self._h_imag])[:, ::-1].T
+            self._gemm = (
+                np.ascontiguousarray(taps),
+                np.empty((GEMM_ROWS, length)),
+                np.empty((GEMM_ROWS, 2 * channels)),
+                np.empty((GEMM_ROWS, channels)),
+            )
+        taps, windows, product, block = self._gemm
+        first = out.start - length + 1
+        count = out.stop - out.start
+        sliding = sliding_window_view(buf, length)
+        energy = np.empty((channels, count))
+        for start in range(0, count, GEMM_ROWS):
+            rows = min(GEMM_ROWS, count - start)
+            windows[:rows] = sliding[first + start : first + start + rows]
+            windows[rows:] = 0.0
+            np.matmul(windows, taps, out=product)
+            real = product[:, :channels]
+            imag = product[:, channels:]
+            np.multiply(real, real, out=block)
+            np.multiply(imag, imag, out=imag)
+            np.add(block, imag, out=block)
+            energy[:, start : start + rows] = block[:rows].T
+        return energy
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         if len(merged.payloads) != 1:
@@ -122,7 +165,7 @@ class GammaChirpFilterbank(Processor):
             )
         continuous = is_withprevious_subtype(merged.continuity)
         buf, out = self._window.feed(continuous, x)
-        energy = self._energy(buf)[:, out]
+        energy = self._energy(buf, out)
         return {
             "E": FeatureData(
                 payload=energy,

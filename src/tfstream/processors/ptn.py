@@ -10,7 +10,7 @@ difference to the total block energy.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,12 +21,39 @@ from .base import FeatureData, Processor, register
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)), evaluated as e / (1 + e) with e = exp(z) for
+    z < 0 so that exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def block_averages(
+    data: np.ndarray, block_dt: int, block_df: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """NaN-aware mean and valid-cell count of every complete block.
+
+    data is channels x time; blocks are block_df channel rows (the last
+    group may be smaller) by block_dt columns, and an incomplete time
+    tail is ignored.  Returns (means, counts), each groups x blocks.
+    Each row is summed over its block_dt columns first, then the
+    block_df row sums of a group are added one row after the other, so
+    a block's value never depends on how many blocks data holds.
+    """
+    channels = data.shape[0]
+    n_blocks = data.shape[-1] // block_dt
+    cells = data[:, : n_blocks * block_dt].reshape(channels, n_blocks, block_dt)
+    valid = ~np.isnan(cells)
+    row_sums = np.where(valid, cells, 0.0).sum(axis=-1)
+    row_counts = valid.sum(axis=-1)
+    n_groups = -(-channels // block_df)
+    sums = np.zeros((n_groups, n_blocks))
+    counts = np.zeros((n_groups, n_blocks))
+    for member in range(min(block_df, channels)):
+        rows = row_sums[member::block_df]
+        sums[: rows.shape[0]] += rows
+        counts[: rows.shape[0]] += row_counts[member::block_df]
+    with np.errstate(invalid="ignore"):
+        return sums / counts, counts
 
 
 def block_average(
@@ -37,17 +64,8 @@ def block_average(
     data is one complete time block (channels x block_dt); channel groups
     of block_df rows (last group may be smaller).
     """
-    channels = data.shape[0]
-    n_groups = -(-channels // block_df)
-    means = np.empty(n_groups)
-    counts = np.empty(n_groups)
-    for g in range(n_groups):
-        cell = data[g * block_df : (g + 1) * block_df, :]
-        valid = ~np.isnan(cell)
-        count = int(valid.sum())
-        counts[g] = count
-        means[g] = cell[valid].sum() / count if count else np.nan
-    return means, counts
+    means, counts = block_averages(data, data.shape[-1], block_df)
+    return means[:, 0], counts[:, 0]
 
 
 def noise_complement(total_blocks: np.ndarray, tonal_blocks: np.ndarray) -> np.ndarray:
@@ -187,16 +205,8 @@ class PTNProcessor(Processor):
         if not n_blocks:
             return {}
 
-        et_means: List[np.ndarray] = []
-        et_counts: List[np.ndarray] = []
-        e_means: List[np.ndarray] = []
-        for b in range(n_blocks):
-            sl = slice(b * self.block_dt, (b + 1) * self.block_dt)
-            m, c = block_average(self._carry_et[:, sl], self.block_df)
-            et_means.append(m)
-            et_counts.append(c)
-            m_e, _ = block_average(self._carry_e[:, sl], self.block_df)
-            e_means.append(m_e)
+        et, counts = block_averages(self._carry_et, self.block_dt, self.block_df)
+        eb, _ = block_averages(self._carry_e, self.block_dt, self.block_df)
         self._carry_et = self._carry_et[:, n_blocks * self.block_dt :]
         self._carry_e = self._carry_e[:, n_blocks * self.block_dt :]
 
@@ -211,9 +221,6 @@ class PTNProcessor(Processor):
                     for g in range(-(-freqs.size // self.block_df))
                 ]
             )
-        et = np.stack(et_means, axis=-1)
-        counts = np.stack(et_counts, axis=-1)
-        eb = np.stack(e_means, axis=-1)
         return {
             "E_T": FeatureData(et, rate, block_freqs),
             "E_T_valid": FeatureData(counts, rate, block_freqs),

@@ -23,64 +23,117 @@ from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
 
-def _moving_sum(x: np.ndarray, width: int) -> np.ndarray:
-    """Per-row running sum; output[t] = sum of x[t-width+1 .. t]."""
-    kernel = np.ones(width)
-    return np.apply_along_axis(
-        lambda row: np.convolve(row, kernel, mode="full")[: row.shape[-1]], -1, x
-    )
+#: Output columns per tile of a score computation (see ``_tiled``).
+SCORE_TILE = 256
+
+
+def _span(x: np.ndarray, start: int, length: int, axis: int) -> np.ndarray:
+    """View of ``length`` positions of x along ``axis`` from ``start``."""
+    index = [slice(None)] * x.ndim
+    index[axis] = slice(start, start + length)
+    return x[tuple(index)]
+
+
+def _moving_sum(x: np.ndarray, width: int, axis: int = -1) -> np.ndarray:
+    """Sum of every complete length-``width`` window along ``axis``.
+
+    Output position i holds x[i] + ... + x[i + width - 1], so the output
+    is width - 1 positions shorter than x.  Each window is summed as a
+    fixed tree of power-of-two partial sums anchored at the window's
+    start (for width 41: x[i] + P8[i + 1] + P32[i + 9], each P built by
+    doubling), so its value depends on its own window only, not on where
+    the array starts or how long it is.
+    """
+    axis = axis % x.ndim
+    count = x.shape[axis] - width + 1
+    if count <= 0:
+        shape = list(x.shape)
+        shape[axis] = 0
+        return np.empty(shape)
+    total = None
+    offset = 0
+    partial = x  # partial[i] = sum of `size` values from position i
+    size = 1
+    while True:
+        if width & size:
+            part = _span(partial, offset, count, axis)
+            total = part if total is None else total + part
+            offset += size
+        if 2 * size > width:
+            return total
+        pairs = partial.shape[axis] - size
+        partial = _span(partial, 0, pairs, axis) + _span(partial, size, pairs, axis)
+        size *= 2
+
+
+def _score(num: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
+    """Cosine similarity num / sqrt(s_lo * s_hi); 1 where the energy is 0."""
+    denom = np.sqrt(s_lo * s_hi)
+    score = np.ones_like(num)
+    np.divide(num, denom, out=score, where=denom > 0)
+    return score
+
+
+def _horizontal_tile(energy: np.ndarray, w_t: int) -> np.ndarray:
+    """Horizontal scores of columns [w_t, T - w_t) of energy."""
+    lag = w_t
+    width = w_t + 1
+    sq = energy * energy
+    prod = energy[:, : energy.shape[-1] - lag] * energy[:, lag:]
+    s_ab = _moving_sum(prod, width)  # windows [t - w_t, t] x [t, t + w_t]
+    s_sq = _moving_sum(sq, width)
+    n = s_ab.shape[-1]
+    return _score(s_ab, s_sq[:, :n], s_sq[:, lag : lag + n])
+
+
+def _vertical_tile(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
+    """Vertical scores of rows [w_s, F - w_s), columns [w_t, T - w_t)."""
+    lag = w_s
+    rows = energy.shape[0]
+    sq = energy * energy
+    prod = energy[: max(rows - lag, 0)] * energy[lag:]
+    width = 2 * w_t + 1
+    s_ab = _moving_sum(_moving_sum(prod, w_s + 1, axis=0), width, axis=1)
+    s_sq = _moving_sum(_moving_sum(sq, w_s + 1, axis=0), width, axis=1)
+    n_f = s_ab.shape[0]
+    return _score(s_ab, s_sq[:n_f], s_sq[lag : lag + n_f])
+
+
+def _tiled(tile_scores, energy: np.ndarray, w_t: int, rows: slice) -> np.ndarray:
+    """Full-width scores, NaN outside ``rows`` x [w_t, T - w_t).
+
+    Each score depends on its own window only, so computing the columns
+    SCORE_TILE at a time gives the same bits as one pass, with temporaries
+    small enough to stay in cache and be reused from call to call.
+    """
+    out = np.full(energy.shape, np.nan)
+    valid = energy.shape[-1] - 2 * w_t
+    for start in range(0, valid, SCORE_TILE):
+        stop = min(start + SCORE_TILE, valid)
+        out[rows, w_t + start : w_t + stop] = tile_scores(
+            energy[:, start : stop + 2 * w_t]
+        )
+    return out
 
 
 def horizontal_score(energy: np.ndarray, w_t: int) -> np.ndarray:
     """Time-shift self-similarity per channel row.
 
-    Valid for t in [w_t, T - w_t); other positions hold garbage and are
-    sliced away by the window state.
+    Valid for t in [w_t, T - w_t), NaN elsewhere: the score at t compares
+    the windows [t - w_t, t] and [t, t + w_t].
     """
-    lag = w_t
-    width = w_t + 1
-    sq = energy * energy
-    prod = energy[:, :-lag] * energy[:, lag:] if lag else sq
-    s_ab = _moving_sum(prod, width)          # sum ending at t (prod index)
-    s_sq = _moving_sum(sq, width)
-    out = np.full(energy.shape, np.nan)
-    t = np.arange(w_t, energy.shape[-1] - w_t)
-    num = s_ab[:, t]                          # windows [t-w_t, t] x [t, t+w_t]
-    denom = np.sqrt(s_sq[:, t] * s_sq[:, t + lag])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        score = np.where(denom > 0, num / denom, 1.0)
-    out[:, t] = score
-    return out
+    return _tiled(lambda e: _horizontal_tile(e, w_t), energy, w_t, slice(None))
 
 
 def vertical_score(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
-    """Scale-shift self-similarity, time-averaged over the window."""
-    lag = w_s
-    sq = energy * energy
-    prod = energy[:-lag, :] * energy[lag:, :] if lag else sq
+    """Scale-shift self-similarity, time-averaged over the window.
 
-    def scale_sum(x: np.ndarray) -> np.ndarray:
-        kernel = np.ones(w_s + 1)
-        return np.apply_along_axis(
-            lambda col: np.convolve(col, kernel, mode="full")[: col.shape[-1]], 0, x
-        )
-
-    s_ab = scale_sum(prod)
-    s_sq = scale_sum(sq)
-    # accumulate the time window [t-w_t, t+w_t] as well
-    width = 2 * w_t + 1
-    s_ab = _moving_sum(s_ab, width)
-    s_sq = _moving_sum(s_sq, width)
-
-    out = np.full(energy.shape, np.nan)
-    f = np.arange(w_s, energy.shape[0] - w_s)
-    t = np.arange(w_t, energy.shape[-1] - w_t)
-    num = s_ab[np.ix_(f, t + w_t)]
-    denom = np.sqrt(s_sq[np.ix_(f, t + w_t)] * s_sq[np.ix_(f + lag, t + w_t)])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        score = np.where(denom > 0, num / denom, 1.0)
-    out[np.ix_(f, t)] = score
-    return out
+    Valid for f in [w_s, F - w_s) and t in [w_t, T - w_t), NaN elsewhere:
+    the score compares scale windows [f - w_s, f] and [f, f + w_s], each
+    summed over the time window [t - w_t, t + w_t].
+    """
+    rows = slice(w_s, max(energy.shape[0] - w_s, w_s))
+    return _tiled(lambda e: _vertical_tile(e, w_t, w_s), energy, w_t, rows)
 
 
 @register

@@ -1,11 +1,13 @@
 """Pipeline configuration parsing and whole-graph validation."""
 
 import copy
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from conftest import file_pipeline_config, mic_pipeline_config
+from conftest import file_pipeline_config, mic_pipeline_config, write_wav
 from tfstream.chunks import AlignmentParams
 from tfstream.errors import (
     ChunkTooShortForDepth,
@@ -186,3 +188,15 @@ def test_valid_fault_schedule_accepted(tmp_path):
         ],
     ))
     assert plan.config.faults.overflow_numbers("mic") == {5}
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+def test_shipped_file_pipeline_accepts_common_wav_rates(tmp_path, rate):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "file_pipeline.yaml"
+    raw = yaml.safe_load(shipped.read_text())
+    params = {p["name"]: p["params"] for p in raw["processors"]}
+    params["reader"]["path"] = str(
+        write_wav(tmp_path / "in.wav", rate, np.zeros(rate // 10)))
+    params["out"]["directory"] = str(tmp_path / "out")
+    plan = build(raw)
+    assert plan.order[0] == "reader"

@@ -422,6 +422,16 @@ def test_logistic_limits_and_midpoint():
         logistic(np.array([-1000.0, 1000.0]))
 
 
+def test_logistic_matches_per_sign_reference():
+    z = np.random.default_rng(12).standard_normal(10000) * 30
+    z[:4] = [0.0, -0.0, 800.0, -800.0]
+    expected = np.empty_like(z)
+    pos = z >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    np.testing.assert_array_equal(logistic(z), expected)
+
+
 def test_block_average_nan_aware():
     data = np.array([
         [1.0, 2.0],

@@ -38,7 +38,8 @@ def test_file_pipeline_matches_unchunked_reference(tone_wav, tmp_path):
     )
     reference = run_unchunked(reference_plan)
     for key in OUT_KEYS:
-        problem = compare_streamed(streamed[key], reference[key].payload)
+        problem = compare_streamed(streamed[key], reference[key].payload,
+                                   exact=True)
         assert problem is None, f"{key}: {problem}"
     assert report.written[("ptn", "E_T")] > 0
 
