@@ -100,6 +100,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    """Write the whole-signal reference arrays.
+
+    They equal the arrays of ``tfstream run`` bit for bit only when both
+    processes use the same BLAS build and thread count: the filterbank's
+    GEMM may sum in a different order under another configuration.
+    """
     config = _override(load_config(args.config), args)
     plan = validate_graph(config)
     results = run_unchunked(plan)
@@ -139,9 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print merge logs and counters")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_oracle = sub.add_parser(
-        "oracle", help="whole-signal reference computation (no chunking)"
+    oracle_help = (
+        "whole-signal reference computation (no chunking); bit-equal to "
+        "`run` only under the same BLAS build and thread count"
     )
+    p_oracle = sub.add_parser("oracle", help=oracle_help, description=oracle_help)
     p_oracle.add_argument("--config", required=True)
     p_oracle.add_argument("--input", help="override the WAV input path")
     p_oracle.add_argument("--output", required=True)

@@ -105,20 +105,13 @@ def run_unchunked(plan: GraphPlan) -> Dict[SourceKey, DataChunk]:
     }
 
 
-def compare_streamed(
-    streamed: np.ndarray,
-    reference: np.ndarray,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    exact: bool = False,
-) -> Optional[str]:
-    """Check a concatenated streamed result against the reference.
+def compare_streamed(streamed: np.ndarray, reference: np.ndarray) -> Optional[str]:
+    """Check a concatenated streamed result against the reference exactly.
 
     Streaming withholds the stream tail (the included-past columns of
     the final chunk plus any incomplete block), so the streamed array
-    may be shorter; the overlap must match including NaN placement.
-    With ``exact`` every non-NaN cell must be equal (NaN-aware
-    ``array_equal``), otherwise within ``rtol``/``atol``.
+    may be shorter; over the overlap NaN placement must match and every
+    other cell must be equal (NaN-aware ``array_equal``).
     Returns None on success, else a human-readable mismatch summary.
     """
     n = streamed.shape[-1]
@@ -134,10 +127,7 @@ def compare_streamed(
     nan_r = np.isnan(ref)
     if not np.array_equal(nan_s, nan_r):
         return f"NaN placement differs in {int((nan_s != nan_r).sum())} cells"
-    if exact:
-        bad = (streamed != ref) & ~nan_s
-    else:
-        bad = ~np.isclose(streamed, ref, rtol=rtol, atol=atol, equal_nan=True)
+    bad = (streamed != ref) & ~nan_s
     if bad.any():
         worst = np.max(np.abs(streamed[bad] - ref[bad]))
         return f"{int(bad.sum())} cells differ, worst |delta| = {worst:.3e}"

@@ -78,8 +78,12 @@ class GammaChirpFilterbank(Processor):
         self.impulse_length: Optional[int] = None
         self.center_freqs = np.geomspace(self.f_min, self.f_max, self.channels)
         self._window: Optional[TimeWindowState] = None
-        #: reversed-tap matrix and GEMM scratch blocks, built on first use
-        self._gemm: Optional[tuple] = None
+        #: (L, 2C) reversed taps, set by prepare
+        self._taps: Optional[np.ndarray] = None
+        #: GEMM scratch blocks (windows, product, energy), set on first use
+        self._windows: Optional[np.ndarray] = None
+        self._product: Optional[np.ndarray] = None
+        self._block: Optional[np.ndarray] = None
         if "sample_rate" in params:
             self.prepare(float(params["sample_rate"]))
 
@@ -97,9 +101,16 @@ class GammaChirpFilterbank(Processor):
                 for cf in self.center_freqs
             ]
         )
-        self._h_real = np.ascontiguousarray(bank.real)
-        self._h_imag = np.ascontiguousarray(bank.imag)
-        self._gemm = None
+        channels = self.channels
+        # column c holds channel c's real taps reversed, column C + c its
+        # imaginary taps, so windows @ taps is the convolution
+        self._taps = np.empty((self.impulse_length, 2 * channels))
+        self._taps[:, :channels] = bank.real[:, ::-1].T
+        self._taps[:, channels:] = bank.imag[:, ::-1].T
+        # per-channel taps in time order (channels x L), views of _taps
+        self._h_real = self._taps[::-1, :channels].T
+        self._h_imag = self._taps[::-1, channels:].T
+        self._windows = None
         self._window = TimeWindowState(declared_d=self.impulse_length, declared_p=0)
         return in_rate
 
@@ -123,17 +134,15 @@ class GammaChirpFilterbank(Processor):
         """
         length = self.impulse_length
         channels = self.channels
-        if self._gemm is None:
-            # (L, 2C): column c holds channel c's real taps reversed, column
-            # C + c its imaginary taps, so windows @ taps is the convolution
-            taps = np.concatenate([self._h_real, self._h_imag])[:, ::-1].T
-            self._gemm = (
-                np.ascontiguousarray(taps),
-                np.empty((GEMM_ROWS, length)),
-                np.empty((GEMM_ROWS, 2 * channels)),
-                np.empty((GEMM_ROWS, channels)),
-            )
-        taps, windows, product, block = self._gemm
+        if self._windows is None:
+            # Not in prepare: every plan build prepares, and allocating
+            # these blocks there (1.2 MB at L = 400, 2C = 128) cost about
+            # 500 page faults per build through heap growth, even for
+            # plans that never run.
+            self._windows = np.empty((GEMM_ROWS, length))
+            self._product = np.empty((GEMM_ROWS, 2 * channels))
+            self._block = np.empty((GEMM_ROWS, channels))
+        windows, product, block = self._windows, self._product, self._block
         first = out.start - length + 1
         count = out.stop - out.start
         sliding = sliding_window_view(buf, length)
@@ -142,7 +151,7 @@ class GammaChirpFilterbank(Processor):
             rows = min(GEMM_ROWS, count - start)
             windows[:rows] = sliding[first + start : first + start + rows]
             windows[rows:] = 0.0
-            np.matmul(windows, taps, out=product)
+            np.matmul(windows, self._taps, out=product)
             real = product[:, :channels]
             imag = product[:, channels:]
             np.multiply(real, real, out=block)

