@@ -7,7 +7,7 @@ plus the four alignment counters that make re-alignment possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Optional, Tuple
 
@@ -121,9 +121,6 @@ class DataChunk:
     def channels(self) -> int:
         return self.payload.shape[0] if self.payload.ndim == 2 else 1
 
-    def with_payload(self, payload: np.ndarray, **changes) -> "DataChunk":
-        return replace(self, payload=payload, **changes)
-
 
 def validate_chunk(chunk: DataChunk) -> DataChunk:
     """Check all DataChunk invariants; return the chunk unchanged.
@@ -140,10 +137,6 @@ def validate_chunk(chunk: DataChunk) -> DataChunk:
         raise MetadataError(f"unknown continuity code {chunk.continuity!r}") from None
     if chunk.number < 0:
         raise MetadataError(f"chunk number is negative: {chunk.number}")
-    a = chunk.alignment
-    for name, value in zip("pdls", a.as_tuple()):
-        if value < 0:
-            raise MetadataError(f"alignment counter {name} is negative: {value}")
     if chunk.channel_freqs is not None:
         if chunk.payload.ndim != 2:
             raise ShapeError("channel_freqs given for a 1-D payload")

@@ -102,10 +102,6 @@ class ShapeMismatch(TFStreamError):
     """Merged representations disagree in shape; indicates a framework bug."""
 
 
-class NotACalibrationChunk(TFStreamError):
-    """Calibration requested on a chunk not flagged as calibration."""
-
-
 # --- wire ----------------------------------------------------------------
 
 class WireError(TFStreamError):

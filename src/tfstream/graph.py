@@ -200,7 +200,7 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
     chunk_lengths: Dict[str, float] = {}
     channels: Dict[SourceKey, int] = {}
 
-    calibrated_sources = set()
+    calibrated = set()  # nodes that emit or receive a calibration chunk
     for name in order:
         inst = instances[name]
         if isinstance(inst, SourceProcessor):
@@ -211,7 +211,7 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
             chunk_lengths[f"{name}:out"] = chunk_lengths[name]
             channels[key] = 1
             if inst.params.get("calibration"):
-                calibrated_sources.add(name)
+                calibrated.add(name)
             continue
         keys = in_keys[name]
         if not keys:
@@ -232,6 +232,14 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
         merged_at[name] = merged
         if isinstance(inst, SinkProcessor):
             continue
+        if any(key[0] in calibrated for key in keys):
+            calibrated.add(name)
+        elif inst.needs_threshold and (inst.theta is None or inst.beta is None):
+            raise ConfigError(
+                f"processor {name!r} has no (theta, beta) and no upstream "
+                f"source emits a calibration chunk; configure theta/beta "
+                f"or enable calibration on the input"
+            )
         # a fractional nominal length means short/long chunks alternate;
         # the short ones are the binding case
         if merged.d + merged.p >= int(e_in):
@@ -240,25 +248,23 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                 f"{merged.d + merged.p} does not fit the chunk length "
                 f"{int(e_in)}; minimum is {merged.d + merged.p + 1}"
             )
-        rate_out = rate_in
-        if hasattr(inst, "prepare"):
-            rate_out = inst.prepare(rate_in)
+        rate_out = inst.prepare(rate_in)
         in_channels = max(channels[key] for key in keys)
         merged_out = inst.convert_alignment(merged)
         for feature, align in inst.feature_alignment().items():
             key = (name, feature)
             cumulative[key] = compose(merged_out, align)
             rates[key] = rate_out
-            channels[key] = _output_channels(inst, feature, in_channels)
+            channels[key] = inst.output_channels(feature, in_channels)
         chunk_lengths[f"{name}:out"] = e_in * inst.time_scale()
-
-    _check_calibration(instances, in_keys, calibrated_sources)
 
     edge_triples = [(e.producer, e.feature, e.consumer) for e in config.edges]
     source_names = [
         n for n, inst in instances.items() if isinstance(inst, SourceProcessor)
     ]
     config.faults.validate(edge_triples, source_names)
+    for name in source_names:
+        instances[name].set_overflow_numbers(config.faults.overflow_numbers(name))
 
     return GraphPlan(
         config=config,
@@ -272,43 +278,3 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
         chunk_lengths=chunk_lengths,
         channels=channels,
     )
-
-
-def _output_channels(inst, feature: str, in_channels: int) -> int:
-    from .processors import GammaChirpFilterbank, PTNProcessor
-
-    if isinstance(inst, GammaChirpFilterbank):
-        return inst.channels
-    if isinstance(inst, PTNProcessor):
-        return -(-in_channels // inst.block_df)
-    return in_channels
-
-
-def _ancestors(name: str, in_keys: Dict[str, Tuple[SourceKey, ...]]) -> set:
-    seen = set()
-    stack = [name]
-    while stack:
-        node = stack.pop()
-        for key in in_keys.get(node, ()):
-            if key[0] not in seen:
-                seen.add(key[0])
-                stack.append(key[0])
-    return seen
-
-
-def _check_calibration(instances, in_keys, calibrated_sources) -> None:
-    """Processors needing (theta, beta) must get them from config or from
-    a calibration chunk emitted by an upstream source."""
-    for name, inst in instances.items():
-        needs = getattr(inst, "needs_threshold", False) and (
-            inst.theta is None or inst.beta is None
-        )
-        if not needs:
-            continue
-        upstream = _ancestors(name, in_keys)
-        if not upstream & calibrated_sources:
-            raise ConfigError(
-                f"processor {name!r} has no (theta, beta) and no upstream "
-                f"source emits a calibration chunk; configure theta/beta "
-                f"or enable calibration on the input"
-            )

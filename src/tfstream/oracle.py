@@ -2,7 +2,8 @@
 
 Feeds each source's whole signal through the processor graph as a single
 discontinuous chunk (after an optional calibration pass), using the same
-kernels and the same merge slicing as the streaming runtime.  Every
+merge slicing and the same transform step (``Processor.step``: NaN
+policy, kernels, alignment) as the streaming runtime.  Every
 kernel computes each output value by a fixed expression over that
 value's own input window, whatever the chunk length or start, so
 streaming results must equal these arrays bit for bit, NaN placement
@@ -18,11 +19,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .alignment import compose
-from .chunks import Continuity, DataChunk, SourceKey, ZERO_ALIGNMENT
+from .chunks import Continuity, DataChunk, SourceKey
 from .graph import GraphPlan
 from .merge import MergeState, complete_merge
-from .processors import SinkProcessor, SourceProcessor
+from .processors import Processor, SinkProcessor, SourceProcessor
 
 
 def _feed_pass(
@@ -37,37 +37,17 @@ def _feed_pass(
         if isinstance(inst, SinkProcessor):
             continue
         if isinstance(inst, SourceProcessor):
-            if name not in source_arrays:
-                continue
-            key = (name, inst.feature)
-            available[key] = DataChunk(
-                number=0,
-                source_key=key,
-                payload=source_arrays[name],
-                sample_rate=inst.sample_rate(),
-                alignment=ZERO_ALIGNMENT,
-                continuity=continuity,
-            )
+            if name in source_arrays:
+                chunk = inst.make_chunk(0, source_arrays[name], continuity)
+                available[chunk.source_key] = chunk
             continue
         keys = plan.in_keys[name]
         if any(key not in available for key in keys):
             continue
         chunk_set = {key: available[key] for key in keys}
         merged, _ = complete_merge(MergeState(), chunk_set, 0)
-        outputs = inst.process(merged)
-        base = inst.convert_alignment(merged.alignment)
-        alignments = inst.feature_alignment()
-        for feature, data in outputs.items():
-            key = (name, feature)
-            available[key] = DataChunk(
-                number=0,
-                source_key=key,
-                payload=np.ascontiguousarray(data.payload),
-                sample_rate=data.sample_rate,
-                alignment=compose(base, alignments[feature]),
-                continuity=continuity,
-                channel_freqs=data.channel_freqs,
-            )
+        for chunk in inst.step(merged):
+            available[chunk.source_key] = chunk
     return available
 
 
@@ -79,24 +59,18 @@ def run_unchunked(plan: GraphPlan) -> Dict[SourceKey, DataChunk]:
     as in the streaming run.  The plan's processor instances are mutated
     (window state, calibration); use a freshly validated plan.
     """
-    for inst in plan.instances.values():
-        if hasattr(inst, "reset"):
-            inst.reset()
-
     calibration_arrays = {}
+    source_arrays = {}
     for name, inst in plan.instances.items():
-        if isinstance(inst, SourceProcessor):
-            signal = getattr(inst, "calibration_signal", lambda: None)()
+        if isinstance(inst, Processor):
+            inst.reset()
+        elif isinstance(inst, SourceProcessor):
+            signal = inst.calibration_signal()
             if signal is not None:
                 calibration_arrays[name] = signal
+            source_arrays[name] = inst.full_signal()
     if calibration_arrays:
         _feed_pass(plan, calibration_arrays, Continuity.CALIBRATION)
-
-    source_arrays = {
-        name: inst.full_signal()
-        for name, inst in plan.instances.items()
-        if isinstance(inst, SourceProcessor)
-    }
     results = _feed_pass(plan, source_arrays, Continuity.DISCONTINUOUS)
     return {
         key: chunk

@@ -2,6 +2,7 @@
 
 from .base import (
     FeatureData,
+    NoiseCalibrated,
     Processor,
     SinkProcessor,
     SourceProcessor,
@@ -22,6 +23,7 @@ __all__ = [
     "FileWriter",
     "GammaChirpFilterbank",
     "MicInput",
+    "NoiseCalibrated",
     "PTNProcessor",
     "Processor",
     "Resampler",

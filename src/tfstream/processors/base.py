@@ -8,13 +8,23 @@ chunked processing reproduces the unchunked computation exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, Iterator, Optional, Tuple, Type
+import warnings
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import ClassVar, Dict, Iterator, List, Optional, Set, Tuple, Type
 
 import numpy as np
 
-from ..chunks import AlignmentParams, DataChunk
-from ..errors import EmptyResult, UnknownProcessorKind
+from ..alignment import compose
+from ..chunks import (
+    AlignmentParams,
+    Continuity,
+    DataChunk,
+    SourceKey,
+    ZERO_ALIGNMENT,
+    is_withprevious_subtype,
+)
+from ..errors import ConfigError, EmptyResult, UnknownProcessorKind
 from ..merge import MergedChunk
 
 
@@ -31,6 +41,15 @@ class Processor:
     """Base for transform processors (one merged input set, n features)."""
 
     kind: ClassVar[str] = ""
+    #: True when processing needs (theta, beta); the graph validator then
+    #: requires explicit values or an upstream calibration source.
+    needs_threshold: ClassVar[bool] = False
+    #: Sigmoid threshold and slope, configured or calibrated (None if the
+    #: processor has none).
+    theta = None
+    beta = None
+    #: Input columns processed outside calibration, when counted.
+    valid_columns: Optional[int] = None
 
     def __init__(self, name: str, params: dict):
         self.name = name
@@ -38,12 +57,25 @@ class Processor:
         #: "propagate" keeps quiet NaN in invalid scale rows; "zero"
         #: overwrites them on the receiving side before processing.
         self.nan_policy = self.params.get("nan_policy", "propagate")
+        if self.nan_policy not in ("propagate", "zero"):
+            raise ValueError(
+                f"nan_policy must be 'propagate' or 'zero', "
+                f"got {self.nan_policy!r}"
+            )
 
     # --- static metadata used by graph validation ------------------------
+
+    def prepare(self, in_rate: float) -> float:
+        """Fix the input sample rate before a run; returns the output rate."""
+        return in_rate
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         """Relative alignment counters per published feature."""
         raise NotImplementedError
+
+    def output_channels(self, feature: str, in_channels: int) -> int:
+        """Channel count of a published feature, given the input's."""
+        return in_channels
 
     def time_scale(self) -> float:
         """Output time steps per input time step (1.0 if rate-preserving)."""
@@ -64,8 +96,92 @@ class Processor:
         """Consume one merged chunk, return payloads per feature name."""
         raise NotImplementedError
 
+    def consume_pending_continuity(self) -> Optional[Continuity]:
+        """Continuity for the next published chunk when it must override
+        the merged one (a break that published nothing yet), else None."""
+        return None
+
     def reset(self) -> None:
         """Drop any carried state (called once before a run)."""
+
+    @cached_property
+    def _alignments(self) -> Dict[str, AlignmentParams]:
+        """feature_alignment(), read once: it is fixed after prepare."""
+        return self.feature_alignment()
+
+    def step(self, merged: MergedChunk) -> List[DataChunk]:
+        """The chunks to publish for one merged chunk.
+
+        The one transform step of both the streaming runtime and the
+        whole-signal reference: apply the NaN policy, process, settle
+        the continuity and compose each feature's cumulative alignment.
+        """
+        if self.nan_policy == "zero":
+            merged = replace(merged, payloads={
+                key: np.nan_to_num(arr, nan=0.0)
+                for key, arr in merged.payloads.items()
+            })
+        outputs = self.process(merged)
+        if not outputs:
+            return []
+        continuity = merged.continuity
+        pending = self.consume_pending_continuity()
+        if pending is not None and is_withprevious_subtype(continuity):
+            continuity = pending
+        base = self.convert_alignment(merged.alignment)
+        return [
+            DataChunk(
+                number=merged.number,
+                source_key=(self.name, feature),
+                payload=np.ascontiguousarray(data.payload),
+                sample_rate=data.sample_rate,
+                alignment=compose(base, self._alignments[feature]),
+                continuity=continuity,
+                channel_freqs=data.channel_freqs,
+            )
+            for feature, data in outputs.items()
+        ]
+
+
+class NoiseCalibrated(Processor):
+    """A processor with a sigmoid threshold theta and slope beta, either
+    configured or estimated from the tract scores of a calibration chunk.
+
+    Parameters: theta, beta; theta_quantile (default 95) and
+    beta_quantile (default 99) for the estimate.
+    """
+
+    def __init__(self, name: str, params: dict):
+        super().__init__(name, params)
+        self.theta = params.get("theta")
+        self.beta = params.get("beta")
+        self.theta_quantile = float(params.get("theta_quantile", 95.0))
+        self.beta_quantile = float(params.get("beta_quantile", 99.0))
+        if not 0 < self.theta_quantile < self.beta_quantile < 100:
+            raise ValueError("need 0 < theta_quantile < beta_quantile < 100")
+
+    def calibrate(self, scores: np.ndarray) -> None:
+        """Set per-channel (theta, beta) from calibration noise scores.
+
+        Noise scores are bounded by 1 and their bulk sits well below it,
+        so mean-plus-sigma thresholds can exceed the score ceiling.  The
+        upper quantiles stay inside it: theta is the theta_quantile score
+        per channel and beta the distance to the beta_quantile, which
+        puts repeating structure (scores near 1) several slopes above
+        the threshold on every channel.  NaN cells are ignored; a channel
+        with no valid score (an invalid scale margin) gets the mean over
+        the others.
+        """
+        with warnings.catch_warnings():
+            # all-NaN rows (invalid scale margins) are filled below
+            warnings.simplefilter("ignore", RuntimeWarning)
+            q_theta, q_beta = np.nanpercentile(
+                scores, [self.theta_quantile, self.beta_quantile], axis=1
+            )
+        self.theta = np.where(np.isnan(q_theta), np.nanmean(q_theta), q_theta)
+        spread = q_beta - q_theta
+        fill = max(float(np.nanmean(spread)), 1e-9)
+        self.beta = np.where(np.isnan(spread), fill, np.maximum(spread, 1e-9))
 
 
 class SourceProcessor:
@@ -87,6 +203,40 @@ class SourceProcessor:
     def chunk_size(self) -> int:
         raise NotImplementedError
 
+    def full_signal(self) -> np.ndarray:
+        """The whole input as one array (reference computations)."""
+        raise NotImplementedError
+
+    def make_chunk(
+        self, number: int, payload: np.ndarray, continuity: Continuity
+    ) -> DataChunk:
+        """A chunk of this source's feature, as the stream and the
+        whole-signal reference both emit it (zero alignment)."""
+        return DataChunk(
+            number=number,
+            source_key=(self.name, self.feature),
+            payload=payload,
+            sample_rate=self.sample_rate(),
+            alignment=ZERO_ALIGNMENT,
+            continuity=continuity,
+        )
+
+    def calibration_signal(self) -> Optional[np.ndarray]:
+        """The calibration chunk's samples, or None if none is emitted."""
+        return None
+
+    def set_overflow_numbers(self, numbers: Set[int]) -> None:
+        """Script input overflows at these chunk numbers.
+
+        Only a source that can overflow accepts any; for every other
+        source a scripted overflow could never take effect.
+        """
+        if numbers:
+            raise ConfigError(
+                f"input {self.name!r} ({self.kind}) cannot overflow; "
+                f"remove its overflow faults"
+            )
+
 
 class SinkProcessor:
     """Base for output processors; they consume chunks without merging."""
@@ -96,6 +246,8 @@ class SinkProcessor:
     def __init__(self, name: str, params: dict):
         self.name = name
         self.params = dict(params)
+        #: Chunks written per source key.
+        self.written: Dict[SourceKey, int] = {}
 
     def consume(self, chunk: DataChunk) -> None:
         raise NotImplementedError

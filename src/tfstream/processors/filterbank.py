@@ -119,6 +119,9 @@ class GammaChirpFilterbank(Processor):
             raise SpecMismatch("filterbank not prepared: sample rate unknown")
         return {"E": AlignmentParams(p=0, d=self.impulse_length, l=0, s=0)}
 
+    def output_channels(self, feature: str, in_channels: int) -> int:
+        return self.channels
+
     def reset(self) -> None:
         if self._window is not None:
             self._window.reset()
@@ -166,9 +169,7 @@ class GammaChirpFilterbank(Processor):
         x = next(iter(merged.payloads.values()))
         if x.ndim != 1:
             raise ShapeMismatch("filterbank expects a 1-D time series")
-        if self._rate is None:
-            self.prepare(merged.sample_rate)
-        elif merged.sample_rate != self._rate:
+        if merged.sample_rate != self._rate:
             raise SpecMismatch(
                 f"chunk rate {merged.sample_rate} != design rate {self._rate}"
             )

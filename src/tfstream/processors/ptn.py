@@ -9,7 +9,6 @@ difference to the total block energy.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from ..chunks import AlignmentParams, Continuity, SourceKey, is_withprevious_subtype
 from ..errors import ConfigError, ShapeMismatch
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, register
+from .base import FeatureData, NoiseCalibrated, register
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
@@ -80,7 +79,7 @@ def _per_channel(value) -> np.ndarray:
 
 
 @register
-class PTNProcessor(Processor):
+class PTNProcessor(NoiseCalibrated):
     """Merges E and T, publishes block-averaged tonal energy.
 
     Features: E_T (tonal block means), E_T_valid (valid cells per block),
@@ -99,12 +98,6 @@ class PTNProcessor(Processor):
         self.block_df = int(params.get("block_df", 8))
         if self.block_dt < 1 or self.block_df < 1:
             raise ValueError("block sizes must be >= 1")
-        self.theta = params.get("theta")
-        self.beta = params.get("beta")
-        self.theta_quantile = float(params.get("theta_quantile", 95.0))
-        self.beta_quantile = float(params.get("beta_quantile", 99.0))
-        if not 0 < self.theta_quantile < self.beta_quantile < 100:
-            raise ValueError("need 0 < theta_quantile < beta_quantile < 100")
         self.energy_feature = params.get("energy_feature", "E")
         self.tract_feature = params.get("tract_feature", "T")
         self.valid_columns = 0
@@ -115,6 +108,9 @@ class PTNProcessor(Processor):
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         zero = AlignmentParams()
         return {"E_T": zero, "E_T_valid": zero, "E_blocks": zero}
+
+    def output_channels(self, feature: str, in_channels: int) -> int:
+        return -(-in_channels // self.block_df)
 
     def time_scale(self) -> float:
         return 1.0 / self.block_dt
@@ -160,20 +156,10 @@ class PTNProcessor(Processor):
 
         if Continuity(merged.continuity) is Continuity.CALIBRATION:
             # Estimate the sigmoid parameters from the noise tract scores
-            # (per channel, same quantile rule as the extractor, so both
-            # sides agree); calibration data never reaches the results.
+            # (the rule the extractor applies to them, so both sides
+            # agree); calibration data never reaches the results.
             if self.theta is None or self.beta is None:
-                with warnings.catch_warnings():
-                    # all-NaN rows (invalid scale margins) are filled below
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    q_theta = np.nanpercentile(tract, self.theta_quantile, axis=1)
-                    q_beta = np.nanpercentile(tract, self.beta_quantile, axis=1)
-                theta = np.where(np.isnan(q_theta), np.nanmean(q_theta), q_theta)
-                spread = q_beta - q_theta
-                fill = max(float(np.nanmean(spread)), 1e-9)
-                beta = np.where(np.isnan(spread), fill, np.maximum(spread, 1e-9))
-                self.theta = theta
-                self.beta = beta
+                self.calibrate(tract)
             self._carry_et = None
             self._carry_e = None
             self._pending_discontinuity = None

@@ -52,7 +52,6 @@ class Resampler(Processor):
         self.drop = math.ceil((self.fir_length - 1) / self.factor)
         self._tail: Optional[np.ndarray] = None
         self._in_count = 0  # input samples since the last discontinuity
-        self._rate: Optional[float] = None
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {"snd": AlignmentParams(p=0, d=self.drop, l=0, s=0)}
@@ -71,7 +70,6 @@ class Resampler(Processor):
             raise NonIntegerRate(
                 f"factor {self.factor} does not divide sample rate {in_rate}"
             )
-        self._rate = in_rate
         return in_rate / self.factor
 
     def reset(self) -> None:
@@ -84,8 +82,6 @@ class Resampler(Processor):
         x = next(iter(merged.payloads.values()))
         if x.ndim != 1:
             raise ShapeMismatch("resampler expects a 1-D time series")
-        if self._rate is None:
-            self.prepare(merged.sample_rate)
         R, F = self.factor, self.fir_length
 
         continuous = is_withprevious_subtype(merged.continuity) and self._tail is not None

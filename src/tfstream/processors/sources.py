@@ -12,27 +12,9 @@ from typing import Iterator, Optional, Set
 import numpy as np
 from scipy.io import wavfile
 
-from ..chunks import AlignmentParams, Continuity, DataChunk, ZERO_ALIGNMENT
+from ..chunks import Continuity, DataChunk
 from ..errors import IoError, UnsupportedFormat
 from .base import SourceProcessor, register
-
-
-def _chunk(
-    name: str,
-    feature: str,
-    number: int,
-    payload: np.ndarray,
-    rate: float,
-    continuity: Continuity,
-) -> DataChunk:
-    return DataChunk(
-        number=number,
-        source_key=(name, feature),
-        payload=payload,
-        sample_rate=rate,
-        alignment=ZERO_ALIGNMENT,
-        continuity=continuity,
-    )
 
 
 def load_wav(path: Path) -> tuple[int, np.ndarray]:
@@ -102,15 +84,11 @@ class WavReader(SourceProcessor):
         )
 
     def chunks(self) -> Iterator[DataChunk]:
-        rate = float(self._rate)
         number = 0
         if self.calibration:
-            n = int(round(self.calibration["duration_s"] * rate))
-            noise = calibration_noise(
-                int(self.calibration["seed"]), n, self.calibration.get("level", 0.1)
+            yield self.make_chunk(
+                number, self.calibration_signal(), Continuity.CALIBRATION
             )
-            yield _chunk(self.name, self.feature, number, noise, rate,
-                         Continuity.CALIBRATION)
             number += 1
         total = len(self._samples)
         starts = list(range(0, total, self.size))
@@ -122,7 +100,7 @@ class WavReader(SourceProcessor):
                 continuity = Continuity.LAST
             else:
                 continuity = Continuity.WITHPREVIOUS
-            yield _chunk(self.name, self.feature, number, payload, rate, continuity)
+            yield self.make_chunk(number, payload, continuity)
             number += 1
 
 
@@ -172,9 +150,6 @@ class MicInput(SourceProcessor):
             [self._signal(rng, n * self.size) for n in range(self.count)]
         )
 
-    def calibration_signal(self) -> Optional[np.ndarray]:
-        return None
-
     def _signal(self, rng: np.random.Generator, start_sample: int) -> np.ndarray:
         t = (start_sample + np.arange(self.size)) / self.rate
         tone = self.tone_level * np.sin(2 * np.pi * self.tone_freq * t)
@@ -187,9 +162,8 @@ class MicInput(SourceProcessor):
             payload = self._signal(rng, number * self.size)
             if number in self.overflow_numbers:
                 # Acquisition failed: keep the invalid chunk unpublished.
-                self.last_invalid = _chunk(
-                    self.name, self.feature, number, payload, self.rate,
-                    Continuity.INVALID,
+                self.last_invalid = self.make_chunk(
+                    number, payload, Continuity.INVALID
                 )
                 after_overflow = True
                 continue
@@ -202,5 +176,4 @@ class MicInput(SourceProcessor):
             if after_overflow and self.flag_after_overflow == "discontinuous":
                 continuity = Continuity.DISCONTINUOUS
             after_overflow = False
-            yield _chunk(self.name, self.feature, number, payload, self.rate,
-                         continuity)
+            yield self.make_chunk(number, payload, continuity)

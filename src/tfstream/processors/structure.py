@@ -8,19 +8,20 @@ with 1 for perfectly repeating structure.
 
 Receiving a calibration chunk (white noise) makes the extractor estimate
 its decision threshold theta and slope beta from the noise score
-distribution.
+distribution (``NoiseCalibrated.calibrate``, the rule ptn applies to
+the same scores).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..chunks import AlignmentParams, Continuity, is_withprevious_subtype
-from ..errors import NotACalibrationChunk, ShapeMismatch, TooFewChannels
+from ..errors import ShapeMismatch, TooFewChannels
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, TimeWindowState, register
+from .base import FeatureData, NoiseCalibrated, TimeWindowState, register
 
 
 #: Output columns per tile of a score computation (see ``_tiled``).
@@ -132,7 +133,7 @@ def vertical_score(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
 
 
 @register
-class StructureExtractor(Processor):
+class StructureExtractor(NoiseCalibrated):
     """Publishes the tract feature T with alignment (w_t, w_t, w_s, w_s)."""
 
     kind = "structure_extractor"
@@ -146,12 +147,6 @@ class StructureExtractor(Processor):
         self.direction = params.get("direction", "horizontal")
         if self.direction not in ("horizontal", "vertical"):
             raise ValueError(f"bad direction {self.direction!r}")
-        self.theta_quantile = float(params.get("theta_quantile", 95.0))
-        self.beta_quantile = float(params.get("beta_quantile", 99.0))
-        if not 0 < self.theta_quantile < self.beta_quantile < 100:
-            raise ValueError("need 0 < theta_quantile < beta_quantile < 100")
-        self.theta = params.get("theta")
-        self.beta = params.get("beta")
         self._window = TimeWindowState(declared_d=self.w_t, declared_p=self.w_t)
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
@@ -162,46 +157,6 @@ class StructureExtractor(Processor):
     def reset(self) -> None:
         self._window.reset()
 
-    def _raw_scores(self, energy: np.ndarray) -> np.ndarray:
-        if energy.shape[0] < 2 * self.w_s + 1:
-            raise TooFewChannels(
-                f"structure extraction needs >= {2 * self.w_s + 1} channels, "
-                f"got {energy.shape[0]}"
-            )
-        if self.direction == "horizontal":
-            return horizontal_score(energy, self.w_t)
-        return vertical_score(energy, self.w_t, self.w_s)
-
-    def calibrate(
-        self, energy: np.ndarray, continuity: Continuity
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Estimate per-channel (theta, beta) from the noise score tail.
-
-        Noise scores are bounded by 1 and their bulk sits well below it,
-        so mean-plus-sigma thresholds can exceed the score ceiling.  The
-        upper quantiles stay inside it: theta is the theta_quantile score
-        per channel and beta the distance to the beta_quantile, which
-        puts repeating structure (scores near 1) several slopes above
-        the threshold on every channel.
-        """
-        if Continuity(continuity) is not Continuity.CALIBRATION:
-            raise NotACalibrationChunk(
-                f"calibration on a chunk flagged {Continuity(continuity).name}"
-            )
-        scores = self._raw_scores(energy)
-        channels = scores.shape[0]
-        valid = scores[self.w_s : channels - self.w_s,
-                       self.w_t : scores.shape[-1] - self.w_t]
-        q_theta = np.percentile(valid, self.theta_quantile, axis=1)
-        q_beta = np.percentile(valid, self.beta_quantile, axis=1)
-        theta = np.full(channels, q_theta.mean())
-        beta = np.full(channels, max(float(np.mean(q_beta - q_theta)), 1e-9))
-        theta[self.w_s : channels - self.w_s] = q_theta
-        beta[self.w_s : channels - self.w_s] = np.maximum(q_beta - q_theta, 1e-9)
-        self.theta = theta
-        self.beta = beta
-        return theta, beta
-
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         if len(merged.payloads) != 1:
             raise ShapeMismatch("structure extractor expects exactly one input")
@@ -209,16 +164,24 @@ class StructureExtractor(Processor):
         energy = merged.payloads[key]
         if energy.ndim != 2:
             raise ShapeMismatch("structure extractor expects a 2-D representation")
-        if Continuity(merged.continuity) is Continuity.CALIBRATION:
-            self.calibrate(energy, merged.continuity)
+        if energy.shape[0] < 2 * self.w_s + 1:
+            raise TooFewChannels(
+                f"structure extraction needs >= {2 * self.w_s + 1} channels, "
+                f"got {energy.shape[0]}"
+            )
         continuous = is_withprevious_subtype(merged.continuity)
         buf, out = self._window.feed(continuous, energy)
-        scores = self._raw_scores(buf)[:, out]
+        if self.direction == "horizontal":
+            scores = horizontal_score(buf, self.w_t)[:, out]
+        else:
+            scores = vertical_score(buf, self.w_t, self.w_s)[:, out]
         # mark the cumulative invalid scale margins
         l_cum = merged.alignment.l + self.w_s
         s_cum = merged.alignment.s + self.w_s
         scores[:l_cum, :] = np.nan
         scores[scores.shape[0] - s_cum :, :] = np.nan
+        if Continuity(merged.continuity) is Continuity.CALIBRATION:
+            self.calibrate(scores)
         freqs = merged.channel_freqs.get(key)
         return {
             "T": FeatureData(

@@ -24,7 +24,6 @@ class FileWriter(SinkProcessor):
         self.directory = Path(params["directory"])
         self.dtype = params.get("dtype", "<f8")
         self._writers: Dict[SourceKey, ChunkFileWriter] = {}
-        self.written: Dict[SourceKey, int] = {}
 
     def path_for(self, key: SourceKey) -> Path:
         return self.directory / f"{key[0]}.{key[1]}.tfc"

@@ -14,12 +14,11 @@ from __future__ import annotations
 import queue
 import socket
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .alignment import compose
 from .buffering import BufferCounters, InFlightBuffer
 from .chunks import (
     Continuity,
@@ -27,13 +26,12 @@ from .chunks import (
     MergeScenario,
     SourceKey,
     check_publishable,
-    is_withprevious_subtype,
 )
 from .errors import TFStreamError, WireError
 from .graph import Edge, GraphPlan
 from .merge import MergeState, complete_merge
 from .processors import SinkProcessor, SourceProcessor
-from .wire import decode_stream, encode
+from .wire import FrameStream, decode_stream, encode
 
 _SCENARIO_NAMES = {
     MergeScenario.REGULAR_CONTINUOUS: "RegularContinuous",
@@ -125,16 +123,16 @@ class _TcpLink:
         name = (
             f"{self._edge.producer}.{self._edge.feature}->{self._edge.consumer}"
         )
-        with conn, conn.makefile("rb") as stream:
-            while True:
-                if not stream.peek(1):
-                    break
+        with conn, conn.makefile("rb") as raw:
+            stream = FrameStream(raw)
+            while not stream.at_end():
                 try:
                     chunk = decode_stream(stream)
                 except WireError:
                     # A damaged frame is lost whole; the consumer just
                     # sees a number gap, like any other lost chunk.
                     self._on_wire_error(name)
+                    stream.skip_to_magic()
                     continue
                 self._deliver(chunk)
         self._deliver(_EndOfStream(self._edge.source_key))
@@ -222,117 +220,77 @@ class Streamboard:
     def _run_source(self, name: str) -> None:
         inst = self.plan.instances[name]
         senders = self._make_senders(name)
-        overflow = self.plan.config.faults.overflow_numbers(name)
-        if overflow and hasattr(inst, "set_overflow_numbers"):
-            inst.set_overflow_numbers(overflow)
         try:
             for chunk in inst.chunks():
                 self._publish(name, chunk, senders)
         finally:
             self._finish(senders)
 
-    @staticmethod
-    def _apply_nan_policy(inst, merged):
-        if getattr(inst, "nan_policy", "propagate") != "zero":
-            return merged
-        payloads = {
-            key: np.nan_to_num(arr, nan=0.0)
-            for key, arr in merged.payloads.items()
-        }
-        return replace(merged, payloads=payloads)
+    def _drain(self, name: str, handle: Callable) -> None:
+        """Pass every inbox item to handle until each input has ended.
+
+        After a failure the inbox is still drained, so producers never
+        block; the first failure is raised at the end.
+        """
+        inbox = self._inbox(name)
+        keys = frozenset(self.plan.in_keys[name])
+        ended: set = set()
+        failure: Optional[BaseException] = None
+        while ended != keys:
+            item = inbox.get()
+            if isinstance(item, _EndOfStream):
+                ended.add(item.key)
+            elif failure is None:
+                try:
+                    handle(item)
+                except BaseException as exc:  # noqa: BLE001
+                    failure = exc
+        if failure is not None:
+            raise failure
 
     def _run_transform(self, name: str) -> None:
         inst = self.plan.instances[name]
         inst.reset()
         senders = self._make_senders(name)
-        inbox = self._inbox(name)
-        keys = frozenset(self.plan.in_keys[name])
-        buffer = InFlightBuffer(configured_keys=keys)
+        buffer = InFlightBuffer(configured_keys=frozenset(self.plan.in_keys[name]))
         state = MergeState()
         log: List[MergeLogEntry] = []
-        alignments = inst.feature_alignment()
-        ended: set = set()
         max_occ = 0
-        failure: Optional[BaseException] = None
+
+        def handle(item: DataChunk) -> None:
+            nonlocal state, max_occ
+            completed = buffer.accept(item)
+            max_occ = max(max_occ, buffer.occupancy())
+            if completed is None:
+                return
+            n = next(iter(completed.values())).number
+            merged, state = complete_merge(state, completed, n)
+            log.append(self._log_entry(merged))
+            for out in inst.step(merged):
+                self._publish(name, out, senders)
+
         try:
-            while ended != keys:
-                item = inbox.get()
-                if isinstance(item, _EndOfStream):
-                    ended.add(item.key)
-                    continue
-                if failure is not None:
-                    continue  # keep draining so producers never block
-                try:
-                    completed = buffer.accept(item)
-                    max_occ = max(max_occ, buffer.occupancy())
-                    if completed is None:
-                        continue
-                    n = next(iter(completed.values())).number
-                    merged, state = complete_merge(state, completed, n)
-                    log.append(self._log_entry(merged))
-                    outputs = inst.process(self._apply_nan_policy(inst, merged))
-                    if not outputs:
-                        continue
-                    continuity = merged.continuity
-                    if hasattr(inst, "consume_pending_continuity"):
-                        pending = inst.consume_pending_continuity()
-                        if pending is not None and is_withprevious_subtype(continuity):
-                            continuity = pending
-                    base_align = inst.convert_alignment(merged.alignment)
-                    for feature, data in outputs.items():
-                        out = DataChunk(
-                            number=merged.number,
-                            source_key=(name, feature),
-                            payload=np.ascontiguousarray(data.payload),
-                            sample_rate=data.sample_rate,
-                            alignment=compose(base_align, alignments[feature]),
-                            continuity=continuity,
-                            channel_freqs=data.channel_freqs,
-                        )
-                        self._publish(name, out, senders)
-                except BaseException as exc:  # noqa: BLE001
-                    failure = exc
+            self._drain(name, handle)
             buffer.drain()
         finally:
             with self._lock:
                 self.report.merge_logs[name] = log
                 self.report.buffer_counters[name] = buffer.counters
                 self.report.max_occupancy[name] = max_occ
-                if hasattr(inst, "valid_columns"):
+                if inst.valid_columns is not None:
                     self.report.valid_columns[name] = inst.valid_columns
-                theta = getattr(inst, "theta", None)
-                beta = getattr(inst, "beta", None)
-                if theta is not None and beta is not None:
-                    self.report.calibration[name] = (theta, beta)
+                if inst.theta is not None and inst.beta is not None:
+                    self.report.calibration[name] = (inst.theta, inst.beta)
             self._finish(senders)
-        if failure is not None:
-            raise failure
 
     def _run_sink(self, name: str) -> None:
         inst = self.plan.instances[name]
-        inbox = self._inbox(name)
-        keys = frozenset(self.plan.in_keys[name])
-        ended: set = set()
-        failure: Optional[BaseException] = None
         try:
-            while ended != keys:
-                item = inbox.get()
-                if isinstance(item, _EndOfStream):
-                    ended.add(item.key)
-                    continue
-                if failure is not None:
-                    continue
-                try:
-                    inst.consume(item)
-                except BaseException as exc:  # noqa: BLE001
-                    failure = exc
+            self._drain(name, inst.consume)
         finally:
             inst.close()
             with self._lock:
-                for key, count in getattr(inst, "written", {}).items():
-                    self.report.written[key] = count
-        if failure is not None:
-            raise failure
+                self.report.written.update(inst.written)
 
     @staticmethod
     def _log_entry(merged) -> MergeLogEntry:

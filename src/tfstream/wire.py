@@ -170,6 +170,41 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
     )
 
 
+class FrameStream:
+    """A byte stream of frames that can skip past a damaged frame.
+
+    ``decode_stream`` reads from it as from the buffered stream it wraps.
+    After a failed decode, ``skip_to_magic`` moves to the next frame
+    magic, so a damaged frame costs one failure, not one per misaligned
+    parse attempt.
+    """
+
+    def __init__(self, stream: BinaryIO):
+        self._stream = stream
+        self._pushback = b""  # bytes scanned past but not yet read
+
+    def read(self, n: int) -> bytes:
+        if not self._pushback:
+            return self._stream.read(n)
+        head, self._pushback = self._pushback[:n], self._pushback[n:]
+        return head + self._stream.read(n - len(head))
+
+    def at_end(self) -> bool:
+        return not self._pushback and not self._stream.peek(1)
+
+    def skip_to_magic(self) -> None:
+        """Discard bytes up to the next magic, or to the end of the stream."""
+        data = self._pushback
+        while MAGIC not in data:
+            more = self._stream.read1(1 << 16)
+            if not more:
+                self._pushback = b""
+                return
+            # keep the tail: it may hold the start of a magic
+            data = data[-(len(MAGIC) - 1) :] + more
+        self._pushback = data[data.index(MAGIC) :]
+
+
 def decode(data: bytes) -> DataChunk:
     """Decode one complete frame from bytes."""
     stream = BytesIO(data)

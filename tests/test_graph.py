@@ -141,6 +141,13 @@ def test_bad_processor_params_reported_with_name(tone_wav, tmp_path):
         build(raw)
 
 
+def test_unknown_nan_policy_rejected(tone_wav, tmp_path):
+    raw = file_pipeline_config(tone_wav, tmp_path / "out")
+    raw["processors"][4]["params"]["nan_policy"] = "zeros"
+    with pytest.raises(ConfigError, match="nan_policy"):
+        build(raw)
+
+
 def test_threshold_needed_without_calibration(tone_wav, tmp_path):
     raw = file_pipeline_config(tone_wav, tmp_path / "out")
     del raw["processors"][0]["params"]["calibration"]
@@ -179,6 +186,15 @@ def test_overflow_on_non_source_rejected(tmp_path):
         build(raw)
 
 
+def test_overflow_on_source_that_cannot_overflow_rejected(tone_wav, tmp_path):
+    raw = file_pipeline_config(
+        tone_wav, tmp_path / "out",
+        faults=[{"kind": "overflow", "input": "reader", "number": 3}],
+    )
+    with pytest.raises(ConfigError, match="cannot overflow"):
+        build(raw)
+
+
 def test_valid_fault_schedule_accepted(tmp_path):
     plan = build(mic_pipeline_config(
         tmp_path / "out",
@@ -188,6 +204,7 @@ def test_valid_fault_schedule_accepted(tmp_path):
         ],
     ))
     assert plan.config.faults.overflow_numbers("mic") == {5}
+    assert plan.instances["mic"].overflow_numbers == {5}
 
 
 @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])

@@ -8,7 +8,6 @@ from tfstream.chunks import AlignmentParams, Continuity, DataChunk, ZERO_ALIGNME
 from tfstream.errors import (
     IoError,
     NonIntegerRate,
-    NotACalibrationChunk,
     SpecMismatch,
     TooFewChannels,
     UnsupportedFormat,
@@ -384,24 +383,6 @@ def test_structure_extractor_marks_scale_margins():
     assert np.isnan(out[:2]).all()
     assert np.isnan(out[-2:]).all()
     assert not np.isnan(out[2:-2]).any()
-
-
-def test_structure_extractor_calibration_requires_flag():
-    se = StructureExtractor("se", {"w_t": 10, "w_s": 2})
-    with pytest.raises(NotACalibrationChunk):
-        se.calibrate(np.ones((16, 100)), Continuity.WITHPREVIOUS)
-
-
-def test_structure_extractor_calibration_deterministic():
-    energy = np.random.default_rng(10).exponential(size=(16, 400))
-    a = StructureExtractor("se", {"w_t": 10, "w_s": 2})
-    b = StructureExtractor("se", {"w_t": 10, "w_s": 2})
-    ta, ba = a.calibrate(energy, Continuity.CALIBRATION)
-    tb, bb = b.calibrate(energy, Continuity.CALIBRATION)
-    np.testing.assert_array_equal(ta, tb)
-    np.testing.assert_array_equal(ba, bb)
-    assert ta.shape == (16,)
-    assert np.all(ba > 0)
 
 
 def test_structure_extractor_alignment_declaration():

@@ -1,17 +1,21 @@
 """Threaded runtime: end-to-end runs, transports, faults, reporting."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import file_pipeline_config, mic_pipeline_config
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
-from tfstream.chunks import Continuity
-from tfstream.graph import config_from_dict, validate_graph
+from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
+from tfstream.graph import Edge, config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
-from tfstream.runtime import run_plan
+from tfstream.runtime import _TcpLink, run_plan
+from tfstream.wire import encode
 
 OUT_KEYS = [
-    ("cochlea", "E"), ("se", "T"), ("ptn", "E_T"), ("ptn", "E_blocks"),
+    ("cochlea", "E"), ("se", "T"), ("ptn", "E_T"), ("ptn", "E_T_valid"),
+    ("ptn", "E_blocks"),
 ]
 
 
@@ -29,17 +33,22 @@ def read_outputs(out_dir, keys=OUT_KEYS):
     return outputs
 
 
-def test_file_pipeline_matches_unchunked_reference(tone_wav, tmp_path):
-    out_dir = tmp_path / "out"
-    plan, report = run_config(file_pipeline_config(tone_wav, out_dir))
+def assert_streamed_matches_reference(raw, out_dir):
+    """Every written key equals the whole-signal reference (exactly)."""
+    plan, report = run_config(raw)
     streamed = read_outputs(out_dir)
-    reference_plan = validate_graph(
-        config_from_dict(file_pipeline_config(tone_wav, tmp_path / "unused"))
-    )
-    reference = run_unchunked(reference_plan)
+    reference = run_unchunked(validate_graph(config_from_dict(raw)))
+    assert sorted(report.written) == sorted(OUT_KEYS)
     for key in OUT_KEYS:
         problem = compare_streamed(streamed[key], reference[key].payload)
         assert problem is None, f"{key}: {problem}"
+    return streamed, report
+
+
+def test_file_pipeline_matches_unchunked_reference(tone_wav, tmp_path):
+    out_dir = tmp_path / "out"
+    _, report = assert_streamed_matches_reference(
+        file_pipeline_config(tone_wav, out_dir), out_dir)
     assert report.written[("ptn", "E_T")] > 0
 
 
@@ -47,8 +56,8 @@ def test_run_report_exposes_calibration_and_valid_columns(tone_wav, tmp_path):
     plan, report = run_config(file_pipeline_config(tone_wav, tmp_path / "o"))
     theta_se, beta_se = report.calibration["se"]
     theta_ptn, beta_ptn = report.calibration["ptn"]
-    np.testing.assert_allclose(theta_se, theta_ptn, rtol=1e-9)
-    np.testing.assert_allclose(beta_se, beta_ptn, rtol=1e-6)
+    np.testing.assert_array_equal(theta_se, theta_ptn)
+    np.testing.assert_array_equal(beta_se, beta_ptn)
     assert np.all(np.asarray(beta_ptn) > 0)
     # every score column the extractor could fully cover became a valid one
     assert report.valid_columns["ptn"] == 12000 - 303 - 40
@@ -136,9 +145,8 @@ def test_nan_policy_zero_removes_nans(tone_wav, tmp_path):
     for spec in raw["processors"]:
         if spec["name"] == "ptn":
             spec["params"]["nan_policy"] = "zero"
-    plan, report = run_config(raw)
-    et = read_outputs(tmp_path / "out", keys=[("ptn", "E_T")])[("ptn", "E_T")]
-    assert not np.isnan(et).any()
+    streamed, _ = assert_streamed_matches_reference(raw, tmp_path / "out")
+    assert not np.isnan(streamed[("ptn", "E_T")]).any()
 
 
 def test_invalid_fraction_matches_declared(tone_wav, tmp_path):
@@ -158,3 +166,34 @@ def test_published_payloads_are_frozen(tone_wav, tmp_path):
     # spot check that written output is finite where declared valid
     e = read_outputs(tmp_path / "o", keys=[("cochlea", "E")])[("cochlea", "E")]
     assert np.isfinite(e).all()
+
+
+def test_damaged_frame_costs_one_wire_error():
+    """The receiver skips a damaged frame whole and counts it once."""
+    freqs = np.geomspace(100.0, 1500.0, 64)
+    frames = [
+        encode(DataChunk(number=n, source_key=("se", "T"),
+                         payload=np.full((64, 100), float(n)),
+                         sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
+                         continuity=Continuity.WITHPREVIOUS,
+                         channel_freqs=freqs), dtype="<f8")
+        for n in range(6)
+    ]
+    # frame prefix, the two names, then the fixed fields before the
+    # channel frequency count
+    offset = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB2Id")
+    assert struct.unpack_from("<I", frames[1], offset) == (64,)
+    damaged = bytearray(frames[1])
+    damaged[offset] ^= 1
+    frames[1] = bytes(damaged)
+
+    delivered, errors = [], []
+    edge = Edge("se", "T", "ptn", transport="tcp::0", wire_dtype="<f8")
+    link = _TcpLink(edge, delivered.append, errors.append)
+    link._sock.sendall(b"".join(frames))
+    link.shutdown_send()
+    link.close()
+    assert not link._rx.is_alive()
+    assert errors == ["se.T->ptn"]
+    numbers = [c.number for c in delivered if isinstance(c, DataChunk)]
+    assert numbers == [0, 2, 3, 4, 5]
