@@ -102,7 +102,7 @@ class DataChunk:
 
     payload is (channels, time) or (time,); the time axis is always last.
     Chunks are immutable after publication and safe to share between
-    workers; the runtime freezes the payload when publishing.
+    consumers; the runtime freezes the payload when publishing.
     """
 
     number: int

@@ -9,6 +9,7 @@ chunk size cannot satisfy d + p < length at some merge point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -47,7 +48,6 @@ class PipelineConfig:
     processors: List[ProcessorSpec]
     edges: List[Edge]
     faults: FaultSchedule = field(default_factory=FaultSchedule)
-    queue_depth: int = 16
 
 
 @dataclass
@@ -117,22 +117,27 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         producer, dot, feature = source.partition(".")
         if not dot:
             raise ConfigError(f"edge 'from' must be producer.feature: {source!r}")
-        edges.append(
-            Edge(
-                producer=producer,
-                feature=feature,
-                consumer=item.get("to", ""),
-                transport=item.get("transport", "local"),
-                wire_dtype=item.get("wire_dtype", "<f4"),
-            )
+        edge = Edge(
+            producer=producer,
+            feature=feature,
+            consumer=item.get("to", ""),
+            transport=item.get("transport", "local"),
+            wire_dtype=item.get("wire_dtype", "<f4"),
         )
+        tcp = re.fullmatch(r"tcp:[^:]*:([0-9]+)", str(edge.transport))
+        if edge.transport != "local" and not (tcp and int(tcp[1]) < 65536):
+            raise ConfigError(
+                f"edge {source} -> {edge.consumer}: transport must be "
+                f"'local' or 'tcp:<host>:<port>', got {edge.transport!r}"
+            )
+        if edge.wire_dtype not in ("<f4", "<f8"):
+            raise ConfigError(
+                f"edge {source} -> {edge.consumer}: wire_dtype must be "
+                f"'<f4' or '<f8', got {edge.wire_dtype!r}"
+            )
+        edges.append(edge)
     faults = parse_fault_events(raw.get("faults"))
-    return PipelineConfig(
-        processors=processors,
-        edges=edges,
-        faults=faults,
-        queue_depth=int(raw.get("queue_depth", 16)),
-    )
+    return PipelineConfig(processors=processors, edges=edges, faults=faults)
 
 
 def _topological_order(names: List[str], edges: List[Edge]) -> List[str]:

@@ -2,7 +2,6 @@
 
 from .base import (
     FeatureData,
-    NoiseCalibrated,
     Processor,
     SinkProcessor,
     SourceProcessor,
@@ -23,7 +22,6 @@ __all__ = [
     "FileWriter",
     "GammaChirpFilterbank",
     "MicInput",
-    "NoiseCalibrated",
     "PTNProcessor",
     "Processor",
     "Resampler",

@@ -8,7 +8,6 @@ chunked processing reproduces the unchunked computation exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import ClassVar, Dict, Iterator, List, Optional, Set, Tuple, Type
@@ -141,47 +140,6 @@ class Processor:
             )
             for feature, data in outputs.items()
         ]
-
-
-class NoiseCalibrated(Processor):
-    """A processor with a sigmoid threshold theta and slope beta, either
-    configured or estimated from the tract scores of a calibration chunk.
-
-    Parameters: theta, beta; theta_quantile (default 95) and
-    beta_quantile (default 99) for the estimate.
-    """
-
-    def __init__(self, name: str, params: dict):
-        super().__init__(name, params)
-        self.theta = params.get("theta")
-        self.beta = params.get("beta")
-        self.theta_quantile = float(params.get("theta_quantile", 95.0))
-        self.beta_quantile = float(params.get("beta_quantile", 99.0))
-        if not 0 < self.theta_quantile < self.beta_quantile < 100:
-            raise ValueError("need 0 < theta_quantile < beta_quantile < 100")
-
-    def calibrate(self, scores: np.ndarray) -> None:
-        """Set per-channel (theta, beta) from calibration noise scores.
-
-        Noise scores are bounded by 1 and their bulk sits well below it,
-        so mean-plus-sigma thresholds can exceed the score ceiling.  The
-        upper quantiles stay inside it: theta is the theta_quantile score
-        per channel and beta the distance to the beta_quantile, which
-        puts repeating structure (scores near 1) several slopes above
-        the threshold on every channel.  NaN cells are ignored; a channel
-        with no valid score (an invalid scale margin) gets the mean over
-        the others.
-        """
-        with warnings.catch_warnings():
-            # all-NaN rows (invalid scale margins) are filled below
-            warnings.simplefilter("ignore", RuntimeWarning)
-            q_theta, q_beta = np.nanpercentile(
-                scores, [self.theta_quantile, self.beta_quantile], axis=1
-            )
-        self.theta = np.where(np.isnan(q_theta), np.nanmean(q_theta), q_theta)
-        spread = q_beta - q_theta
-        fill = max(float(np.nanmean(spread)), 1e-9)
-        self.beta = np.where(np.isnan(spread), fill, np.maximum(spread, 1e-9))
 
 
 class SourceProcessor:

@@ -9,6 +9,7 @@ difference to the total block energy.
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from ..chunks import AlignmentParams, Continuity, SourceKey, is_withprevious_subtype
 from ..errors import ConfigError, ShapeMismatch
 from ..merge import MergedChunk
-from .base import FeatureData, NoiseCalibrated, register
+from .base import FeatureData, Processor, register
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
@@ -79,12 +80,14 @@ def _per_channel(value) -> np.ndarray:
 
 
 @register
-class PTNProcessor(NoiseCalibrated):
+class PTNProcessor(Processor):
     """Merges E and T, publishes block-averaged tonal energy.
 
     Features: E_T (tonal block means), E_T_valid (valid cells per block),
-    E_blocks (total energy block means).  theta/beta come from the
-    calibration chunk's tract feature unless configured explicitly.
+    E_blocks (total energy block means).  The sigmoid threshold theta and
+    slope beta are configured, or else estimated from the calibration
+    chunk's tract scores; theta_quantile (default 95) and beta_quantile
+    (default 99) set the estimate.
     """
 
     kind = "ptn"
@@ -94,6 +97,12 @@ class PTNProcessor(NoiseCalibrated):
 
     def __init__(self, name: str, params: dict):
         super().__init__(name, params)
+        self.theta = params.get("theta")
+        self.beta = params.get("beta")
+        self.theta_quantile = float(params.get("theta_quantile", 95.0))
+        self.beta_quantile = float(params.get("beta_quantile", 99.0))
+        if not 0 < self.theta_quantile < self.beta_quantile < 100:
+            raise ValueError("need 0 < theta_quantile < beta_quantile < 100")
         self.block_dt = int(params.get("block_dt", 100))
         self.block_df = int(params.get("block_df", 8))
         if self.block_dt < 1 or self.block_df < 1:
@@ -129,6 +138,29 @@ class PTNProcessor(NoiseCalibrated):
         self._carry_e = None
         self._pending_discontinuity = None
 
+    def calibrate(self, scores: np.ndarray) -> None:
+        """Set per-channel (theta, beta) from calibration noise scores.
+
+        Noise scores are bounded by 1 and their bulk sits well below it,
+        so mean-plus-sigma thresholds can exceed the score ceiling.  The
+        upper quantiles stay inside it: theta is the theta_quantile score
+        per channel and beta the distance to the beta_quantile, which
+        puts repeating structure (scores near 1) several slopes above
+        the threshold on every channel.  NaN cells are ignored; a channel
+        with no valid score (an invalid scale margin) gets the mean over
+        the others.
+        """
+        with warnings.catch_warnings():
+            # all-NaN rows (invalid scale margins) are filled below
+            warnings.simplefilter("ignore", RuntimeWarning)
+            q_theta, q_beta = np.nanpercentile(
+                scores, [self.theta_quantile, self.beta_quantile], axis=1
+            )
+        self.theta = np.where(np.isnan(q_theta), np.nanmean(q_theta), q_theta)
+        spread = q_beta - q_theta
+        fill = max(float(np.nanmean(spread)), 1e-9)
+        self.beta = np.where(np.isnan(spread), fill, np.maximum(spread, 1e-9))
+
     def _pick_inputs(self, merged: MergedChunk) -> Tuple[SourceKey, SourceKey]:
         e_key = t_key = None
         for key in merged.payloads:
@@ -155,9 +187,8 @@ class PTNProcessor(NoiseCalibrated):
             )
 
         if Continuity(merged.continuity) is Continuity.CALIBRATION:
-            # Estimate the sigmoid parameters from the noise tract scores
-            # (the rule the extractor applies to them, so both sides
-            # agree); calibration data never reaches the results.
+            # Estimate the sigmoid parameters from the noise tract
+            # scores; calibration data never reaches the results.
             if self.theta is None or self.beta is None:
                 self.calibrate(tract)
             self._carry_et = None

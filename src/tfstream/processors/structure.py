@@ -4,12 +4,9 @@ The score at (t, f) is the normalized (cosine) self-similarity of the
 energy under a time shift (horizontal, tonal organization) or a scale
 shift (vertical, pulsal organization), evaluated on the window spanning
 w_t steps and w_s channels around the location.  Scores lie in [0, 1]
-with 1 for perfectly repeating structure.
-
-Receiving a calibration chunk (white noise) makes the extractor estimate
-its decision threshold theta and slope beta from the noise score
-distribution (``NoiseCalibrated.calibrate``, the rule ptn applies to
-the same scores).
+with 1 for perfectly repeating structure.  A calibration chunk (white
+noise) is scored like any other; ptn estimates its threshold from those
+scores.
 """
 
 from __future__ import annotations
@@ -18,10 +15,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..chunks import AlignmentParams, Continuity, is_withprevious_subtype
+from ..chunks import AlignmentParams, is_withprevious_subtype
 from ..errors import ShapeMismatch, TooFewChannels
 from ..merge import MergedChunk
-from .base import FeatureData, NoiseCalibrated, TimeWindowState, register
+from .base import FeatureData, Processor, TimeWindowState, register
 
 
 #: Output columns per tile of a score computation (see ``_tiled``).
@@ -133,7 +130,7 @@ def vertical_score(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
 
 
 @register
-class StructureExtractor(NoiseCalibrated):
+class StructureExtractor(Processor):
     """Publishes the tract feature T with alignment (w_t, w_t, w_s, w_s)."""
 
     kind = "structure_extractor"
@@ -180,8 +177,6 @@ class StructureExtractor(NoiseCalibrated):
         s_cum = merged.alignment.s + self.w_s
         scores[:l_cum, :] = np.nan
         scores[scores.shape[0] - s_cum :, :] = np.nan
-        if Continuity(merged.continuity) is Continuity.CALIBRATION:
-            self.calibrate(scores)
         freqs = merged.channel_freqs.get(key)
         return {
             "T": FeatureData(

@@ -1,9 +1,10 @@
-"""Streamboard runtime: one worker thread per processor, bounded queues.
+"""Streamboard runtime: one dispatch loop runs every transform and sink.
 
-Each consumer owns an in-flight buffer and a merge state; arriving chunks
-complete numbered sets, are merged, processed and republished.  The gap
-inference in the buffer makes the published streams independent of the
-thread interleaving, so runs are deterministic end to end.
+Sources and the receiving ends of TCP edges have threads of their own
+that post arrivals to one inbox; the loop, in the calling thread, pushes
+each arrival depth-first along local edges by direct call.  The gap
+inference in the buffer makes the published streams independent of when
+arrivals come, so runs are deterministic end to end.
 
 Edges carry chunks either in-process (local transport, full precision)
 or over a TCP socket through the framed codec.
@@ -14,7 +15,9 @@ from __future__ import annotations
 import queue
 import socket
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,7 +33,7 @@ from .chunks import (
 from .errors import TFStreamError, WireError
 from .graph import Edge, GraphPlan
 from .merge import MergeState, complete_merge
-from .processors import SinkProcessor, SourceProcessor
+from .processors import Processor, SinkProcessor, SourceProcessor
 from .wire import FrameStream, decode_stream, encode
 
 _SCENARIO_NAMES = {
@@ -38,6 +41,10 @@ _SCENARIO_NAMES = {
     MergeScenario.REGULAR_DISCONTINUOUS: "RegularDiscontinuous",
     MergeScenario.IRREGULAR_DISCONTINUOUS: "IrregularDiscontinuous",
 }
+
+#: Items a source may have posted before the loop takes them; once
+#: blocked, it resumes when half of them are taken.
+SOURCE_BACKLOG = 16
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,7 @@ class RunReport:
     declared_invalid_fraction: Dict[SourceKey, float] = field(default_factory=dict)
     valid_columns: Dict[str, int] = field(default_factory=dict)
     calibration: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    wire_errors: Dict[str, int] = field(default_factory=dict)
+    wire_errors: Dict[str, int] = field(default_factory=Counter)
     written: Dict[SourceKey, int] = field(default_factory=dict)
     max_occupancy: Dict[str, int] = field(default_factory=dict)
 
@@ -79,13 +86,8 @@ class RunReport:
         return [entry.scenario for entry in self.merge_logs.get(consumer, [])]
 
 
-class _EndOfStream:
-    """Inbox sentinel: the named source key will deliver nothing more."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: SourceKey):
-        self.key = key
+#: Inbox sentinel: an edge or a source will deliver nothing more.
+_END = object()
 
 
 class _TcpLink:
@@ -95,20 +97,15 @@ class _TcpLink:
         self._edge = edge
         self._deliver = deliver
         self._on_wire_error = on_wire_error
-        host, port = "127.0.0.1", 0
-        spec = edge.transport.split(":")
-        if len(spec) == 3:
-            host, port = spec[1] or host, int(spec[2])
-        self._listener = socket.create_server((host, port))
+        _, host, port = edge.transport.split(":")
+        self._listener = socket.create_server((host or "127.0.0.1", int(port)))
         self._rx = threading.Thread(target=self._receive, daemon=True)
         self._rx.start()
         self._sock = socket.create_connection(self._listener.getsockname())
         self._wire_dtype = np.dtype(edge.wire_dtype)
-        self._send_lock = threading.Lock()
 
     def send(self, chunk: DataChunk) -> None:
-        with self._send_lock:
-            self._sock.sendall(encode(chunk, dtype=self._wire_dtype))
+        self._sock.sendall(encode(chunk, dtype=self._wire_dtype))
 
     def shutdown_send(self) -> None:
         """No more frames; the receiver reports end of stream at EOF."""
@@ -126,6 +123,7 @@ class _TcpLink:
         with conn, conn.makefile("rb") as raw:
             stream = FrameStream(raw)
             while not stream.at_end():
+                stream.begin_frame()
                 try:
                     chunk = decode_stream(stream)
                 except WireError:
@@ -135,63 +133,55 @@ class _TcpLink:
                     stream.skip_to_magic()
                     continue
                 self._deliver(chunk)
-        self._deliver(_EndOfStream(self._edge.source_key))
+        self._deliver(_END)
 
 
 class Streamboard:
-    """Wires a validated plan into threads and runs it to completion."""
+    """Runs a validated plan to completion in the calling thread."""
 
     def __init__(self, plan: GraphPlan):
         self.plan = plan
         self.report = RunReport()
-        self._inboxes: Dict[str, queue.Queue] = {}
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._links: List[_TcpLink] = []
-        self._errors: List[BaseException] = []
-        self._lock = threading.Lock()
+        self._senders: Dict[str, list] = {}
+        self._backlog: Dict[str, threading.Semaphore] = {}
+        self._buffers: Dict[str, InFlightBuffer] = {}
+        self._merge_states: Dict[str, MergeState] = {}
+        self._open_edges = Counter(edge.consumer for edge in plan.config.edges)
 
     # --- plumbing --------------------------------------------------------
 
-    def _inbox(self, name: str) -> queue.Queue:
-        if name not in self._inboxes:
-            n_edges = max(1, len(self.plan.in_keys.get(name, ())))
-            depth = self.plan.config.queue_depth * n_edges
-            self._inboxes[name] = queue.Queue(maxsize=depth)
-        return self._inboxes[name]
-
     def _note_wire_error(self, edge_name: str) -> None:
-        with self._lock:
-            self.report.wire_errors[edge_name] = (
-                self.report.wire_errors.get(edge_name, 0) + 1
-            )
+        # each edge's count has one writer: the edge's receiving thread
+        self.report.wire_errors[edge_name] += 1
 
     def _make_senders(self, name: str):
         """Per out-edge (edge, send, end) triples, transports resolved."""
         senders = []
-        for edge in self.plan.out_edges.get(name, []):
-            inbox = self._inbox(edge.consumer)
+        for edge in self.plan.out_edges[name]:
+            to = edge.consumer
             if edge.transport == "local":
-                send = inbox.put
-                end = (lambda _inbox=inbox, _key=edge.source_key:
-                       _inbox.put(_EndOfStream(_key)))
+                send = partial(self._arrive, to)
+                end = partial(self._arrive, to, _END)
             else:
-                link = _TcpLink(edge, inbox.put, self._note_wire_error)
+                link = _TcpLink(edge, lambda item, _to=to: self._inbox.put(
+                    (_to, item)), self._note_wire_error)
                 self._links.append(link)
-                send = link.send
-                end = link.shutdown_send
+                send, end = link.send, link.shutdown_send
             senders.append((edge, send, end))
         return senders
 
-    def _publish(self, name: str, chunk: DataChunk, senders) -> None:
+    def _publish(self, name: str, chunk: DataChunk) -> None:
         check_publishable(chunk)
         chunk.payload.setflags(write=False)
+        stats = self.report.key_stats.setdefault(chunk.source_key, KeyStats())
+        stats.published += 1
+        if Continuity(chunk.continuity) is not Continuity.CALIBRATION:
+            stats.total_cells += chunk.payload.size
+            stats.nan_cells += int(np.isnan(chunk.payload).sum())
         faults = self.plan.config.faults
-        with self._lock:
-            stats = self.report.key_stats.setdefault(chunk.source_key, KeyStats())
-            stats.published += 1
-            if Continuity(chunk.continuity) is not Continuity.CALIBRATION:
-                stats.total_cells += chunk.payload.size
-                stats.nan_cells += int(np.isnan(chunk.payload).sum())
-        for edge, send, _ in senders:
+        for edge, send, _ in self._senders[name]:
             if edge.source_key != chunk.source_key:
                 continue
             if faults.drops_chunk(
@@ -200,97 +190,36 @@ class Streamboard:
                 continue
             send(chunk)
 
-    @staticmethod
-    def _finish(senders) -> None:
-        for _, _, end in senders:
+    def _finish(self, name: str) -> None:
+        """End every out-edge of a producer that will publish no more."""
+        for _, _, end in self._senders[name]:
             end()
 
-    # --- workers ---------------------------------------------------------
-
-    def _guard(self, fn):
-        def wrapped():
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - reported at join
-                with self._lock:
-                    self._errors.append(exc)
-
-        return wrapped
-
-    def _run_source(self, name: str) -> None:
+    def _arrive(self, name: str, item) -> None:
+        """One arrival at a consumer (or a source's end); whatever it
+        publishes in response has moved on, depth-first, when this returns."""
+        if item is _END:
+            self._open_edges[name] -= 1
+            if not self._open_edges[name]:
+                self._finish(name)
+            return
         inst = self.plan.instances[name]
-        senders = self._make_senders(name)
-        try:
-            for chunk in inst.chunks():
-                self._publish(name, chunk, senders)
-        finally:
-            self._finish(senders)
-
-    def _drain(self, name: str, handle: Callable) -> None:
-        """Pass every inbox item to handle until each input has ended.
-
-        After a failure the inbox is still drained, so producers never
-        block; the first failure is raised at the end.
-        """
-        inbox = self._inbox(name)
-        keys = frozenset(self.plan.in_keys[name])
-        ended: set = set()
-        failure: Optional[BaseException] = None
-        while ended != keys:
-            item = inbox.get()
-            if isinstance(item, _EndOfStream):
-                ended.add(item.key)
-            elif failure is None:
-                try:
-                    handle(item)
-                except BaseException as exc:  # noqa: BLE001
-                    failure = exc
-        if failure is not None:
-            raise failure
-
-    def _run_transform(self, name: str) -> None:
-        inst = self.plan.instances[name]
-        inst.reset()
-        senders = self._make_senders(name)
-        buffer = InFlightBuffer(configured_keys=frozenset(self.plan.in_keys[name]))
-        state = MergeState()
-        log: List[MergeLogEntry] = []
-        max_occ = 0
-
-        def handle(item: DataChunk) -> None:
-            nonlocal state, max_occ
-            completed = buffer.accept(item)
-            max_occ = max(max_occ, buffer.occupancy())
-            if completed is None:
-                return
-            n = next(iter(completed.values())).number
-            merged, state = complete_merge(state, completed, n)
-            log.append(self._log_entry(merged))
-            for out in inst.step(merged):
-                self._publish(name, out, senders)
-
-        try:
-            self._drain(name, handle)
-            buffer.drain()
-        finally:
-            with self._lock:
-                self.report.merge_logs[name] = log
-                self.report.buffer_counters[name] = buffer.counters
-                self.report.max_occupancy[name] = max_occ
-                if inst.valid_columns is not None:
-                    self.report.valid_columns[name] = inst.valid_columns
-                if inst.theta is not None and inst.beta is not None:
-                    self.report.calibration[name] = (inst.theta, inst.beta)
-            self._finish(senders)
-
-    def _run_sink(self, name: str) -> None:
-        inst = self.plan.instances[name]
-        try:
-            self._drain(name, inst.consume)
-        finally:
-            inst.close()
-            with self._lock:
-                self.report.written.update(inst.written)
+        if isinstance(inst, SinkProcessor):
+            inst.consume(item)
+            return
+        buffer = self._buffers[name]
+        completed = buffer.accept(item)
+        occupancy = self.report.max_occupancy
+        occupancy[name] = max(occupancy[name], buffer.occupancy())
+        if completed is None:
+            return
+        n = next(iter(completed.values())).number
+        merged, self._merge_states[name] = complete_merge(
+            self._merge_states[name], completed, n
+        )
+        self.report.merge_logs[name].append(self._log_entry(merged))
+        for out in inst.step(merged):
+            self._publish(name, out)
 
     @staticmethod
     def _log_entry(merged) -> MergeLogEntry:
@@ -304,38 +233,103 @@ class Streamboard:
             scenarios=tuple(sorted(names.items())),
         )
 
-    # --- orchestration ---------------------------------------------------
+    # --- threads and the loop --------------------------------------------
+
+    def _run_source(self, name: str) -> None:
+        """Post the source's chunks, a failure and the end to the inbox,
+        at most SOURCE_BACKLOG ahead of the loop."""
+        inst = self.plan.instances[name]
+        backlog = self._backlog[name]
+
+        def post(item) -> None:
+            backlog.acquire()
+            self._inbox.put((name, item))
+
+        try:
+            for chunk in inst.chunks():
+                post(chunk)
+        except BaseException as exc:  # noqa: BLE001 - raised by run
+            post(exc)
+        finally:
+            post(_END)
+
+    def _dispatch(self, pending: int) -> Optional[Exception]:
+        """Handle inbox items until ``pending`` ends (one per source and
+        one per TCP link) have come in; returns the first failure.
+
+        After a failure, chunks are dropped but ends still count down,
+        so every source and link runs to its end.
+        """
+        failure: Optional[Exception] = None
+        taken = dict.fromkeys(self._backlog, 0)
+        while pending:
+            name, item = self._inbox.get()
+            backlog = self._backlog.get(name)
+            if backlog is not None:
+                # wake a blocked source once per half backlog, not once per
+                # item: each wake costs thread switches on a busy loop
+                taken[name] = (taken[name] + 1) % (SOURCE_BACKLOG // 2)
+                if not taken[name]:
+                    backlog.release(SOURCE_BACKLOG // 2)
+            ended = item is _END
+            pending -= ended
+            if failure is not None and not ended:
+                continue
+            try:
+                if isinstance(item, BaseException):
+                    raise item
+                if backlog is None or ended:
+                    self._arrive(name, item)
+                else:
+                    self._publish(name, item)
+            except Exception as exc:  # noqa: BLE001 - raised by run
+                failure = exc if failure is None else failure
+        return failure
 
     def run(self) -> RunReport:
-        for name, inst in self.plan.instances.items():
-            if not isinstance(inst, SourceProcessor):
-                self._inbox(name)
-        threads = []
-        for name in self.plan.order:
-            inst = self.plan.instances[name]
+        plan = self.plan
+        for name in plan.order:
+            inst = plan.instances[name]
             if isinstance(inst, SourceProcessor):
-                target = self._run_source
-            elif isinstance(inst, SinkProcessor):
-                target = self._run_sink
-            else:
-                target = self._run_transform
-            thread = threading.Thread(
-                target=self._guard(lambda n=name, t=target: t(n)), name=name
-            )
-            threads.append(thread)
-        for thread in threads:
+                self._backlog[name] = threading.Semaphore(SOURCE_BACKLOG)
+                self._open_edges[name] = 1  # the source's own thread
+            elif isinstance(inst, Processor):
+                inst.reset()
+                buffer = InFlightBuffer(frozenset(plan.in_keys[name]))
+                self._buffers[name] = buffer
+                self._merge_states[name] = MergeState()
+                self.report.merge_logs[name] = []
+                self.report.buffer_counters[name] = buffer.counters
+                self.report.max_occupancy[name] = 0
+            self._senders[name] = self._make_senders(name)
+        sources = [
+            threading.Thread(target=self._run_source, args=(name,), name=name,
+                             daemon=True)
+            for name in self._backlog
+        ]
+        for thread in sources:
             thread.start()
-        for thread in threads:
+        failure = self._dispatch(len(sources) + len(self._links))
+        for thread in sources:
             thread.join()
         for link in self._links:
             link.close()
-        if self._errors:
-            first = self._errors[0]
-            if isinstance(first, TFStreamError):
-                raise first
-            raise RuntimeError(f"worker failed: {first!r}") from first
-        for key, params in self.plan.cumulative.items():
-            channels = self.plan.channels.get(key, 1)
+        for name, inst in plan.instances.items():
+            if isinstance(inst, SinkProcessor):
+                inst.close()
+                self.report.written.update(inst.written)
+            elif isinstance(inst, Processor):
+                self._buffers[name].drain()
+                if inst.valid_columns is not None:
+                    self.report.valid_columns[name] = inst.valid_columns
+                if inst.theta is not None and inst.beta is not None:
+                    self.report.calibration[name] = (inst.theta, inst.beta)
+        if failure is not None:
+            if isinstance(failure, TFStreamError):
+                raise failure
+            raise RuntimeError(f"run failed: {failure!r}") from failure
+        for key, params in plan.cumulative.items():
+            channels = plan.channels.get(key, 1)
             if channels > 1:
                 self.report.declared_invalid_fraction[key] = (
                     (params.l + params.s) / channels

@@ -45,6 +45,11 @@ VERSION = 1
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
+#: Largest header a frame may declare: room for short names and the
+#: frequencies of some 8000 channels.  A larger declared length is
+#: damage, rejected before the reader waits for that many bytes.
+MAX_HEADER_LEN = 1 << 16
+
 #: Transport precision over the wire; float32 halves the volume and the
 #: consumer recomputes in float64 anyway.
 WIRE_DTYPE = np.dtype("<f4")
@@ -81,6 +86,8 @@ def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
     if dtype not in _DTYPE_TAGS:
         raise WireError(f"unsupported wire dtype {dtype}")
     header = _encode_header(chunk, dtype)
+    if len(header) > MAX_HEADER_LEN:
+        raise WireError(f"header of {len(header)} bytes exceeds {MAX_HEADER_LEN}")
     payload = np.ascontiguousarray(chunk.payload, dtype=dtype).tobytes()
     body = header + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
@@ -120,6 +127,8 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
     version, header_len = reader.unpack("<HI")
     if version != VERSION:
         raise VersionError(f"unsupported frame version {version}")
+    if header_len > MAX_HEADER_LEN:
+        raise WireError(f"header length {header_len} exceeds {MAX_HEADER_LEN}")
     header = reader.read_exact(header_len)
 
     h = _Reader(BytesIO(header))
@@ -174,27 +183,39 @@ class FrameStream:
     """A byte stream of frames that can skip past a damaged frame.
 
     ``decode_stream`` reads from it as from the buffered stream it wraps.
-    After a failed decode, ``skip_to_magic`` moves to the next frame
-    magic, so a damaged frame costs one failure, not one per misaligned
-    parse attempt.
+    The stream keeps the bytes read since ``begin_frame``; after a failed
+    decode, ``skip_to_magic`` scans them again from one byte past the
+    failed frame's start, so a damaged length that overran into the next
+    frame costs that next frame nothing, and a damaged frame costs one
+    failure, not one per misaligned parse attempt.
     """
 
     def __init__(self, stream: BinaryIO):
         self._stream = stream
         self._pushback = b""  # bytes scanned past but not yet read
+        self._frame: list = []  # bytes read since begin_frame
 
     def read(self, n: int) -> bytes:
         if not self._pushback:
-            return self._stream.read(n)
-        head, self._pushback = self._pushback[:n], self._pushback[n:]
-        return head + self._stream.read(n - len(head))
+            data = self._stream.read(n)
+        else:
+            head, self._pushback = self._pushback[:n], self._pushback[n:]
+            data = head + self._stream.read(n - len(head))
+        self._frame.append(data)
+        return data
 
     def at_end(self) -> bool:
         return not self._pushback and not self._stream.peek(1)
 
+    def begin_frame(self) -> None:
+        """The next read is the first byte of a frame."""
+        self._frame.clear()
+
     def skip_to_magic(self) -> None:
-        """Discard bytes up to the next magic, or to the end of the stream."""
-        data = self._pushback
+        """Discard bytes up to the next magic after the current frame's
+        first byte, or to the end of the stream."""
+        data = b"".join(self._frame)[1:] + self._pushback
+        self._frame.clear()
         while MAGIC not in data:
             more = self._stream.read1(1 << 16)
             if not more:

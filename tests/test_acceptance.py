@@ -194,8 +194,7 @@ def test_calibration_is_reproducible_at_fixed_seed(tone_wav, tmp_path):
         run_config(file_pipeline_config(tone_wav, tmp_path / f"r{i}"))[1]
         for i in range(2)
     ]
-    for node in ("se", "ptn"):
-        t0, b0 = reports[0].calibration[node]
-        t1, b1 = reports[1].calibration[node]
-        np.testing.assert_array_equal(t0, t1)
-        np.testing.assert_array_equal(b0, b1)
+    t0, b0 = reports[0].calibration["ptn"]
+    t1, b1 = reports[1].calibration["ptn"]
+    np.testing.assert_array_equal(t0, t1)
+    np.testing.assert_array_equal(b0, b1)

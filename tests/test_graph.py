@@ -148,6 +148,34 @@ def test_unknown_nan_policy_rejected(tone_wav, tmp_path):
         build(raw)
 
 
+@pytest.mark.parametrize("transport", [
+    "bogus", "udp::0", "tcp", "tcp:", "tcp::", "tcp::port", "tcp::-1",
+    "tcp::65536", "tcp:a:1:2", "Local",
+])
+def test_unusable_transport_rejected(tone_wav, tmp_path, transport):
+    raw = file_pipeline_config(tone_wav, tmp_path / "out")
+    raw["edges"][4]["transport"] = transport
+    with pytest.raises(ConfigError, match="transport"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("transport", [
+    "local", "tcp::0", "tcp:127.0.0.1:0", "tcp:localhost:65535",
+])
+def test_usable_transport_accepted(tone_wav, tmp_path, transport):
+    raw = file_pipeline_config(tone_wav, tmp_path / "out")
+    raw["edges"][4]["transport"] = transport
+    assert config_from_dict(raw).edges[4].transport == transport
+
+
+@pytest.mark.parametrize("dtype", ["<i4", ">f8", "<f2", "<c16", ""])
+def test_unusable_wire_dtype_rejected(tone_wav, tmp_path, dtype):
+    raw = file_pipeline_config(tone_wav, tmp_path / "out")
+    raw["edges"][4].update(transport="tcp::0", wire_dtype=dtype)
+    with pytest.raises(ConfigError, match="wire_dtype"):
+        config_from_dict(raw)
+
+
 def test_threshold_needed_without_calibration(tone_wav, tmp_path):
     raw = file_pipeline_config(tone_wav, tmp_path / "out")
     del raw["processors"][0]["params"]["calibration"]

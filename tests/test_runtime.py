@@ -1,6 +1,8 @@
-"""Threaded runtime: end-to-end runs, transports, faults, reporting."""
+"""Dispatch-loop runtime: end-to-end runs, transports, faults, reporting."""
 
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ import pytest
 from conftest import file_pipeline_config, mic_pipeline_config
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
+from tfstream.errors import TooFewChannels
 from tfstream.graph import Edge, config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
-from tfstream.runtime import _TcpLink, run_plan
+from tfstream.processors import Processor, SinkProcessor
+from tfstream.runtime import SOURCE_BACKLOG, _TcpLink, run_plan
 from tfstream.wire import encode
 
 OUT_KEYS = [
@@ -54,10 +58,9 @@ def test_file_pipeline_matches_unchunked_reference(tone_wav, tmp_path):
 
 def test_run_report_exposes_calibration_and_valid_columns(tone_wav, tmp_path):
     plan, report = run_config(file_pipeline_config(tone_wav, tmp_path / "o"))
-    theta_se, beta_se = report.calibration["se"]
+    # only ptn gates by (theta, beta), so only ptn calibrates
+    assert sorted(report.calibration) == ["ptn"]
     theta_ptn, beta_ptn = report.calibration["ptn"]
-    np.testing.assert_array_equal(theta_se, theta_ptn)
-    np.testing.assert_array_equal(beta_se, beta_ptn)
     assert np.all(np.asarray(beta_ptn) > 0)
     # every score column the extractor could fully cover became a valid one
     assert report.valid_columns["ptn"] == 12000 - 303 - 40
@@ -168,7 +171,21 @@ def test_published_payloads_are_frozen(tone_wav, tmp_path):
     assert np.isfinite(e).all()
 
 
-def test_damaged_frame_costs_one_wire_error():
+# frame prefix, the two names, then the fixed fields before the channel
+# frequency count
+FREQ_COUNT_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB2Id")
+HEADER_LEN_OFFSET = 6
+
+
+@pytest.mark.parametrize("offset, bit", [
+    (FREQ_COUNT_OFFSET, 0),
+    (HEADER_LEN_OFFSET, 0),
+    (HEADER_LEN_OFFSET, 3),
+    (HEADER_LEN_OFFSET, 12),   # the reader overruns into frame 2
+    (HEADER_LEN_OFFSET, 30),   # far above any real header
+], ids=["freq_count-0", "header_len-0", "header_len-3", "header_len-12",
+        "header_len-30"])
+def test_damaged_frame_costs_one_wire_error(offset, bit):
     """The receiver skips a damaged frame whole and counts it once."""
     freqs = np.geomspace(100.0, 1500.0, 64)
     frames = [
@@ -179,12 +196,9 @@ def test_damaged_frame_costs_one_wire_error():
                          channel_freqs=freqs), dtype="<f8")
         for n in range(6)
     ]
-    # frame prefix, the two names, then the fixed fields before the
-    # channel frequency count
-    offset = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB2Id")
-    assert struct.unpack_from("<I", frames[1], offset) == (64,)
+    assert struct.unpack_from("<I", frames[1], FREQ_COUNT_OFFSET) == (64,)
     damaged = bytearray(frames[1])
-    damaged[offset] ^= 1
+    damaged[offset + bit // 8] ^= 1 << (bit % 8)
     frames[1] = bytes(damaged)
 
     delivered, errors = [], []
@@ -197,3 +211,141 @@ def test_damaged_frame_costs_one_wire_error():
     assert errors == ["se.T->ptn"]
     numbers = [c.number for c in delivered if isinstance(c, DataChunk)]
     assert numbers == [0, 2, 3, 4, 5]
+
+
+def test_transforms_and_sinks_run_in_the_calling_thread(tone_wav, tmp_path):
+    """One dispatch loop: no thread per transform or sink; the only
+    thread a local-only run starts is its source's."""
+    plan = validate_graph(config_from_dict(
+        file_pipeline_config(tone_wav, tmp_path / "o")))
+    before = set(threading.enumerate())
+    callers, started = set(), set()
+
+    def record(fn):
+        def wrapped(*args):
+            callers.add(threading.get_ident())
+            started.update(t.name for t in set(threading.enumerate()) - before)
+            return fn(*args)
+        return wrapped
+
+    for inst in plan.instances.values():
+        if isinstance(inst, Processor):
+            inst.process = record(inst.process)
+        elif isinstance(inst, SinkProcessor):
+            inst.consume = record(inst.consume)
+    run_plan(plan)
+    assert callers == {threading.get_ident()}
+    assert started == {"reader"}
+
+
+def test_all_local_runs_with_faults_repeat_their_counters(tmp_path):
+    """On local edges the loop delivers in one order, so even the split
+    of lost chunks between discarded and stale repeats."""
+    faults = [
+        {"kind": "drop_chunk", "edge": "se.T->ptn", "number": 2},
+        {"kind": "link_down", "edge": "cochlea.E->ptn",
+         "from_number": 5, "to_number": 7},
+    ]
+    reports = [
+        run_config(mic_pipeline_config(
+            tmp_path / f"r{i}", num_chunks=12, faults=faults))[1]
+        for i in range(2)
+    ]
+    assert reports[0].merge_logs == reports[1].merge_logs
+    assert reports[0].buffer_counters == reports[1].buffer_counters
+    assert reports[0].buffer_counters["ptn"].discarded == 4
+    assert all(c.stale == 0 for c in reports[0].buffer_counters.values())
+
+
+@pytest.mark.parametrize("transport", ["local", "tcp::0"])
+def test_failing_processor_ends_the_run(tmp_path, transport):
+    """A failure on the first chunk of a run longer than the source
+    backlog: the source and every link still run to their end, and
+    run_plan raises the failure."""
+    raw = mic_pipeline_config(tmp_path / "out", num_chunks=60)
+    for spec in raw["processors"]:
+        if spec["name"] == "cochlea":
+            spec["params"]["channels"] = 4   # too few for w_s = 3
+    for edge in raw["edges"]:
+        if edge["from"] in ("cochlea.E", "se.T"):
+            edge["transport"] = transport
+    plan = validate_graph(config_from_dict(raw))
+    raised = []
+
+    def run():
+        with pytest.raises(TooFewChannels):
+            run_plan(plan)
+        raised.append(True)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "run_plan did not return after a failure"
+    assert raised
+
+
+def test_many_sources_feed_one_loop(tmp_path):
+    """More source threads than cores, each longer than its backlog and
+    switching threads as often as the interpreter allows: every chunk of
+    every source reaches the sink once, in order."""
+    n_sources, n_chunks = 4, 40
+    raw = {
+        "processors": [
+            {"name": f"mic{i}", "kind": "mic_input", "params": {
+                "sample_rate": 8000, "chunk_size": 64,
+                "num_chunks": n_chunks, "seed": i}}
+            for i in range(n_sources)
+        ] + [{"name": "out", "kind": "file_writer",
+              "params": {"directory": str(tmp_path)}}],
+        "edges": [{"from": f"mic{i}.snd", "to": "out"}
+                  for i in range(n_sources)],
+    }
+    plan = validate_graph(config_from_dict(raw))
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: reports.append(run_plan(plan)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "run_plan did not return"
+    assert reports[0].written == {
+        (f"mic{i}", "snd"): n_chunks for i in range(n_sources)}
+    for i in range(n_sources):
+        _, records = read_chunk_file(tmp_path / f"mic{i}.snd.tfc")
+        assert [r["number"] for r in records] == list(range(n_chunks))
+
+
+def test_source_runs_at_most_its_backlog_ahead(tmp_path):
+    """A fast source blocks instead of filling memory: when it produces a
+    chunk, at most SOURCE_BACKLOG earlier ones are not yet consumed."""
+    plan = validate_graph(config_from_dict({
+        "processors": [
+            {"name": "mic", "kind": "mic_input", "params": {
+                "sample_rate": 8000, "chunk_size": 64, "num_chunks": 200}},
+            {"name": "out", "kind": "file_writer",
+             "params": {"directory": str(tmp_path)}},
+        ],
+        "edges": [{"from": "mic.snd", "to": "out"}],
+    }))
+    mic, out = plan.instances["mic"], plan.instances["out"]
+    consumed, ahead = [], []
+    consume, chunks = out.consume, mic.chunks
+
+    def counting_consume(chunk):
+        consume(chunk)
+        consumed.append(chunk.number)
+
+    def watched_chunks():
+        for chunk in chunks():
+            ahead.append(chunk.number - len(consumed))
+            yield chunk
+
+    out.consume, mic.chunks = counting_consume, watched_chunks
+    run_plan(plan)
+    assert len(consumed) == 200
+    # the chunk the loop holds may be taken but not yet consumed
+    assert max(ahead) <= SOURCE_BACKLOG + 1

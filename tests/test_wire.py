@@ -10,6 +10,7 @@ from tfstream.chunks import AlignmentParams, Continuity, DataChunk
 from tfstream.errors import ChecksumError, VersionError, WireError
 from tfstream.wire import (
     MAGIC,
+    MAX_HEADER_LEN,
     VERSION,
     FrameStream,
     decode,
@@ -176,6 +177,24 @@ def test_skip_to_magic_without_magic_discards_the_rest():
     stream = FrameStream(io.BufferedReader(Trickle(b"no frame here TFS", 3)))
     stream.skip_to_magic()
     assert stream.at_end()
+
+
+def test_oversized_header_length_is_rejected_before_reading_it():
+    """A damaged header length must not make the reader wait for bytes
+    that may never come."""
+    frame = bytearray(encode(random_chunk(np.random.default_rng(4))))
+    frame[6:10] = (MAX_HEADER_LEN + 1).to_bytes(4, "little")
+    stream = BytesIO(bytes(frame))
+    with pytest.raises(WireError, match="header length"):
+        decode_stream(stream)
+    assert stream.tell() == 10
+    wide = DataChunk(number=0, source_key=("p", "f"),
+                     payload=np.zeros((9000, 1)), sample_rate=8000.0,
+                     alignment=AlignmentParams(),
+                     continuity=Continuity.DISCONTINUOUS,
+                     channel_freqs=np.arange(1.0, 9001.0))
+    with pytest.raises(WireError, match="exceeds"):
+        encode(wide)
 
 
 def test_magic_constant_stable():
