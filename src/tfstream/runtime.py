@@ -1,10 +1,12 @@
 """Streamboard runtime: one dispatch loop runs every transform and sink.
 
-Sources and the receiving ends of TCP edges have threads of their own
-that post arrivals to one inbox; the loop, in the calling thread, pushes
-each arrival depth-first along local edges by direct call.  The gap
-inference in the buffer makes the published streams independent of when
-arrivals come, so runs are deterministic end to end.
+Each source has a thread of its own that posts its chunks to one inbox;
+the loop, in the calling thread, pushes each arrival depth-first along
+the edges by direct call.  A local send is a call; a TCP send writes the
+frame, reads it back from the other end of the socket and decodes it in
+the loop, at the same point in that order.  The gap inference in the
+buffer makes the published streams independent of when arrivals come,
+so runs are deterministic end to end.
 
 Edges carry chunks either in-process (local transport, full precision)
 or over a TCP socket through the framed codec.
@@ -18,6 +20,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from io import BytesIO
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +37,7 @@ from .errors import TFStreamError, WireError
 from .graph import Edge, GraphPlan
 from .merge import MergeState, complete_merge
 from .processors import Processor, SinkProcessor, SourceProcessor
-from .wire import FrameStream, decode_stream, encode
+from .wire import MAGIC, decode_stream, encode
 
 _SCENARIO_NAMES = {
     MergeScenario.REGULAR_CONTINUOUS: "RegularContinuous",
@@ -86,54 +89,85 @@ class RunReport:
         return [entry.scenario for entry in self.merge_logs.get(consumer, [])]
 
 
-#: Inbox sentinel: an edge or a source will deliver nothing more.
+#: End-of-stream sentinel: an edge or a source will deliver nothing more.
 _END = object()
 
 
 class _TcpLink:
-    """One edge over a loopback TCP socket using the framed codec."""
+    """One edge over a loopback TCP socket using the framed codec.
+
+    Both ends live in this process: ``send`` writes the frame, reads the
+    same bytes back from the other end and decodes them in the caller's
+    thread, so a link holds no bytes between sends and needs no thread.
+    """
 
     def __init__(self, edge: Edge, deliver: Callable, on_wire_error: Callable):
-        self._edge = edge
+        self.name = f"{edge.producer}.{edge.feature}->{edge.consumer}"
         self._deliver = deliver
         self._on_wire_error = on_wire_error
-        _, host, port = edge.transport.split(":")
-        self._listener = socket.create_server((host or "127.0.0.1", int(port)))
-        self._rx = threading.Thread(target=self._receive, daemon=True)
-        self._rx.start()
-        self._sock = socket.create_connection(self._listener.getsockname())
         self._wire_dtype = np.dtype(edge.wire_dtype)
+        _, host, port = edge.transport.split(":")
+        with socket.create_server((host or "127.0.0.1", int(port))) as listener:
+            self._tx = socket.create_connection(listener.getsockname())
+            try:
+                self._rx, _ = listener.accept()
+            except BaseException:
+                self._tx.close()
+                raise
+        self._tx.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._tx.setblocking(False)
+        self._buffer = bytearray()
 
     def send(self, chunk: DataChunk) -> None:
-        self._sock.sendall(encode(chunk, dtype=self._wire_dtype))
+        self.transfer(encode(chunk, dtype=self._wire_dtype))
 
-    def shutdown_send(self) -> None:
-        """No more frames; the receiver reports end of stream at EOF."""
-        self._sock.close()
+    def transfer(self, data: bytes) -> None:
+        """Pass ``data`` through the socket, then deliver the frames in it.
+
+        Writes never wait and reads ask only for bytes already written,
+        so a frame larger than the socket buffers cannot deadlock.
+        """
+        size = len(data)
+        if len(self._buffer) < size:
+            self._buffer = bytearray(size)
+        view, into = memoryview(data), memoryview(self._buffer)
+        sent = received = 0
+        while received < size:
+            if sent < size:
+                try:
+                    sent += self._tx.send(view[sent:])
+                except BlockingIOError:
+                    pass
+            if received < sent:
+                got = self._rx.recv_into(into[received:sent])
+                if not got:
+                    raise ConnectionError(f"{self.name}: connection closed")
+                received += got
+        self._decode(bytes(into[:size]))
+
+    def _decode(self, data: bytes) -> None:
+        """Deliver every intact frame in ``data``.  A damaged frame is
+        lost whole and counted once: the scan resumes at the next magic
+        after its first byte, so a damaged length that overran into the
+        next frame costs that frame nothing."""
+        stream = BytesIO(data)
+        start = 0
+        while start < len(data):
+            try:
+                chunk = decode_stream(stream)
+            except WireError:
+                self._on_wire_error(self.name)
+                start = data.find(MAGIC, start + 1)
+                if start < 0:
+                    return
+                stream.seek(start)
+                continue
+            start = stream.tell()
+            self._deliver(chunk)
 
     def close(self) -> None:
-        self._rx.join(timeout=30)
-        self._listener.close()
-
-    def _receive(self) -> None:
-        conn, _ = self._listener.accept()
-        name = (
-            f"{self._edge.producer}.{self._edge.feature}->{self._edge.consumer}"
-        )
-        with conn, conn.makefile("rb") as raw:
-            stream = FrameStream(raw)
-            while not stream.at_end():
-                stream.begin_frame()
-                try:
-                    chunk = decode_stream(stream)
-                except WireError:
-                    # A damaged frame is lost whole; the consumer just
-                    # sees a number gap, like any other lost chunk.
-                    self._on_wire_error(name)
-                    stream.skip_to_magic()
-                    continue
-                self._deliver(chunk)
-        self._deliver(_END)
+        self._tx.close()
+        self._rx.close()
 
 
 class Streamboard:
@@ -153,23 +187,18 @@ class Streamboard:
     # --- plumbing --------------------------------------------------------
 
     def _note_wire_error(self, edge_name: str) -> None:
-        # each edge's count has one writer: the edge's receiving thread
         self.report.wire_errors[edge_name] += 1
 
     def _make_senders(self, name: str):
-        """Per out-edge (edge, send, end) triples, transports resolved."""
+        """Per out-edge (edge, send) pairs, transports resolved."""
         senders = []
         for edge in self.plan.out_edges[name]:
-            to = edge.consumer
-            if edge.transport == "local":
-                send = partial(self._arrive, to)
-                end = partial(self._arrive, to, _END)
-            else:
-                link = _TcpLink(edge, lambda item, _to=to: self._inbox.put(
-                    (_to, item)), self._note_wire_error)
+            send = partial(self._arrive, edge.consumer)
+            if edge.transport != "local":
+                link = _TcpLink(edge, send, self._note_wire_error)
                 self._links.append(link)
-                send, end = link.send, link.shutdown_send
-            senders.append((edge, send, end))
+                send = link.send
+            senders.append((edge, send))
         return senders
 
     def _publish(self, name: str, chunk: DataChunk) -> None:
@@ -181,7 +210,7 @@ class Streamboard:
             stats.total_cells += chunk.payload.size
             stats.nan_cells += int(np.isnan(chunk.payload).sum())
         faults = self.plan.config.faults
-        for edge, send, _ in self._senders[name]:
+        for edge, send in self._senders[name]:
             if edge.source_key != chunk.source_key:
                 continue
             if faults.drops_chunk(
@@ -192,8 +221,8 @@ class Streamboard:
 
     def _finish(self, name: str) -> None:
         """End every out-edge of a producer that will publish no more."""
-        for _, _, end in self._senders[name]:
-            end()
+        for edge, _ in self._senders[name]:
+            self._arrive(edge.consumer, _END)
 
     def _arrive(self, name: str, item) -> None:
         """One arrival at a consumer (or a source's end); whatever it
@@ -254,23 +283,21 @@ class Streamboard:
             post(_END)
 
     def _dispatch(self, pending: int) -> Optional[Exception]:
-        """Handle inbox items until ``pending`` ends (one per source and
-        one per TCP link) have come in; returns the first failure.
+        """Handle inbox items until ``pending`` sources have ended;
+        returns the first failure.
 
         After a failure, chunks are dropped but ends still count down,
-        so every source and link runs to its end.
+        so every source runs to its end and every edge is ended.
         """
         failure: Optional[Exception] = None
         taken = dict.fromkeys(self._backlog, 0)
         while pending:
             name, item = self._inbox.get()
-            backlog = self._backlog.get(name)
-            if backlog is not None:
-                # wake a blocked source once per half backlog, not once per
-                # item: each wake costs thread switches on a busy loop
-                taken[name] = (taken[name] + 1) % (SOURCE_BACKLOG // 2)
-                if not taken[name]:
-                    backlog.release(SOURCE_BACKLOG // 2)
+            # wake a blocked source once per half backlog, not once per
+            # item: each wake costs thread switches on a busy loop
+            taken[name] = (taken[name] + 1) % (SOURCE_BACKLOG // 2)
+            if not taken[name]:
+                self._backlog[name].release(SOURCE_BACKLOG // 2)
             ended = item is _END
             pending -= ended
             if failure is not None and not ended:
@@ -278,7 +305,7 @@ class Streamboard:
             try:
                 if isinstance(item, BaseException):
                     raise item
-                if backlog is None or ended:
+                if ended:
                     self._arrive(name, item)
                 else:
                     self._publish(name, item)
@@ -288,32 +315,34 @@ class Streamboard:
 
     def run(self) -> RunReport:
         plan = self.plan
-        for name in plan.order:
-            inst = plan.instances[name]
-            if isinstance(inst, SourceProcessor):
-                self._backlog[name] = threading.Semaphore(SOURCE_BACKLOG)
-                self._open_edges[name] = 1  # the source's own thread
-            elif isinstance(inst, Processor):
-                inst.reset()
-                buffer = InFlightBuffer(frozenset(plan.in_keys[name]))
-                self._buffers[name] = buffer
-                self._merge_states[name] = MergeState()
-                self.report.merge_logs[name] = []
-                self.report.buffer_counters[name] = buffer.counters
-                self.report.max_occupancy[name] = 0
-            self._senders[name] = self._make_senders(name)
-        sources = [
-            threading.Thread(target=self._run_source, args=(name,), name=name,
-                             daemon=True)
-            for name in self._backlog
-        ]
-        for thread in sources:
-            thread.start()
-        failure = self._dispatch(len(sources) + len(self._links))
-        for thread in sources:
-            thread.join()
-        for link in self._links:
-            link.close()
+        try:
+            for name in plan.order:
+                inst = plan.instances[name]
+                if isinstance(inst, SourceProcessor):
+                    self._backlog[name] = threading.Semaphore(SOURCE_BACKLOG)
+                    self._open_edges[name] = 1  # the source's own thread
+                elif isinstance(inst, Processor):
+                    inst.reset()
+                    buffer = InFlightBuffer(frozenset(plan.in_keys[name]))
+                    self._buffers[name] = buffer
+                    self._merge_states[name] = MergeState()
+                    self.report.merge_logs[name] = []
+                    self.report.buffer_counters[name] = buffer.counters
+                    self.report.max_occupancy[name] = 0
+                self._senders[name] = self._make_senders(name)
+            sources = [
+                threading.Thread(target=self._run_source, args=(name,),
+                                 name=name, daemon=True)
+                for name in self._backlog
+            ]
+            for thread in sources:
+                thread.start()
+            failure = self._dispatch(len(sources))
+            for thread in sources:
+                thread.join()
+        finally:
+            for link in self._links:
+                link.close()
         for name, inst in plan.instances.items():
             if isinstance(inst, SinkProcessor):
                 inst.close()

@@ -179,53 +179,6 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
     )
 
 
-class FrameStream:
-    """A byte stream of frames that can skip past a damaged frame.
-
-    ``decode_stream`` reads from it as from the buffered stream it wraps.
-    The stream keeps the bytes read since ``begin_frame``; after a failed
-    decode, ``skip_to_magic`` scans them again from one byte past the
-    failed frame's start, so a damaged length that overran into the next
-    frame costs that next frame nothing, and a damaged frame costs one
-    failure, not one per misaligned parse attempt.
-    """
-
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
-        self._pushback = b""  # bytes scanned past but not yet read
-        self._frame: list = []  # bytes read since begin_frame
-
-    def read(self, n: int) -> bytes:
-        if not self._pushback:
-            data = self._stream.read(n)
-        else:
-            head, self._pushback = self._pushback[:n], self._pushback[n:]
-            data = head + self._stream.read(n - len(head))
-        self._frame.append(data)
-        return data
-
-    def at_end(self) -> bool:
-        return not self._pushback and not self._stream.peek(1)
-
-    def begin_frame(self) -> None:
-        """The next read is the first byte of a frame."""
-        self._frame.clear()
-
-    def skip_to_magic(self) -> None:
-        """Discard bytes up to the next magic after the current frame's
-        first byte, or to the end of the stream."""
-        data = b"".join(self._frame)[1:] + self._pushback
-        self._frame.clear()
-        while MAGIC not in data:
-            more = self._stream.read1(1 << 16)
-            if not more:
-                self._pushback = b""
-                return
-            # keep the tail: it may hold the start of a magic
-            data = data[-(len(MAGIC) - 1) :] + more
-        self._pushback = data[data.index(MAGIC) :]
-
-
 def decode(data: bytes) -> DataChunk:
     """Decode one complete frame from bytes."""
     stream = BytesIO(data)

@@ -95,7 +95,16 @@ def test_alignment_algebra_randomized_bulk():
     rng = np.random.default_rng(0)
     n = 100_000
     values = rng.integers(0, 10_000, size=(n, 12))
-    start = time.monotonic()
+    # the bound is relative to a plain-tuple loop over the same rows, so
+    # it holds on a slow or shared machine as on a fast one
+    start = time.perf_counter()
+    for row in values:
+        a = tuple(map(int, row[0:4]))
+        b = tuple(map(int, row[4:8]))
+        c = tuple(map(int, row[8:12]))
+        assert tuple(map(max, a, b, c)) <= tuple(map(sum, zip(a, b, c)))
+    reference = time.perf_counter() - start
+    start = time.perf_counter()
     for row in values:
         a = AlignmentParams(*map(int, row[0:4]))
         b = AlignmentParams(*map(int, row[4:8]))
@@ -108,7 +117,7 @@ def test_alignment_algebra_randomized_bulk():
         assert dc.d_H == m.p - a.p
         assert dc.d_L == m.d - a.d
         assert dc.d_l == m.d + a.p
-    assert time.monotonic() - start < 5.0
+    assert time.perf_counter() - start < 15 * reference
 
 
 # --- 4: exact valid-column accounting -----------------------------------

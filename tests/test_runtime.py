@@ -1,5 +1,6 @@
 """Dispatch-loop runtime: end-to-end runs, transports, faults, reporting."""
 
+import socket
 import struct
 import sys
 import threading
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import file_pipeline_config, mic_pipeline_config
+from tfstream import runtime
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.errors import TooFewChannels
@@ -172,9 +174,43 @@ def test_published_payloads_are_frozen(tone_wav, tmp_path):
 
 
 # frame prefix, the two names, then the fixed fields before the channel
-# frequency count
+# frequency count, and before the first (channel) extent of the shape
 FREQ_COUNT_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB2Id")
+SHAPE_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB")
 HEADER_LEN_OFFSET = 6
+SE_T_PTN = Edge("se", "T", "ptn", transport="tcp::0", wire_dtype="<f8")
+
+
+def se_frames(channels, columns, count=6):
+    """Frames of ``se.T`` chunks 0..count-1, chunk n filled with n."""
+    freqs = np.geomspace(100.0, 1500.0, channels)
+    return [
+        encode(DataChunk(number=n, source_key=("se", "T"),
+                         payload=np.full((channels, columns), float(n)),
+                         sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
+                         continuity=Continuity.WITHPREVIOUS,
+                         channel_freqs=freqs), dtype="<f8")
+        for n in range(count)
+    ]
+
+
+def flip(data, offset, bit):
+    damaged = bytearray(data)
+    damaged[offset + bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+def transfer(pieces):
+    """The chunk numbers delivered and the wire errors counted when
+    ``pieces`` pass through one TCP link, one transfer each."""
+    delivered, errors = [], []
+    link = _TcpLink(SE_T_PTN, delivered.append, errors.append)
+    try:
+        for piece in pieces:
+            link.transfer(piece)
+    finally:
+        link.close()
+    return [c.number for c in delivered], errors
 
 
 @pytest.mark.parametrize("offset, bit", [
@@ -186,38 +222,106 @@ HEADER_LEN_OFFSET = 6
 ], ids=["freq_count-0", "header_len-0", "header_len-3", "header_len-12",
         "header_len-30"])
 def test_damaged_frame_costs_one_wire_error(offset, bit):
-    """The receiver skips a damaged frame whole and counts it once."""
-    freqs = np.geomspace(100.0, 1500.0, 64)
-    frames = [
-        encode(DataChunk(number=n, source_key=("se", "T"),
-                         payload=np.full((64, 100), float(n)),
-                         sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
-                         continuity=Continuity.WITHPREVIOUS,
-                         channel_freqs=freqs), dtype="<f8")
-        for n in range(6)
-    ]
+    """The link skips a damaged frame whole and counts it once, whether
+    the frames pass through it as one piece or one at a time."""
+    frames = se_frames(64, 100)
     assert struct.unpack_from("<I", frames[1], FREQ_COUNT_OFFSET) == (64,)
-    damaged = bytearray(frames[1])
-    damaged[offset + bit // 8] ^= 1 << (bit % 8)
-    frames[1] = bytes(damaged)
+    frames[1] = flip(frames[1], offset, bit)
+    for pieces in ([b"".join(frames)], frames):
+        assert transfer(pieces) == ([0, 2, 3, 4, 5], ["se.T->ptn"])
 
+
+@pytest.mark.parametrize("prefix, suffix", [
+    (b"xxTF" + b"TFS", b""),
+    (b"", b"no frame here TFS"),
+], ids=["false-magic-starts", "tail-without-magic"])
+def test_rescan_skips_junk_to_the_next_magic(prefix, suffix):
+    """Junk holding false starts of the magic before intact frames, or a
+    tail with no magic after them, is one wire error and costs no frame."""
+    frames = se_frames(4, 10)
+    for pieces in ([prefix + b"".join(frames) + suffix],
+                   [prefix, *frames, suffix]):
+        assert transfer(pieces) == ([0, 1, 2, 3, 4, 5], ["se.T->ptn"])
+
+
+def test_every_single_bit_flip_costs_exactly_its_frame():
+    frames = se_frames(4, 10)
+    whole, start = b"".join(frames), len(frames[0])
     delivered, errors = [], []
-    edge = Edge("se", "T", "ptn", transport="tcp::0", wire_dtype="<f8")
-    link = _TcpLink(edge, delivered.append, errors.append)
-    link._sock.sendall(b"".join(frames))
-    link.shutdown_send()
-    link.close()
-    assert not link._rx.is_alive()
-    assert errors == ["se.T->ptn"]
-    numbers = [c.number for c in delivered if isinstance(c, DataChunk)]
-    assert numbers == [0, 2, 3, 4, 5]
+    link = _TcpLink(SE_T_PTN, delivered.append, errors.append)
+    try:
+        for bit in range(8 * len(frames[1])):
+            link.transfer(flip(whole, start, bit))
+            numbers = [c.number for c in delivered]
+            assert (numbers, len(errors)) == ([0, 2, 3, 4, 5], 1), f"bit {bit}"
+            delivered.clear()
+            errors.clear()
+    finally:
+        link.close()
 
 
-def test_transforms_and_sinks_run_in_the_calling_thread(tone_wav, tmp_path):
-    """One dispatch loop: no thread per transform or sink; the only
-    thread a local-only run starts is its source's."""
-    plan = validate_graph(config_from_dict(
-        file_pipeline_config(tone_wav, tmp_path / "o")))
+def test_frame_larger_than_the_socket_buffers_goes_through():
+    frame = se_frames(64, 20_000, count=1)[0]     # about 10 MB
+    assert transfer([frame]) == ([0], [])
+
+
+def mic_run_over_tcp(out_dir, faults=None, damage=None):
+    """A 40-chunk mic run whose ``se.T`` edges are TCP, in a thread with a
+    time limit; ``damage`` may rewrite the frames the runtime encodes."""
+    raw = mic_pipeline_config(out_dir, num_chunks=40, faults=faults)
+    for edge in raw["edges"]:
+        if edge["from"] == "se.T":
+            edge["transport"] = "tcp::0"
+            edge["wire_dtype"] = "<f8"
+    plan = validate_graph(config_from_dict(raw))
+    reports = []
+    with pytest.MonkeyPatch.context() as patch:
+        if damage is not None:
+            patch.setattr(runtime, "encode", damage)
+        worker = threading.Thread(
+            target=lambda: reports.append(run_plan(plan)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive(), "run_plan did not return"
+    return reports[0]
+
+
+def test_frame_declaring_a_huge_shape_costs_only_its_chunk(tmp_path):
+    """Bit 28 of the channel extent makes one frame declare 2**28 + 64
+    channels.  The run still ends with one wire error; it writes what the
+    fault-free run writes before the lost chunk, and exactly what dropping
+    that chunk on that edge writes."""
+    lost = 7
+
+    def damage(chunk, dtype):
+        frame = encode(chunk, dtype)
+        if chunk.source_key == ("se", "T") and chunk.number == lost:
+            frame = flip(frame, SHAPE_OFFSET, 28)
+        return frame
+
+    damaged = mic_run_over_tcp(tmp_path / "damaged", damage=damage)
+    dropped = mic_run_over_tcp(tmp_path / "dropped", faults=[
+        {"kind": "drop_chunk", "edge": "se.T->ptn", "number": lost}])
+    clean = mic_run_over_tcp(tmp_path / "clean")
+    assert damaged.wire_errors == {"se.T->ptn": 1}
+    assert not dropped.wire_errors and not clean.wire_errors
+    assert damaged.merge_logs == dropped.merge_logs
+    assert damaged.buffer_counters == dropped.buffer_counters
+    for name in ["ptn.E_T.tfc", "ptn.E_blocks.tfc"]:
+        got = (tmp_path / "damaged" / name).read_bytes()
+        assert got == (tmp_path / "dropped" / name).read_bytes()
+        _, records = read_chunk_file(tmp_path / "damaged" / name)
+        _, want = read_chunk_file(tmp_path / "clean" / name)
+        assert [r["number"] for r in records[:lost]] == list(range(lost))
+        assert records[lost]["number"] == lost + 1
+        for record, reference in zip(records[:lost], want):
+            np.testing.assert_array_equal(record["payload"], reference["payload"])
+
+
+def threads_of_a_run(raw):
+    """The threads that call ``process`` or ``consume`` in one run, and
+    the names of the threads started while it ran."""
+    plan = validate_graph(config_from_dict(raw))
     before = set(threading.enumerate())
     callers, started = set(), set()
 
@@ -234,27 +338,110 @@ def test_transforms_and_sinks_run_in_the_calling_thread(tone_wav, tmp_path):
         elif isinstance(inst, SinkProcessor):
             inst.consume = record(inst.consume)
     run_plan(plan)
+    return callers, started
+
+
+def test_transforms_and_sinks_run_in_the_calling_thread(tone_wav, tmp_path):
+    """One dispatch loop: no thread per transform or sink; the only
+    thread a local-only run starts is its source's."""
+    callers, started = threads_of_a_run(
+        file_pipeline_config(tone_wav, tmp_path / "o"))
     assert callers == {threading.get_ident()}
     assert started == {"reader"}
 
 
-def test_all_local_runs_with_faults_repeat_their_counters(tmp_path):
-    """On local edges the loop delivers in one order, so even the split
-    of lost chunks between discarded and stale repeats."""
+def test_tcp_edges_start_no_thread(tone_wav, tmp_path):
+    """A TCP edge is decoded in the loop: a run with TCP edges still
+    starts only its source's thread."""
+    raw = file_pipeline_config(tone_wav, tmp_path / "o")
+    for edge in raw["edges"]:
+        if edge["from"] in ("cochlea.E", "se.T"):
+            edge["transport"] = "tcp::0"
+    callers, started = threads_of_a_run(raw)
+    assert callers == {threading.get_ident()}
+    assert started == {"reader"}
+
+
+def runs_with_faults(tmp_path, transport):
+    """Two 12-chunk mic runs with a drop and an outage on ptn's inputs,
+    every edge into ptn on ``transport``."""
     faults = [
         {"kind": "drop_chunk", "edge": "se.T->ptn", "number": 2},
         {"kind": "link_down", "edge": "cochlea.E->ptn",
          "from_number": 5, "to_number": 7},
     ]
-    reports = [
-        run_config(mic_pipeline_config(
-            tmp_path / f"r{i}", num_chunks=12, faults=faults))[1]
-        for i in range(2)
-    ]
+    reports = []
+    for i in range(2):
+        raw = mic_pipeline_config(tmp_path / f"r{i}", num_chunks=12,
+                                  faults=faults)
+        for edge in raw["edges"]:
+            if edge["to"] in ("se", "ptn"):
+                edge["transport"] = transport
+        reports.append(run_config(raw)[1])
     assert reports[0].merge_logs == reports[1].merge_logs
     assert reports[0].buffer_counters == reports[1].buffer_counters
     assert reports[0].buffer_counters["ptn"].discarded == 4
     assert all(c.stale == 0 for c in reports[0].buffer_counters.values())
+    return reports[0]
+
+
+def test_all_local_runs_with_faults_repeat_their_counters(tmp_path):
+    """On local edges the loop delivers in one order, so even the split
+    of lost chunks between discarded and stale repeats."""
+    runs_with_faults(tmp_path, "local")
+
+
+def test_tcp_runs_with_faults_repeat_their_counters(tmp_path):
+    """A TCP send delivers where a local send would, so across TCP edges
+    the counters repeat too, and equal the all-local ones."""
+    tcp = runs_with_faults(tmp_path / "tcp", "tcp::0")
+    local = runs_with_faults(tmp_path / "local", "local")
+    assert tcp.merge_logs == local.merge_logs
+    assert tcp.buffer_counters == local.buffer_counters
+
+
+def test_transport_failing_at_set_up_closes_the_links_made(tmp_path,
+                                                          monkeypatch):
+    """A second TCP edge whose port another socket holds fails the run
+    before it starts; the first edge's sockets are closed."""
+    made = []
+
+    class RecordedLink(_TcpLink):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(runtime, "_TcpLink", RecordedLink)
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        raw = mic_pipeline_config(tmp_path / "out")
+        for edge in raw["edges"]:
+            if edge["from"] == "cochlea.E" and edge["to"] == "se":
+                edge["transport"] = "tcp::0"
+            elif edge["from"] == "se.T":
+                edge["transport"] = f"tcp:127.0.0.1:{held.getsockname()[1]}"
+        plan = validate_graph(config_from_dict(raw))
+        with pytest.raises(OSError):
+            run_plan(plan)
+    assert len(made) == 1
+    sockets = [v for v in vars(made[0]).values() if isinstance(v, socket.socket)]
+    assert sockets and all(s.fileno() == -1 for s in sockets)
+
+
+def test_two_edges_on_one_fixed_port_run(tmp_path):
+    """A link's listener closes once its connection is accepted, so the
+    next edge can listen on the same port."""
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    local, fixed = tmp_path / "local", tmp_path / "fixed"
+    run_config(mic_pipeline_config(local))
+    raw = mic_pipeline_config(fixed)
+    for edge in raw["edges"]:
+        if edge["to"] in ("se", "ptn"):
+            edge["transport"] = f"tcp:127.0.0.1:{port}"
+            edge["wire_dtype"] = "<f8"
+    run_config(raw)
+    for name in ["ptn.E_T.tfc", "ptn.E_blocks.tfc"]:
+        assert (fixed / name).read_bytes() == (local / name).read_bytes()
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp::0"])

@@ -1,6 +1,5 @@
 """Framed transport codec: round trips, corruption detection, atomicity."""
 
-import io
 from io import BytesIO
 
 import numpy as np
@@ -12,7 +11,6 @@ from tfstream.wire import (
     MAGIC,
     MAX_HEADER_LEN,
     VERSION,
-    FrameStream,
     decode,
     decode_stream,
     encode,
@@ -139,44 +137,6 @@ def test_stream_of_frames_decodes_in_order():
     for original in chunks:
         assert_chunks_equal(decode_stream(stream), original)
     assert stream.read() == b""
-
-
-class Trickle(io.RawIOBase):
-    """A raw stream that returns at most ``step`` bytes per read."""
-
-    def __init__(self, data, step):
-        self._data = memoryview(data)
-        self._step = step
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = min(len(buf), self._step, len(self._data))
-        buf[:n] = self._data[:n]
-        self._data = self._data[n:]
-        return n
-
-
-@pytest.mark.parametrize("step", [1, 2, 3, 5, 4096])
-def test_skip_to_magic_finds_a_magic_split_across_reads(step):
-    rng = np.random.default_rng(10)
-    chunks = [random_chunk(rng) for _ in range(4)]
-    # junk holding two false starts of the magic, then intact frames
-    data = b"xxTF" + b"TFS" + b"".join(encode(c, dtype="<f8") for c in chunks)
-    stream = FrameStream(io.BufferedReader(Trickle(data, step)))
-    with pytest.raises(WireError):
-        decode_stream(stream)
-    stream.skip_to_magic()
-    for original in chunks:
-        assert_chunks_equal(decode_stream(stream), original)
-    assert stream.at_end()
-
-
-def test_skip_to_magic_without_magic_discards_the_rest():
-    stream = FrameStream(io.BufferedReader(Trickle(b"no frame here TFS", 3)))
-    stream.skip_to_magic()
-    assert stream.at_end()
 
 
 def test_oversized_header_length_is_rejected_before_reading_it():
