@@ -7,6 +7,8 @@ import pytest
 
 from tfstream.chunks import AlignmentParams, Continuity, DataChunk
 from tfstream.errors import ChecksumError, VersionError, WireError
+from tfstream.graph import Edge
+from tfstream.runtime import _TcpLink
 from tfstream.wire import (
     MAGIC,
     MAX_HEADER_LEN,
@@ -137,6 +139,41 @@ def test_stream_of_frames_decodes_in_order():
     for original in chunks:
         assert_chunks_equal(decode_stream(stream), original)
     assert stream.read() == b""
+
+
+class Trickle:
+    """A socket end that hands out at most ``step`` bytes per read."""
+
+    def __init__(self, sock, step):
+        self._sock = sock
+        self._step = step
+
+    def recv_into(self, buffer):
+        return self._sock.recv_into(buffer[:self._step])
+
+    def close(self):
+        self._sock.close()
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 5, 4096])
+def test_skip_to_magic_finds_a_magic_split_across_reads(step):
+    """A TCP link reassembles bytes that arrive a few at a time, then
+    skips junk holding false starts of the magic to the intact frames."""
+    rng = np.random.default_rng(10)
+    chunks = [random_chunk(rng) for _ in range(4)]
+    data = b"xxTF" + b"TFS" + b"".join(encode(c, dtype="<f8") for c in chunks)
+    delivered, errors = [], []
+    link = _TcpLink(Edge("p", "f", "c", transport="tcp::0", wire_dtype="<f8"),
+                    delivered.append, errors.append)
+    link._rx = Trickle(link._rx, step)
+    try:
+        link.transfer(data)
+    finally:
+        link.close()
+    assert errors == ["p.f->c"]
+    assert len(delivered) == len(chunks)
+    for got, original in zip(delivered, chunks):
+        assert_chunks_equal(got, original)
 
 
 def test_oversized_header_length_is_rejected_before_reading_it():
