@@ -30,6 +30,8 @@ from .chunks import AlignmentParams, Continuity, DataChunk, SourceKey
 from .errors import IoError
 
 MAGIC = b"TFCF"
+#: number, continuity, p, d, l, s and ndim of one record
+RECORD_HEAD = struct.Struct("<Qi4IB")
 
 
 class ChunkFileWriter:
@@ -63,9 +65,8 @@ class ChunkFileWriter:
     def append(self, chunk: DataChunk) -> None:
         a = chunk.alignment
         record = [
-            struct.pack("<Qi", chunk.number, int(chunk.continuity)),
-            struct.pack("<4I", a.p, a.d, a.l, a.s),
-            struct.pack("<B", chunk.payload.ndim),
+            RECORD_HEAD.pack(chunk.number, int(chunk.continuity),
+                             a.p, a.d, a.l, a.s, chunk.payload.ndim),
             struct.pack(f"<{chunk.payload.ndim}I", *chunk.payload.shape),
             np.ascontiguousarray(chunk.payload, dtype=self.dtype).tobytes(),
         ]
@@ -75,33 +76,39 @@ class ChunkFileWriter:
         self._fh.close()
 
 
+def _read_exactly(fh: BinaryIO, size: int, path: Path, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise IoError(f"{path}: truncated {what}")
+    return data
+
+
 def read_chunk_file(path: Path) -> Tuple[dict, List[dict]]:
     """Read a chunk file back; returns (header, records).
 
     Each record is a dict with number, continuity, alignment and payload.
+    A file cut anywhere but between two records raises ``IoError``.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise IoError(f"{path} is not a chunk file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        (header_len,) = struct.unpack("<I", _read_exactly(fh, 4, path, "header"))
+        header = json.loads(
+            _read_exactly(fh, header_len, path, "header").decode("utf-8"))
         dtype = np.dtype(header["dtype"])
         records = []
         while True:
-            head = fh.read(12)
+            head = fh.read(RECORD_HEAD.size)
             if not head:
                 break
-            if len(head) != 12:
+            if len(head) != RECORD_HEAD.size:
                 raise IoError(f"{path}: truncated record header")
-            number, continuity = struct.unpack("<Qi", head)
-            p, d, l, s = struct.unpack("<4I", fh.read(16))
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            number, continuity, p, d, l, s, ndim = RECORD_HEAD.unpack(head)
+            shape = struct.unpack(
+                f"<{ndim}I", _read_exactly(fh, 4 * ndim, path, "record shape"))
             nbytes = int(np.prod(shape)) * dtype.itemsize
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise IoError(f"{path}: truncated payload")
+            raw = _read_exactly(fh, nbytes, path, "payload")
             records.append(
                 {
                     "number": number,

@@ -111,7 +111,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 params=item.get("params", {}) or {},
             )
         )
-    edges = []
+    edges, seen = [], set()
     for item in raw.get("edges", []):
         source = item.get("from", "")
         producer, dot, feature = source.partition(".")
@@ -135,6 +135,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 f"edge {source} -> {edge.consumer}: wire_dtype must be "
                 f"'<f4' or '<f8', got {edge.wire_dtype!r}"
             )
+        if (producer, feature, edge.consumer) in seen:
+            raise ConfigError(f"duplicate edge {source} -> {edge.consumer}")
+        seen.add((producer, feature, edge.consumer))
         edges.append(edge)
     faults = parse_fault_events(raw.get("faults"))
     return PipelineConfig(processors=processors, edges=edges, faults=faults)

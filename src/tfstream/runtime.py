@@ -1,12 +1,12 @@
-"""Streamboard runtime: one dispatch loop runs every transform and sink.
+"""Streamboard runtime: one dispatch loop runs every source, transform and sink.
 
-Each source has a thread of its own that posts its chunks to one inbox;
-the loop, in the calling thread, pushes each arrival depth-first along
-the edges by direct call.  A local send is a call; a TCP send writes the
-frame, reads it back from the other end of the socket and decodes it in
-the loop, at the same point in that order.  The gap inference in the
-buffer makes the published streams independent of when arrivals come,
-so runs are deterministic end to end.
+The loop, in the calling thread, pulls one chunk from each live source
+in turn and pushes it depth-first along the edges by direct call before
+it pulls the next, so a run starts no threads.  A local send is a call;
+a TCP send writes the frame, reads it back from the other end of the
+socket and decodes it in the loop, at the same point in that order.
+Every run of one plan therefore delivers in one order, and runs are
+deterministic end to end.
 
 Edges carry chunks either in-process (local transport, full precision)
 or over a TCP socket through the framed codec.
@@ -14,9 +14,7 @@ or over a TCP socket through the framed codec.
 
 from __future__ import annotations
 
-import queue
 import socket
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,10 +42,6 @@ _SCENARIO_NAMES = {
     MergeScenario.REGULAR_DISCONTINUOUS: "RegularDiscontinuous",
     MergeScenario.IRREGULAR_DISCONTINUOUS: "IrregularDiscontinuous",
 }
-
-#: Items a source may have posted before the loop takes them; once
-#: blocked, it resumes when half of them are taken.
-SOURCE_BACKLOG = 16
 
 
 @dataclass(frozen=True)
@@ -87,10 +81,6 @@ class RunReport:
 
     def scenario_names(self, consumer: str) -> List[str]:
         return [entry.scenario for entry in self.merge_logs.get(consumer, [])]
-
-
-#: End-of-stream sentinel: an edge or a source will deliver nothing more.
-_END = object()
 
 
 class _TcpLink:
@@ -176,13 +166,10 @@ class Streamboard:
     def __init__(self, plan: GraphPlan):
         self.plan = plan
         self.report = RunReport()
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._links: List[_TcpLink] = []
         self._senders: Dict[str, list] = {}
-        self._backlog: Dict[str, threading.Semaphore] = {}
         self._buffers: Dict[str, InFlightBuffer] = {}
         self._merge_states: Dict[str, MergeState] = {}
-        self._open_edges = Counter(edge.consumer for edge in plan.config.edges)
 
     # --- plumbing --------------------------------------------------------
 
@@ -219,19 +206,9 @@ class Streamboard:
                 continue
             send(chunk)
 
-    def _finish(self, name: str) -> None:
-        """End every out-edge of a producer that will publish no more."""
-        for edge, _ in self._senders[name]:
-            self._arrive(edge.consumer, _END)
-
-    def _arrive(self, name: str, item) -> None:
-        """One arrival at a consumer (or a source's end); whatever it
-        publishes in response has moved on, depth-first, when this returns."""
-        if item is _END:
-            self._open_edges[name] -= 1
-            if not self._open_edges[name]:
-                self._finish(name)
-            return
+    def _arrive(self, name: str, item: DataChunk) -> None:
+        """One arrival at a consumer; whatever it publishes in response
+        has moved on, depth-first, when this returns."""
         inst = self.plan.instances[name]
         if isinstance(inst, SinkProcessor):
             inst.consume(item)
@@ -262,65 +239,30 @@ class Streamboard:
             scenarios=tuple(sorted(names.items())),
         )
 
-    # --- threads and the loop --------------------------------------------
+    # --- the loop --------------------------------------------------------
 
-    def _run_source(self, name: str) -> None:
-        """Post the source's chunks, a failure and the end to the inbox,
-        at most SOURCE_BACKLOG ahead of the loop."""
-        inst = self.plan.instances[name]
-        backlog = self._backlog[name]
-
-        def post(item) -> None:
-            backlog.acquire()
-            self._inbox.put((name, item))
-
-        try:
-            for chunk in inst.chunks():
-                post(chunk)
-        except BaseException as exc:  # noqa: BLE001 - raised by run
-            post(exc)
-        finally:
-            post(_END)
-
-    def _dispatch(self, pending: int) -> Optional[Exception]:
-        """Handle inbox items until ``pending`` sources have ended;
-        returns the first failure.
-
-        After a failure, chunks are dropped but ends still count down,
-        so every source runs to its end and every edge is ended.
-        """
-        failure: Optional[Exception] = None
-        taken = dict.fromkeys(self._backlog, 0)
-        while pending:
-            name, item = self._inbox.get()
-            # wake a blocked source once per half backlog, not once per
-            # item: each wake costs thread switches on a busy loop
-            taken[name] = (taken[name] + 1) % (SOURCE_BACKLOG // 2)
-            if not taken[name]:
-                self._backlog[name].release(SOURCE_BACKLOG // 2)
-            ended = item is _END
-            pending -= ended
-            if failure is not None and not ended:
-                continue
-            try:
-                if isinstance(item, BaseException):
-                    raise item
-                if ended:
-                    self._arrive(name, item)
-                else:
-                    self._publish(name, item)
-            except Exception as exc:  # noqa: BLE001 - raised by run
-                failure = exc if failure is None else failure
-        return failure
+    def _pump(self, sources: List[str]) -> None:
+        """Pull one chunk from each live source in turn, in plan order,
+        and publish it before pulling the next, until every source ends."""
+        live = [(name, self.plan.instances[name].chunks()) for name in sources]
+        while live:
+            pulled = []
+            for name, chunks in live:
+                chunk = next(chunks, None)
+                if chunk is not None:
+                    self._publish(name, chunk)
+                    pulled.append((name, chunks))
+            live = pulled
 
     def run(self) -> RunReport:
         plan = self.plan
+        failure: Optional[Exception] = None
         try:
+            sources = []
             for name in plan.order:
                 inst = plan.instances[name]
                 if isinstance(inst, SourceProcessor):
-                    self._backlog[name] = threading.Semaphore(SOURCE_BACKLOG)
-                    self._open_edges[name] = 1  # the source's own thread
+                    sources.append(name)
                 elif isinstance(inst, Processor):
                     inst.reset()
                     buffer = InFlightBuffer(frozenset(plan.in_keys[name]))
@@ -330,16 +272,10 @@ class Streamboard:
                     self.report.buffer_counters[name] = buffer.counters
                     self.report.max_occupancy[name] = 0
                 self._senders[name] = self._make_senders(name)
-            sources = [
-                threading.Thread(target=self._run_source, args=(name,),
-                                 name=name, daemon=True)
-                for name in self._backlog
-            ]
-            for thread in sources:
-                thread.start()
-            failure = self._dispatch(len(sources))
-            for thread in sources:
-                thread.join()
+            try:
+                self._pump(sources)
+            except Exception as exc:  # noqa: BLE001 - raised below
+                failure = exc
         finally:
             for link in self._links:
                 link.close()

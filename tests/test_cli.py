@@ -4,9 +4,13 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import synth_tone_noise, write_wav
+from tfstream.chunkfile import ChunkFileWriter, read_chunk_file
+from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.cli import main
+from tfstream.errors import IoError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MIC = str(CONFIGS / "mic_pipeline.yaml")
@@ -44,3 +48,40 @@ def test_oracle_writes_one_array_per_transform_feature(tmp_path):
         "cochlea.E.npy", "ptn.E_T.npy", "ptn.E_T_valid.npy",
         "ptn.E_blocks.npy", "resampler.snd.npy", "se.T.npy"]
     assert np.load(out / "ptn.E_T.npy").ndim == 2
+
+
+def test_a_cut_chunk_file_reads_to_its_last_record_or_fails_clearly(
+        tmp_path, capsys):
+    """A two-record file cut at every byte offset: a cut on a record
+    boundary reads the records before it, any other cut raises IoError,
+    and ``export`` prints an error instead of a traceback."""
+    def file_of(count):
+        path = tmp_path / f"{count}.tfc"
+        writer = ChunkFileWriter(path, ("ptn", "E_T"), 4000.0,
+                                 np.geomspace(100.0, 1500.0, 3))
+        for number, columns in enumerate([5, 2][:count]):
+            writer.append(DataChunk(
+                number=number, source_key=("ptn", "E_T"),
+                payload=np.full((3, columns), float(number)),
+                sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
+                continuity=Continuity.WITHPREVIOUS))
+        writer.close()
+        return path.read_bytes()
+
+    boundaries = {len(file_of(count)): count for count in range(3)}
+    data = file_of(2)
+    header, _ = read_chunk_file(tmp_path / "2.tfc")
+    cut = tmp_path / "cut.tfc"
+    for size in range(len(data) + 1):
+        cut.write_bytes(data[:size])
+        if size in boundaries:
+            got_header, records = read_chunk_file(cut)
+            assert got_header == header
+            assert [r["number"] for r in records] == list(range(boundaries[size]))
+        else:
+            with pytest.raises(IoError):
+                read_chunk_file(cut)
+    cut.write_bytes(data[:-1])
+    assert main(["export", "--chunkfile", str(cut),
+                 "--csv", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

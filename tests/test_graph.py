@@ -87,6 +87,20 @@ def test_duplicate_processor_names(tone_wav, tmp_path):
         build(raw)
 
 
+def test_duplicate_edges(tone_wav, tmp_path):
+    """One feature twice into one consumer would deliver every chunk twice;
+    two features of one producer into one consumer stay valid."""
+    raw = file_pipeline_config(tone_wav, tmp_path / "out")
+    for repeat in [{"from": "cochlea.E", "to": "out"},
+                   {"from": "se.T", "to": "ptn", "transport": "tcp::0"}]:
+        bad = copy.deepcopy(raw)
+        bad["edges"].append(repeat)
+        with pytest.raises(ConfigError, match="duplicate edge"):
+            config_from_dict(bad)
+    assert ({("ptn", "E_T", "out"), ("ptn", "E_blocks", "out")}
+            <= {(e.producer, e.feature, e.consumer) for e in build(raw).config.edges})
+
+
 def test_unknown_kind(tone_wav, tmp_path):
     raw = file_pipeline_config(tone_wav, tmp_path / "out")
     raw["processors"][1] = {"name": "resampler", "kind": "no_such_kind"}

@@ -2,7 +2,6 @@
 
 import socket
 import struct
-import sys
 import threading
 
 import numpy as np
@@ -16,7 +15,7 @@ from tfstream.errors import TooFewChannels
 from tfstream.graph import Edge, config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
 from tfstream.processors import Processor, SinkProcessor
-from tfstream.runtime import SOURCE_BACKLOG, _TcpLink, run_plan
+from tfstream.runtime import _TcpLink, run_plan
 from tfstream.wire import encode
 
 OUT_KEYS = [
@@ -165,7 +164,7 @@ def test_invalid_fraction_matches_declared(tone_wav, tmp_path):
 
 def test_published_payloads_are_frozen(tone_wav, tmp_path):
     """Consumers must never mutate shared arrays; a fork feeds the same
-    chunk object to several inboxes."""
+    chunk object to several consumers."""
     plan, report = run_config(file_pipeline_config(tone_wav, tmp_path / "o"))
     # the run completing without copy-on-write crashes is the main check;
     # spot check that written output is finite where declared valid
@@ -342,24 +341,24 @@ def threads_of_a_run(raw):
 
 
 def test_transforms_and_sinks_run_in_the_calling_thread(tone_wav, tmp_path):
-    """One dispatch loop: no thread per transform or sink; the only
-    thread a local-only run starts is its source's."""
+    """One dispatch loop runs sources, transforms and sinks: a run starts
+    no thread."""
     callers, started = threads_of_a_run(
         file_pipeline_config(tone_wav, tmp_path / "o"))
     assert callers == {threading.get_ident()}
-    assert started == {"reader"}
+    assert started == set()
 
 
 def test_tcp_edges_start_no_thread(tone_wav, tmp_path):
-    """A TCP edge is decoded in the loop: a run with TCP edges still
-    starts only its source's thread."""
+    """A TCP edge is decoded in the loop: a run with TCP edges starts no
+    thread either."""
     raw = file_pipeline_config(tone_wav, tmp_path / "o")
     for edge in raw["edges"]:
         if edge["from"] in ("cochlea.E", "se.T"):
             edge["transport"] = "tcp::0"
     callers, started = threads_of_a_run(raw)
     assert callers == {threading.get_ident()}
-    assert started == {"reader"}
+    assert started == set()
 
 
 def runs_with_faults(tmp_path, transport):
@@ -398,6 +397,64 @@ def test_tcp_runs_with_faults_repeat_their_counters(tmp_path):
     local = runs_with_faults(tmp_path / "local", "local")
     assert tcp.merge_logs == local.merge_logs
     assert tcp.buffer_counters == local.buffer_counters
+
+
+def two_mic_config(out_dir):
+    """Two microphones joined at ptn, ``mic_a -> cochlea_a -> ptn`` and
+    ``mic_b -> cochlea_b -> se -> ptn``, with a fault on each path."""
+    processors = [
+        {"name": f"mic_{x}", "kind": "mic_input", "params": {
+            "sample_rate": 8000, "chunk_size": 1024, "num_chunks": 12,
+            "seed": seed}}
+        for x, seed in (("a", 3), ("b", 4))
+    ] + [
+        {"name": f"cochlea_{x}", "kind": "gammachirp_filterbank", "params": {
+            "channels": 64, "f_min": 100, "f_max": 1500, "impulse_ms": 50}}
+        for x in "ab"
+    ] + [
+        {"name": "se", "kind": "structure_extractor",
+         "params": {"w_t": 40, "w_s": 3}},
+        {"name": "ptn", "kind": "ptn", "params": {
+            "block_dt": 100, "block_df": 8, "theta": 0.96, "beta": 0.02}},
+        {"name": "out", "kind": "file_writer",
+         "params": {"directory": str(out_dir)}},
+    ]
+    edges = [
+        {"from": "mic_a.snd", "to": "cochlea_a"},
+        {"from": "mic_b.snd", "to": "cochlea_b"},
+        {"from": "cochlea_a.E", "to": "ptn"},
+        {"from": "cochlea_b.E", "to": "se"},
+        {"from": "se.T", "to": "ptn"},
+        {"from": "ptn.E_T", "to": "out"},
+        {"from": "ptn.E_blocks", "to": "out"},
+    ]
+    faults = [
+        {"kind": "drop_chunk", "edge": "se.T->ptn", "number": 2},
+        {"kind": "link_down", "edge": "cochlea_a.E->ptn",
+         "from_number": 5, "to_number": 7},
+        {"kind": "link_down", "edge": "mic_b.snd->cochlea_b",
+         "from_number": 9, "to_number": 9},
+    ]
+    return {"processors": processors, "edges": edges, "faults": faults}
+
+
+def test_runs_with_several_sources_repeat_their_counters(tmp_path):
+    """Sources are pulled in turn in one order, so with two sources
+    joined at ptn the split of lost chunks between discarded and stale
+    repeats as well as the output bytes."""
+    first = run_config(two_mic_config(tmp_path / "r0"))[1]
+    assert sum(c.discarded + c.stale
+               for c in first.buffer_counters.values()) > 0
+    # in turn, not one source to its end first, which would make ptn
+    # buffer 9 chunks of the first source
+    assert first.max_occupancy["ptn"] <= 3
+    for i in range(1, 8):
+        report = run_config(two_mic_config(tmp_path / f"r{i}"))[1]
+        assert report.merge_logs == first.merge_logs
+        assert report.buffer_counters == first.buffer_counters
+        for name in ["ptn.E_T.tfc", "ptn.E_blocks.tfc"]:
+            got = (tmp_path / f"r{i}" / name).read_bytes()
+            assert got == (tmp_path / "r0" / name).read_bytes()
 
 
 def test_transport_failing_at_set_up_closes_the_links_made(tmp_path,
@@ -446,9 +503,8 @@ def test_two_edges_on_one_fixed_port_run(tmp_path):
 
 @pytest.mark.parametrize("transport", ["local", "tcp::0"])
 def test_failing_processor_ends_the_run(tmp_path, transport):
-    """A failure on the first chunk of a run longer than the source
-    backlog: the source and every link still run to their end, and
-    run_plan raises the failure."""
+    """A failure on the first chunk of a 60-chunk run ends the run:
+    run_plan returns and raises the failure."""
     raw = mic_pipeline_config(tmp_path / "out", num_chunks=60)
     for spec in raw["processors"]:
         if spec["name"] == "cochlea":
@@ -471,10 +527,35 @@ def test_failing_processor_ends_the_run(tmp_path, transport):
     assert raised
 
 
+def test_a_failure_stops_pulling_the_sources(tmp_path):
+    """After the first failure the loop pulls nothing more: a run that
+    fails on its first chunk pulls one chunk of 60, still closes its
+    sink, and raises the failure."""
+    raw = mic_pipeline_config(tmp_path / "out", num_chunks=60)
+    for spec in raw["processors"]:
+        if spec["name"] == "cochlea":
+            spec["params"]["channels"] = 4   # too few for w_s = 3
+    plan = validate_graph(config_from_dict(raw))
+    mic, out = plan.instances["mic"], plan.instances["out"]
+    chunks, close = mic.chunks, out.close
+    pulled, closed = [], []
+
+    def counted_chunks():
+        for chunk in chunks():
+            pulled.append(chunk.number)
+            yield chunk
+
+    mic.chunks = counted_chunks
+    out.close = lambda: closed.append(close())
+    with pytest.raises(TooFewChannels):
+        run_plan(plan)
+    assert pulled == [0]
+    assert closed
+
+
 def test_many_sources_feed_one_loop(tmp_path):
-    """More source threads than cores, each longer than its backlog and
-    switching threads as often as the interpreter allows: every chunk of
-    every source reaches the sink once, in order."""
+    """Four sources pulled in turn into one sink: every chunk of every
+    source reaches the sink once, in order."""
     n_sources, n_chunks = 4, 40
     raw = {
         "processors": [
@@ -489,15 +570,10 @@ def test_many_sources_feed_one_loop(tmp_path):
     }
     plan = validate_graph(config_from_dict(raw))
     reports = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(
-            target=lambda: reports.append(run_plan(plan)), daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
+    worker = threading.Thread(
+        target=lambda: reports.append(run_plan(plan)), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
     assert not worker.is_alive(), "run_plan did not return"
     assert reports[0].written == {
         (f"mic{i}", "snd"): n_chunks for i in range(n_sources)}
@@ -506,9 +582,10 @@ def test_many_sources_feed_one_loop(tmp_path):
         assert [r["number"] for r in records] == list(range(n_chunks))
 
 
-def test_source_runs_at_most_its_backlog_ahead(tmp_path):
-    """A fast source blocks instead of filling memory: when it produces a
-    chunk, at most SOURCE_BACKLOG earlier ones are not yet consumed."""
+def test_source_is_never_ahead_of_the_loop(tmp_path):
+    """The loop pulls a chunk only once the one before it has gone all the
+    way through: when the source yields chunk n, chunks 0 to n-1 have all
+    been consumed."""
     plan = validate_graph(config_from_dict({
         "processors": [
             {"name": "mic", "kind": "mic_input", "params": {
@@ -534,5 +611,4 @@ def test_source_runs_at_most_its_backlog_ahead(tmp_path):
     out.consume, mic.chunks = counting_consume, watched_chunks
     run_plan(plan)
     assert len(consumed) == 200
-    # the chunk the loop holds may be taken but not yet consumed
-    assert max(ahead) <= SOURCE_BACKLOG + 1
+    assert ahead == [0] * 200
