@@ -26,12 +26,18 @@ from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .chunks import AlignmentParams, Continuity, DataChunk, SourceKey
+from .chunks import AlignmentParams, DataChunk, SourceKey, as_continuity
 from .errors import IoError
 
 MAGIC = b"TFCF"
 #: number, continuity, p, d, l, s and ndim of one record
 RECORD_HEAD = struct.Struct("<Qi4IB")
+#: Bytes a writer gathers before it writes to the file, so that a
+#: record's head and payload cost no system call of their own.
+WRITE_BUFFER = 1 << 16
+#: the header keys, each written by ChunkFileWriter
+HEADER_KEYS = frozenset(
+    {"producer", "feature", "sample_rate", "dtype", "channel_freqs"})
 
 
 class ChunkFileWriter:
@@ -59,18 +65,18 @@ class ChunkFileWriter:
             },
             sort_keys=True,
         ).encode("utf-8")
-        self._fh: BinaryIO = open(self.path, "wb")
+        self._fh: BinaryIO = open(self.path, "wb", buffering=WRITE_BUFFER)
         self._fh.write(MAGIC + struct.pack("<I", len(header)) + header)
 
     def append(self, chunk: DataChunk) -> None:
         a = chunk.alignment
-        record = [
+        ndim = chunk.payload.ndim
+        self._fh.write(
             RECORD_HEAD.pack(chunk.number, int(chunk.continuity),
-                             a.p, a.d, a.l, a.s, chunk.payload.ndim),
-            struct.pack(f"<{chunk.payload.ndim}I", *chunk.payload.shape),
-            np.ascontiguousarray(chunk.payload, dtype=self.dtype).tobytes(),
-        ]
-        self._fh.write(b"".join(record))
+                             a.p, a.d, a.l, a.s, ndim)
+            + struct.pack(f"<{ndim}I", *chunk.payload.shape)
+        )
+        self._fh.write(np.ascontiguousarray(chunk.payload, dtype=self.dtype))
 
     def close(self) -> None:
         self._fh.close()
@@ -83,20 +89,37 @@ def _read_exactly(fh: BinaryIO, size: int, path: Path, what: str) -> bytes:
     return data
 
 
+def _parse_header(raw: bytes, path: Path) -> Tuple[dict, np.dtype]:
+    """The header and its payload dtype; IoError when either is damaged."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise IoError(f"{path}: damaged header: {exc}") from None
+    if not isinstance(header, dict) or not HEADER_KEYS <= header.keys():
+        raise IoError(f"{path}: header needs the keys {sorted(HEADER_KEYS)}")
+    try:
+        dtype = np.dtype(header["dtype"])
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.kind not in "biufc":
+        raise IoError(f"{path}: header dtype {header['dtype']!r} is not numeric")
+    return header, dtype
+
+
 def read_chunk_file(path: Path) -> Tuple[dict, List[dict]]:
     """Read a chunk file back; returns (header, records).
 
     Each record is a dict with number, continuity, alignment and payload.
-    A file cut anywhere but between two records raises ``IoError``.
+    A file cut anywhere but between two records, or a damaged header or
+    record head, raises ``IoError``.
     """
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise IoError(f"{path} is not a chunk file")
         (header_len,) = struct.unpack("<I", _read_exactly(fh, 4, path, "header"))
-        header = json.loads(
-            _read_exactly(fh, header_len, path, "header").decode("utf-8"))
-        dtype = np.dtype(header["dtype"])
+        header, dtype = _parse_header(
+            _read_exactly(fh, header_len, path, "header"), path)
         records = []
         while True:
             head = fh.read(RECORD_HEAD.size)
@@ -105,6 +128,14 @@ def read_chunk_file(path: Path) -> Tuple[dict, List[dict]]:
             if len(head) != RECORD_HEAD.size:
                 raise IoError(f"{path}: truncated record header")
             number, continuity, p, d, l, s, ndim = RECORD_HEAD.unpack(head)
+            try:
+                continuity = as_continuity(continuity)
+            except ValueError:
+                raise IoError(
+                    f"{path}: record {number} has unknown continuity code "
+                    f"{continuity}") from None
+            if ndim not in (1, 2):
+                raise IoError(f"{path}: record {number} has ndim {ndim}")
             shape = struct.unpack(
                 f"<{ndim}I", _read_exactly(fh, 4 * ndim, path, "record shape"))
             nbytes = int(np.prod(shape)) * dtype.itemsize
@@ -112,7 +143,7 @@ def read_chunk_file(path: Path) -> Tuple[dict, List[dict]]:
             records.append(
                 {
                     "number": number,
-                    "continuity": Continuity(continuity),
+                    "continuity": continuity,
                     "alignment": AlignmentParams(p, d, l, s),
                     "payload": np.frombuffer(raw, dtype=dtype).reshape(shape).copy(),
                 }

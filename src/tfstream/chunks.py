@@ -40,16 +40,27 @@ _DISCONTINUOUS_SUBTYPES = frozenset(
     {Continuity.DISCONTINUOUS, Continuity.NEWFILE, Continuity.CALIBRATION}
 )
 _WITHPREVIOUS_SUBTYPES = frozenset({Continuity.WITHPREVIOUS, Continuity.LAST})
+_MEMBERS = {code: code for code in Continuity}
+
+
+def as_continuity(code) -> Continuity:
+    """The member for a member or its number, found without the enum's
+    own conversion; any other value goes through ``Continuity(code)``,
+    which raises ValueError for an unknown code."""
+    try:
+        return _MEMBERS[code]
+    except (KeyError, TypeError):
+        return Continuity(code)
 
 
 def is_discontinuous_subtype(code: Continuity) -> bool:
     """True for codes that declare a break with the predecessor (0, 1, 2)."""
-    return Continuity(code) in _DISCONTINUOUS_SUBTYPES
+    return as_continuity(code) in _DISCONTINUOUS_SUBTYPES
 
 
 def is_withprevious_subtype(code: Continuity) -> bool:
     """True for codes continuous with the predecessor (10, 11)."""
-    return Continuity(code) in _WITHPREVIOUS_SUBTYPES
+    return as_continuity(code) in _WITHPREVIOUS_SUBTYPES
 
 
 class MergeScenario(Enum):
@@ -122,17 +133,22 @@ class DataChunk:
         return self.payload.shape[0] if self.payload.ndim == 2 else 1
 
 
-def validate_chunk(chunk: DataChunk) -> DataChunk:
+def validate_chunk(
+    chunk: DataChunk, monotone_freqs: Optional[np.ndarray] = None
+) -> DataChunk:
     """Check all DataChunk invariants; return the chunk unchanged.
 
     Idempotent: validating an already valid chunk is a no-op.
+    ``monotone_freqs`` is an array already found strictly monotone: when
+    the chunk's ``channel_freqs`` is that same read-only array owning its
+    data, its values cannot have changed, so only its length is checked.
     """
     if chunk.payload.ndim not in (1, 2):
         raise ShapeError(f"payload must be 1-D or 2-D, got ndim={chunk.payload.ndim}")
     if chunk.time_length < 1:
         raise ShapeError("payload time-length must be >= 1")
     try:
-        Continuity(chunk.continuity)
+        as_continuity(chunk.continuity)
     except ValueError:
         raise MetadataError(f"unknown continuity code {chunk.continuity!r}") from None
     if chunk.number < 0:
@@ -146,9 +162,15 @@ def validate_chunk(chunk: DataChunk) -> DataChunk:
                 f"channel_freqs length {freqs.shape} does not match "
                 f"{chunk.channels} channels"
             )
-        diffs = np.diff(freqs)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ShapeError("channel_freqs must be strictly monotone")
+        unchanged = (
+            freqs is monotone_freqs
+            and freqs.flags.owndata
+            and not freqs.flags.writeable
+        )
+        if not unchanged:
+            diffs = np.diff(freqs)
+            if not (np.all(diffs > 0) or np.all(diffs < 0)):
+                raise ShapeError("channel_freqs must be strictly monotone")
     # Note: cumulative d + p may legitimately exceed the length of a
     # single chunk (short final chunks of a continuous stream); whether
     # the counters fit the canonical chunk interval is a configuration
@@ -156,8 +178,13 @@ def validate_chunk(chunk: DataChunk) -> DataChunk:
     return chunk
 
 
-def check_publishable(chunk: DataChunk) -> DataChunk:
-    """Reject invalid chunks at a publish boundary; they stay unpublished."""
-    if Continuity(chunk.continuity) is Continuity.INVALID:
+def check_publishable(
+    chunk: DataChunk, monotone_freqs: Optional[np.ndarray] = None
+) -> DataChunk:
+    """Reject invalid chunks at a publish boundary; they stay unpublished.
+
+    ``monotone_freqs`` is as for ``validate_chunk``.
+    """
+    if as_continuity(chunk.continuity) is Continuity.INVALID:
         raise MetadataError("invalid chunks (code -1) are never published")
-    return validate_chunk(chunk)
+    return validate_chunk(chunk, monotone_freqs)

@@ -108,6 +108,24 @@ class FaultSchedule:
                     return True
         return False
 
+    def dropped_ranges(
+        self, producer: str, feature: str, consumer: str
+    ) -> Tuple[Tuple[int, int], ...]:
+        """The inclusive number ranges dropped on one edge, resolved once
+        per edge: ``drops_chunk`` is true exactly for the numbers they
+        cover."""
+        ranges = []
+        for event in self.events:
+            if isinstance(event, DropChunk):
+                span = (event.number, event.number)
+            elif isinstance(event, LinkDown):
+                span = (event.from_number, event.to_number)
+            else:
+                continue
+            if _edge_matches(event.edge, producer, feature, consumer):
+                ranges.append(span)
+        return tuple(ranges)
+
     def overflow_numbers(self, input_name: str) -> Set[int]:
         return {
             e.number

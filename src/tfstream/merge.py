@@ -20,6 +20,7 @@ from .chunks import (
     DataChunk,
     MergeScenario,
     SourceKey,
+    as_continuity,
     is_discontinuous_subtype,
     is_withprevious_subtype,
 )
@@ -39,10 +40,45 @@ class MergeState:
     carried_tails maps each source key to the last d_H columns of the
     previously merged incoming array; these become the prepended past of
     the next regular continuous merge.
+
+    decisions maps everything a merge decides from besides the arrays --
+    each member's counters and continuity, in set order, and whether the
+    set directly follows the last completed one -- to the merged counters,
+    the merged continuity and each member's drop counts and scenario.
+    These inputs take few distinct values in a run, so each distinct
+    combination is computed and checked once, then carried forward.
     """
 
     last_completed: Optional[int] = None
     carried_tails: Dict[SourceKey, np.ndarray] = field(default_factory=dict)
+    decisions: Dict[tuple, "_Decision"] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Decision:
+    """What one merge decides from its members' counters and continuity."""
+
+    alignment: AlignmentParams
+    continuity: Continuity
+    members: Tuple[Tuple[DropCounts, MergeScenario], ...]
+
+
+def _decide(
+    n: int,
+    last_completed: Optional[int],
+    alignments: Sequence[AlignmentParams],
+    incoming: Sequence[Continuity],
+) -> _Decision:
+    merged_align = merge_params(alignments)
+    subtype = decide_continuity(n, last_completed, incoming)
+    return _Decision(
+        alignment=merged_align,
+        continuity=_refine_continuity(subtype, incoming),
+        members=tuple(
+            (drop_counts(merged_align, a), classify_scenario(c, subtype))
+            for a, c in zip(alignments, incoming)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -77,7 +113,7 @@ def decide_continuity(
     if not incoming:
         raise InvalidInMerge("empty incoming continuity list")
     for code in incoming:
-        if Continuity(code) is Continuity.INVALID:
+        if as_continuity(code) is Continuity.INVALID:
             raise InvalidInMerge("invalid chunk (code -1) in merge")
     if last_completed is None or n != last_completed + 1:
         return Continuity.DISCONTINUOUS
@@ -92,7 +128,7 @@ def classify_scenario(
 ) -> MergeScenario:
     """Map an (incoming, merged) continuity pair onto its merge scenario."""
     for code in (chunk_continuity, merged_continuity):
-        if Continuity(code) is Continuity.INVALID:
+        if as_continuity(code) is Continuity.INVALID:
             raise InvalidInMerge("invalid chunk (code -1) in merge")
     chunk_cont = is_withprevious_subtype(chunk_continuity)
     merged_cont = is_withprevious_subtype(merged_continuity)
@@ -150,7 +186,7 @@ def _refine_continuity(
     Calibration and newfile travel downstream so consumers can react;
     last marks the final chunk of a file on every path.
     """
-    codes = [Continuity(c) for c in incoming]
+    codes = [as_continuity(c) for c in incoming]
     if subtype is Continuity.DISCONTINUOUS:
         if any(c is Continuity.CALIBRATION for c in codes):
             return Continuity.CALIBRATION
@@ -181,17 +217,20 @@ def complete_merge(
                 f"chunk {chunk.source_key} has number {chunk.number}, "
                 f"expected {n}"
             )
-    merged_align = merge_params([c.alignment for c in chunk_set.values()])
-    incoming = [c.continuity for c in chunk_set.values()]
-    subtype = decide_continuity(n, state.last_completed, incoming)
-    continuity = _refine_continuity(subtype, incoming)
+    alignments = tuple(c.alignment for c in chunk_set.values())
+    incoming = tuple(c.continuity for c in chunk_set.values())
+    follows = state.last_completed is not None and n == state.last_completed + 1
+    decision = state.decisions.get((alignments, incoming, follows))
+    if decision is None:
+        decision = _decide(n, state.last_completed, alignments, incoming)
+        state.decisions[alignments, incoming, follows] = decision
 
     payloads: Dict[SourceKey, np.ndarray] = {}
     scenarios: Dict[SourceKey, MergeScenario] = {}
     tails: Dict[SourceKey, np.ndarray] = {}
-    for key, chunk in chunk_set.items():
-        drops = drop_counts(merged_align, chunk.alignment)
-        scenario = classify_scenario(chunk.continuity, subtype)
+    for (key, chunk), (drops, scenario) in zip(
+        chunk_set.items(), decision.members
+    ):
         prev_tail = state.carried_tails.get(key)
         payloads[key] = merge_array(scenario, prev_tail, chunk.payload, drops)
         scenarios[key] = scenario
@@ -207,11 +246,13 @@ def complete_merge(
 
     merged = MergedChunk(
         number=n,
-        continuity=continuity,
-        alignment=merged_align,
+        continuity=decision.continuity,
+        alignment=decision.alignment,
         payloads=payloads,
         scenarios=scenarios,
         sample_rate=next(iter(chunk_set.values())).sample_rate,
         channel_freqs={k: c.channel_freqs for k, c in chunk_set.items()},
     )
-    return merged, MergeState(last_completed=n, carried_tails=tails)
+    return merged, MergeState(
+        last_completed=n, carried_tails=tails, decisions=state.decisions
+    )

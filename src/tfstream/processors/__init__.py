@@ -2,6 +2,7 @@
 
 from .base import (
     FeatureData,
+    FreqCache,
     Processor,
     SinkProcessor,
     SourceProcessor,
@@ -20,6 +21,7 @@ from .writer import FileWriter
 __all__ = [
     "FeatureData",
     "FileWriter",
+    "FreqCache",
     "GammaChirpFilterbank",
     "MicInput",
     "PTNProcessor",

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import ClassVar, Dict, Iterator, List, Optional, Set, Tuple, Type
+from typing import (
+    Callable, ClassVar, Dict, Iterator, List, Optional, Set, Tuple, Type,
+)
 
 import numpy as np
 
@@ -34,6 +36,32 @@ class FeatureData:
     payload: np.ndarray
     sample_rate: float
     channel_freqs: Optional[np.ndarray] = None
+
+
+class FreqCache:
+    """The published frequency axis derived from an input axis, as one
+    read-only array per distinct input value.
+
+    ``derive`` runs when the input's values change, not once per chunk,
+    and every chunk in between publishes the same read-only array, whose
+    monotonicity the runtime then checks only once.
+    """
+
+    def __init__(self, derive: Callable[[np.ndarray], np.ndarray]):
+        self._derive = derive
+        self._key: Optional[tuple] = None
+        self._value: Optional[np.ndarray] = None
+
+    def __call__(self, freqs) -> Optional[np.ndarray]:
+        if freqs is None:
+            return None
+        freqs = np.asarray(freqs)
+        key = (freqs.dtype.str, freqs.shape, freqs.tobytes())
+        if key != self._key:
+            value = np.array(self._derive(freqs))
+            value.setflags(write=False)
+            self._key, self._value = key, value
+        return self._value
 
 
 class Processor:
@@ -61,6 +89,9 @@ class Processor:
                 f"nan_policy must be 'propagate' or 'zero', "
                 f"got {self.nan_policy!r}"
             )
+        #: cumulative counters per feature, keyed by the merged counters
+        #: they were composed from
+        self._composed: Dict[AlignmentParams, Dict[str, AlignmentParams]] = {}
 
     # --- static metadata used by graph validation ------------------------
 
@@ -113,7 +144,9 @@ class Processor:
 
         The one transform step of both the streaming runtime and the
         whole-signal reference: apply the NaN policy, process, settle
-        the continuity and compose each feature's cumulative alignment.
+        the continuity and compose each feature's cumulative alignment
+        (once per distinct merged alignment: ``convert_alignment`` and
+        ``feature_alignment`` depend on nothing else).
         """
         if self.nan_policy == "zero":
             merged = replace(merged, payloads={
@@ -127,14 +160,21 @@ class Processor:
         pending = self.consume_pending_continuity()
         if pending is not None and is_withprevious_subtype(continuity):
             continuity = pending
-        base = self.convert_alignment(merged.alignment)
+        composed = self._composed.get(merged.alignment)
+        if composed is None:
+            base = self.convert_alignment(merged.alignment)
+            composed = {
+                feature: compose(base, align)
+                for feature, align in self._alignments.items()
+            }
+            self._composed[merged.alignment] = composed
         return [
             DataChunk(
                 number=merged.number,
                 source_key=(self.name, feature),
                 payload=np.ascontiguousarray(data.payload),
                 sample_rate=data.sample_rate,
-                alignment=compose(base, self._alignments[feature]),
+                alignment=composed[feature],
                 continuity=continuity,
                 channel_freqs=data.channel_freqs,
             )

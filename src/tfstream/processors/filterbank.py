@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
 from ..errors import ShapeMismatch, SpecMismatch, TooFewChannels
@@ -31,20 +30,26 @@ def erb_bandwidth(cf: np.ndarray) -> np.ndarray:
 
 
 def gammachirp_ir(
-    cf: float,
+    cf,
     sample_rate: float,
     length: int,
     order: int = 4,
     bw_factor: float = 1.019,
     chirp: float = 0.0,
 ) -> np.ndarray:
-    """Complex gammachirp impulse response, normalized to unit peak gain."""
+    """Complex gammachirp impulse response, normalized to unit peak gain.
+
+    For a scalar cf the response has shape (length,); for an array of
+    center frequencies, one row per frequency, each equal bit for bit to
+    the scalar call for that frequency.
+    """
+    cf = np.asarray(cf)[..., None]
     t = (np.arange(length) + 1.0) / sample_rate
-    envelope = t ** (order - 1) * np.exp(-2 * np.pi * bw_factor * erb_bandwidth(np.array(cf)) * t)
+    envelope = t ** (order - 1) * np.exp(-2 * np.pi * bw_factor * erb_bandwidth(cf) * t)
     phase = 2 * np.pi * cf * t + chirp * np.log(t)
     h = envelope * np.exp(1j * phase)
     nfft = 1 << max(12, int(np.ceil(np.log2(4 * length))))
-    gain = np.abs(np.fft.fft(h, nfft)).max()
+    gain = np.abs(np.fft.fft(h, nfft, axis=-1)).max(axis=-1, keepdims=True)
     return h / gain
 
 
@@ -76,7 +81,9 @@ class GammaChirpFilterbank(Processor):
         self._h_real: Optional[np.ndarray] = None
         self._h_imag: Optional[np.ndarray] = None
         self.impulse_length: Optional[int] = None
+        #: published as every chunk's channel_freqs, so read-only
         self.center_freqs = np.geomspace(self.f_min, self.f_max, self.channels)
+        self.center_freqs.setflags(write=False)
         self._window: Optional[TimeWindowState] = None
         #: (L, 2C) reversed taps, set by prepare
         self._taps: Optional[np.ndarray] = None
@@ -94,13 +101,8 @@ class GammaChirpFilterbank(Processor):
             )
         self._rate = in_rate
         self.impulse_length = max(2, int(round(self.impulse_ms * in_rate / 1000.0)))
-        bank = np.stack(
-            [
-                gammachirp_ir(cf, in_rate, self.impulse_length, self.order,
-                              chirp=self.chirp)
-                for cf in self.center_freqs
-            ]
-        )
+        bank = gammachirp_ir(self.center_freqs, in_rate, self.impulse_length,
+                             self.order, chirp=self.chirp)
         channels = self.channels
         # column c holds channel c's real taps reversed, column C + c its
         # imaginary taps, so windows @ taps is the convolution
@@ -148,7 +150,11 @@ class GammaChirpFilterbank(Processor):
         windows, product, block = self._windows, self._product, self._block
         first = out.start - length + 1
         count = out.stop - out.start
-        sliding = sliding_window_view(buf, length)
+        # row i is buf[i : i + length], a strided view over buf
+        buf = np.ascontiguousarray(buf)
+        step = buf.itemsize
+        sliding = np.ndarray((buf.size - length + 1, length), buf.dtype,
+                             buffer=buf, strides=(step, step))
         energy = np.empty((channels, count))
         for start in range(0, count, GEMM_ROWS):
             rows = min(GEMM_ROWS, count - start)
@@ -180,6 +186,6 @@ class GammaChirpFilterbank(Processor):
             "E": FeatureData(
                 payload=energy,
                 sample_rate=merged.sample_rate,
-                channel_freqs=self.center_freqs.copy(),
+                channel_freqs=self.center_freqs,
             )
         }

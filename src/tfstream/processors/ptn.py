@@ -10,14 +10,21 @@ difference to the total block energy.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..chunks import AlignmentParams, Continuity, SourceKey, is_withprevious_subtype
+from ..chunks import (
+    AlignmentParams,
+    Continuity,
+    SourceKey,
+    as_continuity,
+    is_withprevious_subtype,
+)
 from ..errors import ConfigError, ShapeMismatch
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, register
+from .base import FeatureData, FreqCache, Processor, register
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
@@ -68,6 +75,18 @@ def block_average(
     return means[:, 0], counts[:, 0]
 
 
+def group_means(freqs: np.ndarray, block_df: int) -> np.ndarray:
+    """Mean frequency of each group of block_df channels (the last group
+    may be smaller)."""
+    freqs = np.asarray(freqs, dtype=float)
+    return np.array(
+        [
+            freqs[g * block_df : (g + 1) * block_df].mean()
+            for g in range(-(-freqs.size // block_df))
+        ]
+    )
+
+
 def noise_complement(total_blocks: np.ndarray, tonal_blocks: np.ndarray) -> np.ndarray:
     """Block-level energy not attributed to the tonal path."""
     return total_blocks - tonal_blocks
@@ -113,6 +132,7 @@ class PTNProcessor(Processor):
         self._carry_et: Optional[np.ndarray] = None
         self._carry_e: Optional[np.ndarray] = None
         self._pending_discontinuity: Optional[Continuity] = None
+        self._block_freqs = FreqCache(partial(group_means, block_df=self.block_df))
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         zero = AlignmentParams()
@@ -186,7 +206,7 @@ class PTNProcessor(Processor):
                 f"the merge engine should have aligned them"
             )
 
-        if Continuity(merged.continuity) is Continuity.CALIBRATION:
+        if as_continuity(merged.continuity) is Continuity.CALIBRATION:
             # Estimate the sigmoid parameters from the noise tract
             # scores; calibration data never reaches the results.
             if self.theta is None or self.beta is None:
@@ -228,16 +248,7 @@ class PTNProcessor(Processor):
         self._carry_e = self._carry_e[:, n_blocks * self.block_dt :]
 
         rate = merged.sample_rate / self.block_dt
-        freqs = merged.channel_freqs.get(e_key)
-        block_freqs = None
-        if freqs is not None:
-            freqs = np.asarray(freqs, dtype=float)
-            block_freqs = np.array(
-                [
-                    freqs[g * self.block_df : (g + 1) * self.block_df].mean()
-                    for g in range(-(-freqs.size // self.block_df))
-                ]
-            )
+        block_freqs = self._block_freqs(merged.channel_freqs.get(e_key))
         return {
             "E_T": FeatureData(et, rate, block_freqs),
             "E_T_valid": FeatureData(counts, rate, block_freqs),

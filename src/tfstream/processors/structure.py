@@ -18,7 +18,7 @@ import numpy as np
 from ..chunks import AlignmentParams, is_withprevious_subtype
 from ..errors import ShapeMismatch, TooFewChannels
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, TimeWindowState, register
+from .base import FeatureData, FreqCache, Processor, TimeWindowState, register
 
 
 #: Output columns per tile of a score computation (see ``_tiled``).
@@ -145,6 +145,7 @@ class StructureExtractor(Processor):
         if self.direction not in ("horizontal", "vertical"):
             raise ValueError(f"bad direction {self.direction!r}")
         self._window = TimeWindowState(declared_d=self.w_t, declared_p=self.w_t)
+        self._freqs = FreqCache(lambda freqs: freqs)
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {
@@ -177,11 +178,10 @@ class StructureExtractor(Processor):
         s_cum = merged.alignment.s + self.w_s
         scores[:l_cum, :] = np.nan
         scores[scores.shape[0] - s_cum :, :] = np.nan
-        freqs = merged.channel_freqs.get(key)
         return {
             "T": FeatureData(
                 payload=scores,
                 sample_rate=merged.sample_rate,
-                channel_freqs=None if freqs is None else np.asarray(freqs).copy(),
+                channel_freqs=self._freqs(merged.channel_freqs.get(key)),
             )
         }

@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Dict
 
 from ..chunkfile import ChunkFileWriter
-from ..chunks import Continuity, DataChunk, SourceKey
+from ..chunks import Continuity, DataChunk, SourceKey, as_continuity
 from .base import SinkProcessor, register
 
 
@@ -29,7 +29,7 @@ class FileWriter(SinkProcessor):
         return self.directory / f"{key[0]}.{key[1]}.tfc"
 
     def consume(self, chunk: DataChunk) -> None:
-        if Continuity(chunk.continuity) is Continuity.CALIBRATION:
+        if as_continuity(chunk.continuity) is Continuity.CALIBRATION:
             return
         key = chunk.source_key
         if key not in self._writers:

@@ -29,6 +29,7 @@ from .chunks import (
     DataChunk,
     MergeScenario,
     SourceKey,
+    as_continuity,
     check_publishable,
 )
 from .errors import TFStreamError, WireError
@@ -167,76 +168,91 @@ class Streamboard:
         self.plan = plan
         self.report = RunReport()
         self._links: List[_TcpLink] = []
-        self._senders: Dict[str, list] = {}
+        self._senders: Dict[str, Dict[SourceKey, list]] = {}
         self._buffers: Dict[str, InFlightBuffer] = {}
         self._merge_states: Dict[str, MergeState] = {}
+        #: per key, the channel_freqs array its last publish passed with
+        self._checked_freqs: Dict[SourceKey, Optional[np.ndarray]] = {}
+        #: log summary and sorted names per distinct scenario tuple
+        self._scenario_logs: Dict[tuple, Tuple[str, tuple]] = {}
 
     # --- plumbing --------------------------------------------------------
 
     def _note_wire_error(self, edge_name: str) -> None:
         self.report.wire_errors[edge_name] += 1
 
-    def _make_senders(self, name: str):
-        """Per out-edge (edge, send) pairs, transports resolved."""
-        senders = []
+    def _make_senders(self, name: str) -> Dict[SourceKey, list]:
+        """Per published key, a (dropped number ranges, send) pair per
+        out-edge, with transports and the fault schedule resolved."""
+        senders: Dict[SourceKey, list] = {}
+        faults = self.plan.config.faults
         for edge in self.plan.out_edges[name]:
-            send = partial(self._arrive, edge.consumer)
+            consumer = self.plan.instances[edge.consumer]
+            if isinstance(consumer, SinkProcessor):
+                send = consumer.consume
+            else:
+                send = partial(self._arrive, edge.consumer)
             if edge.transport != "local":
                 link = _TcpLink(edge, send, self._note_wire_error)
                 self._links.append(link)
                 send = link.send
-            senders.append((edge, send))
+            dropped = faults.dropped_ranges(
+                edge.producer, edge.feature, edge.consumer
+            )
+            senders.setdefault(edge.source_key, []).append((dropped, send))
         return senders
 
     def _publish(self, name: str, chunk: DataChunk) -> None:
-        check_publishable(chunk)
+        key = chunk.source_key
+        check_publishable(chunk, self._checked_freqs.get(key))
+        self._checked_freqs[key] = chunk.channel_freqs
         chunk.payload.setflags(write=False)
-        stats = self.report.key_stats.setdefault(chunk.source_key, KeyStats())
+        stats = self.report.key_stats.get(key)
+        if stats is None:
+            stats = self.report.key_stats[key] = KeyStats()
         stats.published += 1
-        if Continuity(chunk.continuity) is not Continuity.CALIBRATION:
+        if chunk.continuity != Continuity.CALIBRATION:
             stats.total_cells += chunk.payload.size
-            stats.nan_cells += int(np.isnan(chunk.payload).sum())
-        faults = self.plan.config.faults
-        for edge, send in self._senders[name]:
-            if edge.source_key != chunk.source_key:
-                continue
-            if faults.drops_chunk(
-                edge.producer, edge.feature, edge.consumer, chunk.number
-            ):
+            stats.nan_cells += np.count_nonzero(np.isnan(chunk.payload))
+        number = chunk.number
+        for dropped, send in self._senders[name].get(key, ()):
+            if dropped and any(lo <= number <= hi for lo, hi in dropped):
                 continue
             send(chunk)
 
     def _arrive(self, name: str, item: DataChunk) -> None:
-        """One arrival at a consumer; whatever it publishes in response
+        """One arrival at a transform; whatever it publishes in response
         has moved on, depth-first, when this returns."""
-        inst = self.plan.instances[name]
-        if isinstance(inst, SinkProcessor):
-            inst.consume(item)
-            return
         buffer = self._buffers[name]
         completed = buffer.accept(item)
-        occupancy = self.report.max_occupancy
-        occupancy[name] = max(occupancy[name], buffer.occupancy())
         if completed is None:
+            # Only an arrival that completes nothing can raise the
+            # occupancy: a completing one takes out a chunk per key.
+            occupancy = self.report.max_occupancy
+            occupancy[name] = max(occupancy[name], buffer.occupancy())
             return
         n = next(iter(completed.values())).number
         merged, self._merge_states[name] = complete_merge(
             self._merge_states[name], completed, n
         )
         self.report.merge_logs[name].append(self._log_entry(merged))
-        for out in inst.step(merged):
+        for out in self.plan.instances[name].step(merged):
             self._publish(name, out)
 
-    @staticmethod
-    def _log_entry(merged) -> MergeLogEntry:
-        names = {key: _SCENARIO_NAMES[s] for key, s in merged.scenarios.items()}
-        unique = set(names.values())
-        summary = unique.pop() if len(unique) == 1 else "mixed"
+    def _log_entry(self, merged) -> MergeLogEntry:
+        scenarios = tuple(merged.scenarios.items())
+        logged = self._scenario_logs.get(scenarios)
+        if logged is None:
+            names = {key: _SCENARIO_NAMES[s] for key, s in scenarios}
+            unique = set(names.values())
+            summary = unique.pop() if len(unique) == 1 else "mixed"
+            logged = (summary, tuple(sorted(names.items())))
+            self._scenario_logs[scenarios] = logged
         return MergeLogEntry(
             number=merged.number,
-            continuity=Continuity(merged.continuity),
-            scenario=summary,
-            scenarios=tuple(sorted(names.items())),
+            continuity=as_continuity(merged.continuity),
+            scenario=logged[0],
+            scenarios=logged[1],
         )
 
     # --- the loop --------------------------------------------------------
@@ -279,6 +295,9 @@ class Streamboard:
         finally:
             for link in self._links:
                 link.close()
+            # senders and links call back into this board: drop them, so
+            # that the plan is freed without waiting for the cycle collector
+            self._links, self._senders = [], {}
         for name, inst in plan.instances.items():
             if isinstance(inst, SinkProcessor):
                 inst.close()

@@ -29,6 +29,7 @@ missing chunk number, exactly as for a lost transmission.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from io import BytesIO
@@ -36,7 +37,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .chunks import AlignmentParams, Continuity, DataChunk
+from .chunks import AlignmentParams, DataChunk, as_continuity
 from .errors import ChecksumError, TruncatedFrame, VersionError, WireError
 
 MAGIC = b"TFSB"
@@ -55,27 +56,39 @@ MAX_HEADER_LEN = 1 << 16
 WIRE_DTYPE = np.dtype("<f4")
 
 
+#: magic, version and header length
+_PREAMBLE = struct.Struct("<4sHI")
+#: length of a name in the header
+_NAME_LEN = struct.Struct("<H")
+#: number, continuity, p, d, l, s, dtype tag and ndim
+_FIXED = struct.Struct("<Qi4IBB")
+#: the extents of a 1-D or a 2-D payload
+_SHAPES = {1: struct.Struct("<I"), 2: struct.Struct("<2I")}
+#: sample rate and channel frequency count
+_RATE = struct.Struct("<dI")
+_CRC = struct.Struct("<I")
+
+
 def _pack_str(value: str) -> bytes:
     raw = value.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
+    return _NAME_LEN.pack(len(raw)) + raw
 
 
 def _encode_header(chunk: DataChunk, dtype: np.dtype) -> bytes:
     a = chunk.alignment
+    ndim = chunk.payload.ndim
     parts = [
         _pack_str(chunk.source_key[0]),
         _pack_str(chunk.source_key[1]),
-        struct.pack("<Qi", chunk.number, int(chunk.continuity)),
-        struct.pack("<4I", a.p, a.d, a.l, a.s),
-        struct.pack("<BB", _DTYPE_TAGS[dtype], chunk.payload.ndim),
-        struct.pack(f"<{chunk.payload.ndim}I", *chunk.payload.shape),
-        struct.pack("<d", chunk.sample_rate),
+        _FIXED.pack(chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
+                    _DTYPE_TAGS[dtype], ndim),
+        struct.pack(f"<{ndim}I", *chunk.payload.shape),
     ]
     if chunk.channel_freqs is None:
-        parts.append(struct.pack("<I", 0))
+        parts.append(_RATE.pack(chunk.sample_rate, 0))
     else:
         freqs = np.ascontiguousarray(chunk.channel_freqs, dtype="<f8")
-        parts.append(struct.pack("<I", freqs.size))
+        parts.append(_RATE.pack(chunk.sample_rate, freqs.size))
         parts.append(freqs.tobytes())
     return b"".join(parts)
 
@@ -88,76 +101,84 @@ def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
     header = _encode_header(chunk, dtype)
     if len(header) > MAX_HEADER_LEN:
         raise WireError(f"header of {len(header)} bytes exceeds {MAX_HEADER_LEN}")
-    payload = np.ascontiguousarray(chunk.payload, dtype=dtype).tobytes()
-    body = header + payload
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return (
-        MAGIC
-        + struct.pack("<HI", VERSION, len(header))
-        + body
-        + struct.pack("<I", crc)
-    )
+    payload = np.ascontiguousarray(chunk.payload, dtype=dtype)
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return b"".join((
+        _PREAMBLE.pack(MAGIC, VERSION, len(header)),
+        header,
+        payload,
+        _CRC.pack(crc),
+    ))
 
 
-class _Reader:
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
-
-    def read_exact(self, n: int) -> bytes:
-        data = self._stream.read(n)
-        if len(data) != n:
-            raise TruncatedFrame(f"expected {n} bytes, got {len(data)}")
-        return data
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.read_exact(struct.calcsize(fmt)))
+def _read_exact(stream: BinaryIO, n: int) -> bytes:
+    data = stream.read(n)
+    if len(data) != n:
+        raise TruncatedFrame(f"expected {n} bytes, got {len(data)}")
+    return data
 
 
-def _read_str(reader: _Reader) -> str:
-    (length,) = reader.unpack("<H")
-    return reader.read_exact(length).decode("utf-8")
+def _unpack(fields: struct.Struct, header: bytes, pos: int) -> tuple:
+    """The fields at ``pos``; TruncatedFrame when the header ends first."""
+    if pos + fields.size > len(header):
+        raise TruncatedFrame(
+            f"expected {fields.size} bytes, got {max(len(header) - pos, 0)}")
+    return fields.unpack_from(header, pos)
+
+
+def _slice(header: bytes, pos: int, n: int) -> bytes:
+    data = header[pos : pos + n]
+    if len(data) != n:
+        raise TruncatedFrame(f"expected {n} bytes, got {len(data)}")
+    return data
 
 
 def decode_stream(stream: BinaryIO) -> DataChunk:
     """Decode one frame from a byte stream; raises WireError subclasses."""
-    reader = _Reader(stream)
-    magic = reader.read_exact(4)
-    if magic != MAGIC:
-        raise WireError(f"bad magic {magic!r}")
-    version, header_len = reader.unpack("<HI")
+    preamble = stream.read(_PREAMBLE.size)
+    if len(preamble) >= len(MAGIC) and preamble[: len(MAGIC)] != MAGIC:
+        raise WireError(f"bad magic {preamble[:len(MAGIC)]!r}")
+    if len(preamble) != _PREAMBLE.size:
+        raise TruncatedFrame(
+            f"expected {_PREAMBLE.size} bytes, got {len(preamble)}")
+    _, version, header_len = _PREAMBLE.unpack(preamble)
     if version != VERSION:
         raise VersionError(f"unsupported frame version {version}")
     if header_len > MAX_HEADER_LEN:
         raise WireError(f"header length {header_len} exceeds {MAX_HEADER_LEN}")
-    header = reader.read_exact(header_len)
+    header = _read_exact(stream, header_len)
 
-    h = _Reader(BytesIO(header))
-    try:
-        producer = _read_str(h)
-        feature = _read_str(h)
-        number, continuity = h.unpack("<Qi")
-        p, d, l, s = h.unpack("<4I")
-        dtype_tag, ndim = h.unpack("<BB")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"corrupt header: {exc}") from None
+    pos = 0
+    names = []
+    for _ in range(2):
+        (length,) = _unpack(_NAME_LEN, header, pos)
+        raw = _slice(header, pos + _NAME_LEN.size, length)
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise WireError(f"corrupt header: {exc}") from None
+        pos += _NAME_LEN.size + length
+    number, continuity, p, d, l, s, dtype_tag, ndim = _unpack(_FIXED, header, pos)
+    pos += _FIXED.size
     if dtype_tag not in _TAG_DTYPES:
         raise WireError(f"unknown dtype tag {dtype_tag}")
     if ndim not in (1, 2):
         raise WireError(f"unsupported ndim {ndim}")
-    shape = h.unpack(f"<{ndim}I")
-    (sample_rate,) = h.unpack("<d")
-    (freq_count,) = h.unpack("<I")
+    shape = _unpack(_SHAPES[ndim], header, pos)
+    pos += _SHAPES[ndim].size
+    sample_rate, freq_count = _unpack(_RATE, header, pos)
+    pos += _RATE.size
     channel_freqs = None
     if freq_count:
         channel_freqs = np.frombuffer(
-            h.read_exact(8 * freq_count), dtype="<f8"
+            _slice(header, pos, 8 * freq_count), dtype="<f8"
         ).copy()
 
     dtype = _TAG_DTYPES[dtype_tag]
-    payload_bytes = int(np.prod(shape)) * dtype.itemsize
-    payload_raw = reader.read_exact(payload_bytes)
-    (crc_stored,) = reader.unpack("<I")
-    crc = zlib.crc32(header + payload_raw) & 0xFFFFFFFF
+    payload_bytes = math.prod(shape) * dtype.itemsize
+    payload_raw = _read_exact(stream, payload_bytes)
+    (crc_stored,) = _CRC.unpack(_read_exact(stream, _CRC.size))
+    crc = zlib.crc32(payload_raw, zlib.crc32(header))
     if crc != crc_stored:
         raise ChecksumError(
             f"CRC mismatch: stored {crc_stored:#010x}, computed {crc:#010x}"
@@ -165,12 +186,12 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
 
     payload = np.frombuffer(payload_raw, dtype=dtype).reshape(shape).copy()
     try:
-        code = Continuity(continuity)
+        code = as_continuity(continuity)
     except ValueError:
         raise WireError(f"unknown continuity code {continuity}") from None
     return DataChunk(
         number=number,
-        source_key=(producer, feature),
+        source_key=(names[0], names[1]),
         payload=payload,
         sample_rate=sample_rate,
         alignment=AlignmentParams(p, d, l, s),

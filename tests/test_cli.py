@@ -1,13 +1,16 @@
 """Command line interface on the two shipped configurations."""
 
+import json
+import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import synth_tone_noise, write_wav
-from tfstream.chunkfile import ChunkFileWriter, read_chunk_file
+from tfstream.chunkfile import RECORD_HEAD, ChunkFileWriter, read_chunk_file
 from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.cli import main
 from tfstream.errors import IoError
@@ -85,3 +88,52 @@ def test_a_cut_chunk_file_reads_to_its_last_record_or_fails_clearly(
     assert main(["export", "--chunkfile", str(cut),
                  "--csv", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def damaged_chunk_files(tmp_path):
+    """Complete chunk files, each damaged in its header or record head."""
+    def with_header(text):
+        raw = text.encode("utf-8")
+        return b"TFCF" + struct.pack("<I", len(raw)) + raw
+
+    good = tmp_path / "good.tfc"
+    writer = ChunkFileWriter(good, ("ptn", "E_T"), 4000.0, None)
+    writer.append(DataChunk(
+        number=0, source_key=("ptn", "E_T"), payload=np.zeros((3, 5)),
+        sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
+        continuity=Continuity.WITHPREVIOUS))
+    writer.close()
+    data = good.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 4)
+    record = 8 + header_len
+    header = json.loads(data[8:record])
+
+    def with_record(continuity, shape):
+        # a record whose extents and payload agree with its head
+        return (data[:record]
+                + RECORD_HEAD.pack(0, continuity, 0, 0, 0, 0, len(shape))
+                + struct.pack(f"<{len(shape)}I", *shape)
+                + bytes(8 * math.prod(shape)))
+
+    return {
+        "not json": with_header("{bad}"),
+        "no keys": with_header("{}"),
+        "not an object": with_header("[]"),
+        "bad dtype": with_header(json.dumps({**header, "dtype": "<i9"})),
+        "unknown continuity": with_record(7, (3, 5)),
+        "ndim 0": with_record(int(Continuity.WITHPREVIOUS), ()),
+        "ndim 3": with_record(int(Continuity.WITHPREVIOUS), (2, 2, 2)),
+    }
+
+
+def test_a_damaged_chunk_file_fails_clearly(tmp_path, capsys):
+    """Damage inside a complete file raises IoError, and ``export``
+    prints an error and exits with 1 instead of a traceback."""
+    for case, data in damaged_chunk_files(tmp_path).items():
+        path = tmp_path / "damaged.tfc"
+        path.write_bytes(data)
+        with pytest.raises(IoError):
+            read_chunk_file(path)
+        assert main(["export", "--chunkfile", str(path),
+                     "--csv", str(tmp_path / "x.csv")]) == 1, case
+        assert capsys.readouterr().err.startswith("error: "), case

@@ -260,3 +260,30 @@ def test_merged_payloads_share_time_extent_2d():
     merged, _ = complete_merge(MergeState(), {A: chunk, B: other}, 0)
     assert merged.payloads[A].shape[0] == 3
     assert merged.payloads[A].shape[-1] == merged.payloads[B].shape[-1]
+
+
+@pytest.mark.parametrize("continuity", [W, D])
+def test_a_warm_state_merges_changed_counters_as_a_fresh_one(continuity):
+    """Decisions are kept per distinct counters and codes, never per key:
+    a set whose counters changed is decided afresh, as a MergeState
+    without history would decide it."""
+    warm = MergeState()
+    for n, code in enumerate((D, W, W)):
+        _, warm = complete_merge(
+            warm,
+            {k: producer_chunk(k, n, a, code)
+             for k, a in ((A, ALIGN_A), (B, ALIGN_B))},
+            n,
+        )
+    changed = AlignmentParams(p=4, d=7)
+    chunk_set = {A: producer_chunk(A, 3, ALIGN_A, continuity),
+                 B: producer_chunk(B, 3, changed, continuity)}
+    fresh = MergeState(last_completed=warm.last_completed,
+                       carried_tails=warm.carried_tails)
+    got, _ = complete_merge(warm, chunk_set, 3)
+    want, _ = complete_merge(fresh, chunk_set, 3)
+    assert got.alignment == want.alignment == AlignmentParams(p=4, d=7)
+    assert got.continuity is want.continuity is continuity
+    assert got.scenarios == want.scenarios
+    for key in (A, B):
+        np.testing.assert_array_equal(got.payloads[key], want.payloads[key])

@@ -248,6 +248,42 @@ def test_gammachirp_ir_unit_peak_gain():
         assert spectrum.max() == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("params", [
+    # the shipped bank, 64 channels at 8 kHz after the resampler
+    {"channels": 64, "f_min": 100, "f_max": 1500, "impulse_ms": 50,
+     "sample_rate": 8000.0},
+    {"channels": 64, "f_min": 100, "f_max": 1500, "impulse_ms": 50,
+     "sample_rate": 4000.0, "chirp": -2.0},
+    # the benchmark's wire_faults bank: 8 channels, 4 ms responses
+    {"channels": 8, "f_min": 200, "f_max": 2000, "impulse_ms": 4,
+     "sample_rate": 8000.0},
+    {"channels": 16, "f_min": 100, "f_max": 8000, "impulse_ms": 20,
+     "sample_rate": 22050.0},
+])
+def test_filterbank_designs_every_channel_as_the_scalar_response(params):
+    """The bank is designed in one batch; each channel's taps equal the
+    scalar gammachirp_ir of its centre frequency bit for bit."""
+    fb = GammaChirpFilterbank("fb", params)
+    bank = gammachirp_ir(fb.center_freqs, fb._rate, fb.impulse_length,
+                         fb.order, chirp=fb.chirp)
+    for c, cf in enumerate(fb.center_freqs):
+        h = gammachirp_ir(cf, fb._rate, fb.impulse_length, fb.order,
+                          chirp=fb.chirp)
+        assert h.shape == (fb.impulse_length,)
+        assert np.array_equal(bank[c], h)
+        assert np.array_equal(fb._h_real[c], h.real)
+        assert np.array_equal(fb._h_imag[c], h.imag)
+
+
+def test_filterbank_publishes_its_read_only_centre_frequencies():
+    fb = GammaChirpFilterbank("fb", {"channels": 8, "sample_rate": 8000.0})
+    x = np.random.default_rng(0).standard_normal(1000)
+    out = fb.step(as_merged("fb", ("s", "snd"), x, 8000.0,
+                            Continuity.DISCONTINUOUS))
+    assert out[0].channel_freqs is fb.center_freqs
+    assert not fb.center_freqs.flags.writeable
+
+
 def test_filterbank_white_noise_energy_matches_filter_norm():
     fb = GammaChirpFilterbank("fb", {
         "channels": 16, "f_min": 300, "f_max": 1500, "impulse_ms": 25,

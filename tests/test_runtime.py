@@ -1,8 +1,10 @@
 """Dispatch-loop runtime: end-to-end runs, transports, faults, reporting."""
 
+import gc
 import socket
 import struct
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from conftest import file_pipeline_config, mic_pipeline_config
 from tfstream import runtime
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
-from tfstream.errors import TooFewChannels
+from tfstream.errors import ShapeError, TooFewChannels
 from tfstream.graph import Edge, config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
 from tfstream.processors import Processor, SinkProcessor
@@ -170,6 +172,63 @@ def test_published_payloads_are_frozen(tone_wav, tmp_path):
     # spot check that written output is finite where declared valid
     e = read_outputs(tmp_path / "o", keys=[("cochlea", "E")])[("cochlea", "E")]
     assert np.isfinite(e).all()
+
+
+@pytest.mark.parametrize("change", ["new_array", "mutated_array"])
+def test_channel_freqs_that_stop_being_monotone_fail_their_chunk(
+        tmp_path, change):
+    """A key's frequencies are re-checked unless they are the very
+    read-only array that already passed: a processor that switches to a
+    non-monotone array, or that reorders its own writable array, fails
+    on that chunk."""
+    plan = validate_graph(config_from_dict(
+        mic_pipeline_config(tmp_path / "out")))
+    cochlea, se = plan.instances["cochlea"], plan.instances["se"]
+    process, writable, seen = cochlea.process, np.array(cochlea.center_freqs), []
+    se_process, se_seen = se.process, []
+
+    def se_process_and_note(merged):
+        se_seen.append(merged.number)
+        return se_process(merged)
+
+    def process_and_relabel(merged):
+        outputs = process(merged)
+        seen.append(merged.number)
+        if change == "mutated_array":
+            if merged.number == 3:
+                writable[[0, 1]] = writable[[1, 0]]
+            outputs["E"].channel_freqs = writable
+        elif merged.number >= 3:
+            swapped = writable.copy()
+            swapped[[0, 1]] = swapped[[1, 0]]
+            swapped.setflags(write=False)
+            outputs["E"].channel_freqs = swapped
+        return outputs
+
+    cochlea.process = process_and_relabel
+    se.process = se_process_and_note
+    with pytest.raises(ShapeError, match="monotone"):
+        run_plan(plan)
+    # cochlea's own publish failed: chunk 3 never reached se
+    assert seen == [0, 1, 2, 3]
+    assert se_seen == [0, 1, 2]
+
+
+def test_a_finished_plan_is_freed_without_the_cycle_collector(tmp_path):
+    """Nothing a run or the oracle leaves behind holds a processor in a
+    reference cycle, so a dropped plan's arrays go at once: one cycle
+    through ptn kept its whole-signal arrays alive until a collection."""
+    gc.disable()
+    try:
+        for run in (run_plan, run_unchunked):
+            plan = validate_graph(config_from_dict(
+                mic_pipeline_config(tmp_path / run.__name__)))
+            run(plan)
+            refs = [weakref.ref(inst) for inst in plan.instances.values()]
+            del plan
+            assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 # frame prefix, the two names, then the fixed fields before the channel
