@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
-    Callable, ClassVar, Dict, Iterator, List, Optional, Set, Tuple, Type,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Type,
 )
 
 import numpy as np
