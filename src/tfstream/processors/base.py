@@ -48,11 +48,11 @@ class FeatureData:
 
 class FreqCache:
     """The published frequency axis derived from an input axis, as one
-    read-only array per distinct input value.
+    read-only array for as long as the input's values stay the same.
 
-    ``derive`` runs when the input's values change, not once per chunk,
-    and every chunk in between publishes the same read-only array, whose
-    monotonicity the runtime then checks only once.
+    ``derive`` runs when the input's values differ from the last call's,
+    not once per chunk, and every chunk in between publishes the same
+    read-only array, whose monotonicity the runtime then checks once.
     """
 
     def __init__(self, derive: Callable[[np.ndarray], np.ndarray]):
