@@ -161,11 +161,9 @@ class GammaChirpFilterbank(Processor):
             windows[:rows] = sliding[first + start : first + start + rows]
             windows[rows:] = 0.0
             np.matmul(windows, self._taps, out=product)
-            real = product[:, :channels]
-            imag = product[:, channels:]
-            np.multiply(real, real, out=block)
-            np.multiply(imag, imag, out=imag)
-            np.add(block, imag, out=block)
+            # real^2 + imag^2: square is x * x, one contiguous pass
+            np.square(product, out=product)
+            np.add(product[:, :channels], product[:, channels:], out=block)
             energy[:, start : start + rows] = block[:rows].T
         return energy
 

@@ -25,6 +25,7 @@ from ..chunks import (
 from ..errors import ConfigError, ShapeMismatch
 from ..merge import MergedChunk
 from .base import FeatureData, FreqCache, Processor, register
+from .structure import tile_columns
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
@@ -44,14 +45,23 @@ def block_averages(
     tail is ignored.  Returns (means, counts), each groups x blocks.
     Each row is summed over its block_dt columns first, then the
     block_df row sums of a group are added one row after the other, so
-    a block's value never depends on how many blocks data holds.
+    a block's value never depends on how many blocks data holds.  The
+    cells go through in tiles of whole blocks, so the NaN mask and the
+    zero-filled copy stay tile-sized.
     """
     channels = data.shape[0]
     n_blocks = data.shape[-1] // block_dt
-    cells = data[:, : n_blocks * block_dt].reshape(channels, n_blocks, block_dt)
-    valid = ~np.isnan(cells)
-    row_sums = np.where(valid, cells, 0.0).sum(axis=-1)
-    row_counts = valid.sum(axis=-1)
+    per_tile = max(1, tile_columns(channels) // block_dt)
+    row_sums = np.empty((channels, n_blocks))
+    row_counts = np.empty((channels, n_blocks), dtype=np.intp)
+    for first in range(0, n_blocks, per_tile):
+        last = min(first + per_tile, n_blocks)
+        cells = data[:, first * block_dt : last * block_dt].reshape(
+            channels, last - first, block_dt
+        )
+        valid = ~np.isnan(cells)
+        np.where(valid, cells, 0.0).sum(axis=-1, out=row_sums[:, first:last])
+        valid.sum(axis=-1, out=row_counts[:, first:last])
     n_groups = -(-channels // block_df)
     sums = np.zeros((n_groups, n_blocks))
     counts = np.zeros((n_groups, n_blocks))
@@ -59,6 +69,7 @@ def block_averages(
         rows = row_sums[member::block_df]
         sums[: rows.shape[0]] += rows
         counts[: rows.shape[0]] += row_counts[member::block_df]
+    # 0/0 for an all-NaN group, as x86 writes it (not np.nan's bits)
     with np.errstate(invalid="ignore"):
         return sums / counts, counts
 
@@ -129,9 +140,14 @@ class PTNProcessor(Processor):
         self.energy_feature = params.get("energy_feature", "E")
         self.tract_feature = params.get("tract_feature", "T")
         self.valid_columns = 0
+        #: incomplete-block tails (fewer than block_dt columns), owned
         self._carry_et: Optional[np.ndarray] = None
         self._carry_e: Optional[np.ndarray] = None
         self._pending_discontinuity: Optional[Continuity] = None
+        #: gate scratch (three float rows and a mask of one tile's
+        #: cells each), set on first use
+        self._scratch: Optional[np.ndarray] = None
+        self._mask: Optional[np.ndarray] = None
         self._block_freqs = FreqCache(partial(group_means, block_df=self.block_df))
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
@@ -196,6 +212,43 @@ class PTNProcessor(Processor):
             )
         return e_key, t_key
 
+    def _gate(self, energy: np.ndarray, tract: np.ndarray, out: np.ndarray) -> None:
+        """out = energy * logistic((tract - theta) / beta), a tile of
+        columns at a time.
+
+        Each tile goes through the ufuncs of ``logistic``, in its order,
+        on contiguous scratch, so every cell gets the bits of the
+        whole-signal expression, NaN signs included, whatever the width
+        of the call.
+        """
+        theta = _per_channel(self.theta)
+        beta = _per_channel(self.beta)
+        channels, width = energy.shape
+        columns = tile_columns(channels)
+        cells = channels * columns
+        if self._scratch is None or self._scratch.shape[-1] != cells:
+            self._scratch = np.empty((3, cells))
+            self._mask = np.empty(cells, dtype=bool)
+        for start in range(0, width, columns):
+            stop = min(start + columns, width)
+            shape = (channels, stop - start)
+            size = channels * (stop - start)
+            z, a, e = self._scratch[:, :size].reshape(3, *shape)
+            positive = self._mask[:size].reshape(shape)
+            np.subtract(tract[:, start:stop], theta, out=z)
+            np.divide(z, beta, out=z)
+            np.abs(z, out=a)
+            np.negative(a, out=a)
+            np.exp(a, out=e)
+            np.greater_equal(z, 0, out=positive)
+            np.copyto(a, e)  # a = where(z >= 0, 1.0, e)
+            np.copyto(a, 1.0, where=positive)
+            np.add(1.0, e, out=e)
+            np.divide(a, e, out=a)
+            # gate first: numpy's temporary elision ran the whole-array
+            # `energy * logistic(...)` as `gate *= energy` from 256 KiB on
+            np.multiply(a, energy[:, start:stop], out=out[:, start:stop])
+
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         e_key, t_key = self._pick_inputs(merged)
         energy = merged.payloads[e_key]
@@ -221,31 +274,26 @@ class PTNProcessor(Processor):
                 "calibration chunk"
             )
 
-        theta = _per_channel(self.theta)
-        beta = _per_channel(self.beta)
-        tonal = energy * logistic((tract - theta) / beta)
-        self.valid_columns += tonal.shape[-1]
-
         if not is_withprevious_subtype(merged.continuity):
             self._carry_et = None
             self._carry_e = None
             self._pending_discontinuity = merged.continuity
-        self._carry_et = (
-            tonal if self._carry_et is None
-            else np.concatenate([self._carry_et, tonal], axis=-1)
-        )
-        self._carry_e = (
-            energy if self._carry_e is None
-            else np.concatenate([self._carry_e, energy], axis=-1)
-        )
-        n_blocks = self._carry_et.shape[-1] // self.block_dt
+        self.valid_columns += energy.shape[-1]
+        carried = 0 if self._carry_et is None else self._carry_et.shape[-1]
+        tonal = np.empty((energy.shape[0], carried + energy.shape[-1]))
+        self._gate(energy, tract, out=tonal[:, carried:])
+        if carried:
+            tonal[:, :carried] = self._carry_et
+            energy = np.concatenate([self._carry_e, energy], axis=-1)
+        n_blocks = tonal.shape[-1] // self.block_dt
+        # the carries own their tails: views would pin whole chunks
+        self._carry_et = tonal[:, n_blocks * self.block_dt :].copy()
+        self._carry_e = energy[:, n_blocks * self.block_dt :].copy()
         if not n_blocks:
             return {}
 
-        et, counts = block_averages(self._carry_et, self.block_dt, self.block_df)
-        eb, _ = block_averages(self._carry_e, self.block_dt, self.block_df)
-        self._carry_et = self._carry_et[:, n_blocks * self.block_dt :]
-        self._carry_e = self._carry_e[:, n_blocks * self.block_dt :]
+        et, counts = block_averages(tonal, self.block_dt, self.block_df)
+        eb, _ = block_averages(energy, self.block_dt, self.block_df)
 
         rate = merged.sample_rate / self.block_dt
         block_freqs = self._block_freqs(merged.channel_freqs.get(e_key))

@@ -8,20 +8,29 @@ using ``array_equal``; a tolerance would hide exactly the reordered sums
 they exist to catch.
 """
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
-from conftest import mic_pipeline_config
+from conftest import mic_pipeline_config, synth_tone_noise, write_wav
 from test_processors import as_merged
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity
 from tfstream.errors import ChunkTooShortForDepth
 from tfstream.graph import config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
-from tfstream.processors import GammaChirpFilterbank
+from tfstream.processors import GammaChirpFilterbank, PTNProcessor
 from tfstream.processors.filterbank import GEMM_ROWS
-from tfstream.processors.ptn import block_average, block_averages
-from tfstream.processors.structure import _moving_sum
+from tfstream.processors.ptn import block_average, block_averages, logistic
+from tfstream.processors.structure import (
+    _moving_sum,
+    horizontal_score,
+    tile_columns,
+    vertical_score,
+)
 from tfstream.runtime import run_plan
 
 OFFSETS = [0, 1, 3, 97, 1000]
@@ -71,12 +80,19 @@ def test_filterbank_matches_direct_convolution():
 
 # --- moving sum ----------------------------------------------------------
 
+def _moving_sum_of(x, width, axis):
+    """``_moving_sum`` of a copy of x into fresh output and scratch."""
+    shape = list(x.shape)
+    shape[axis] -= width - 1
+    return _moving_sum(x.copy(), width, axis, np.empty(shape), np.empty(x.shape))
+
+
 @pytest.mark.parametrize("width", [2, 3, 9, 41, 81])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_moving_sum_windows_do_not_depend_on_the_call(width, axis):
     rng = np.random.default_rng(width)
     x = rng.exponential(size=(600, 7) if axis == 0 else (7, 600))
-    whole = _moving_sum(x, width, axis=axis)
+    whole = _moving_sum_of(x, width, axis)
     expected = np.stack(
         [np.take(x, range(i, i + width), axis=axis).sum(axis=axis)
          for i in range(600 - width + 1)], axis=axis)
@@ -84,7 +100,7 @@ def test_moving_sum_windows_do_not_depend_on_the_call(width, axis):
     for offset in [0, 1, 2, 5, 63, 200]:
         for length in [width, width + 1, width + 7, 128, 333]:
             piece = np.take(x, range(offset, offset + length), axis=axis)
-            got = _moving_sum(piece, width, axis=axis)
+            got = _moving_sum_of(piece, width, axis)
             want = np.take(whole, range(offset, offset + length - width + 1),
                            axis=axis)
             np.testing.assert_array_equal(
@@ -117,6 +133,197 @@ def test_block_averages_do_not_depend_on_the_carry(channels, block_df, block_dt)
                     if not np.isnan(one[g : g + block_df]).all() else np.nan
                     for g in range(0, channels, block_df)]
         np.testing.assert_allclose(means[:, 0], expected, rtol=1e-12)
+
+
+# --- tiles against the untiled formulas ----------------------------------
+#
+# The per-cell kernels run a tile of columns at a time (``tile_columns``
+# of the channel count), the structure scores on time-major copies.
+# The references below are the untiled, channel-major formulas.
+# Results are compared as bit patterns: the NaN-aware equality of
+# ``compare_streamed`` cannot see a NaN whose sign flipped, but the
+# written files can.
+
+NEG_NAN = np.copysign(np.nan, -1.0)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+#: widths at and around the edges of tiles of ``t`` columns
+AROUND_TILE = {
+    "1": lambda t: 1,
+    "tile-1": lambda t: t - 1,
+    "tile": lambda t: t,
+    "tile+1": lambda t: t + 1,
+    "2tile+1": lambda t: 2 * t + 1,
+}
+
+
+def _reference_moving_sum(x, width):
+    """Window sums along the last axis, by the doubling tree."""
+    count = x.shape[-1] - width + 1
+    total, offset, partial, size = None, 0, x, 1
+    while True:
+        if width & size:
+            part = partial[..., offset : offset + count]
+            total = part if total is None else total + part
+            offset += size
+        if 2 * size > width:
+            return total
+        pairs = partial.shape[-1] - size
+        partial = partial[..., :pairs] + partial[..., size : size + pairs]
+        size *= 2
+
+
+def _reference_score(num, s_lo, s_hi):
+    denom = np.sqrt(s_lo * s_hi)
+    score = np.ones_like(num)
+    np.divide(num, denom, out=score, where=denom > 0)
+    return score
+
+
+def _reference_horizontal(energy, w_t):
+    lag, width = w_t, w_t + 1
+    sq = energy * energy
+    prod = energy[:, : energy.shape[-1] - lag] * energy[:, lag:]
+    s_ab = _reference_moving_sum(prod, width)
+    s_sq = _reference_moving_sum(sq, width)
+    n = s_ab.shape[-1]
+    full = np.full(energy.shape, np.nan)
+    full[:, w_t : w_t + n] = _reference_score(
+        s_ab, s_sq[:, :n], s_sq[:, lag : lag + n])
+    return full
+
+
+def _reference_vertical(energy, w_t, w_s):
+    lag, width = w_s, 2 * w_t + 1
+    sq = energy * energy
+    prod = energy[: energy.shape[0] - lag] * energy[lag:]
+    s_ab = _reference_moving_sum(_reference_moving_sum(prod.T, w_s + 1).T, width)
+    s_sq = _reference_moving_sum(_reference_moving_sum(sq.T, w_s + 1).T, width)
+    n_f, n = s_ab.shape
+    full = np.full(energy.shape, np.nan)
+    full[w_s : w_s + n_f, w_t : w_t + n] = _reference_score(
+        s_ab, s_sq[:n_f], s_sq[lag : lag + n_f])
+    return full
+
+
+def _reference_block_averages(data, block_dt, block_df):
+    channels = data.shape[0]
+    n_blocks = data.shape[-1] // block_dt
+    cells = data[:, : n_blocks * block_dt].reshape(channels, n_blocks, block_dt)
+    valid = ~np.isnan(cells)
+    row_sums = np.where(valid, cells, 0.0).sum(axis=-1)
+    row_counts = valid.sum(axis=-1)
+    n_groups = -(-channels // block_df)
+    sums = np.zeros((n_groups, n_blocks))
+    counts = np.zeros((n_groups, n_blocks))
+    for member in range(min(block_df, channels)):
+        rows = row_sums[member::block_df]
+        sums[: rows.shape[0]] += rows
+        counts[: rows.shape[0]] += row_counts[member::block_df]
+    with np.errstate(invalid="ignore"):
+        return sums / counts, counts
+
+
+def _contiguous_and_offset(rng, rows, columns, fill):
+    """A C-contiguous array and a column-offset view of the same values."""
+    wide = rng.exponential(size=(rows, columns + 3))
+    fill(wide)
+    return [np.ascontiguousarray(wide[:, 3:]), wide[:, 3:]]
+
+
+@pytest.mark.parametrize("w_t, w_s, channels", [(5, 2, 11), (40, 3, 64)])
+@pytest.mark.parametrize("around", AROUND_TILE)
+def test_tiled_scores_match_the_untiled_formulas(w_t, w_s, channels, around):
+    """Valid widths around the tile size, NaN rows of both signs, a NaN
+    cell and windows that are all zero (score 1)."""
+    valid = AROUND_TILE[around](tile_columns(channels))
+
+    def fill(e):
+        e[0] = np.nan
+        e[-1] = NEG_NAN
+        e[2, 10] = NEG_NAN
+        e[:, 3 : 3 + 3 * w_t] = 0.0
+
+    rng = np.random.default_rng(valid)
+    for energy in _contiguous_and_offset(rng, channels, valid + 2 * w_t, fill):
+        _assert_same_bits(horizontal_score(energy, w_t),
+                          _reference_horizontal(energy, w_t))
+        _assert_same_bits(vertical_score(energy, w_t, w_s),
+                          _reference_vertical(energy, w_t, w_s))
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("around", AROUND_TILE)
+def test_tiled_gate_matches_the_whole_array_expression(per_channel, around):
+    """ptn's gate against energy * logistic((tract - theta) / beta), with
+    NaN of both signs, infinities, signed zeros and z = 0 exactly.
+
+    Where energy and gate are both NaN, the product's NaN is its first
+    operand's.  Written as one expression, numpy's temporary elision
+    computes the product as `gate *= energy` for operands of 256 KiB or
+    more (the whole-signal case) and as written below that, so the
+    reference names the gate and puts it first at every width."""
+    channels = 9
+    width = AROUND_TILE[around](tile_columns(channels))
+    rng = np.random.default_rng(width)
+    theta = rng.uniform(0.4, 0.6, channels) if per_channel else 0.5
+    beta = rng.uniform(0.01, 0.1, channels) if per_channel else 0.05
+    special = [np.nan, NEG_NAN, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300]
+
+    def fill_tract(t):
+        t[0] = np.resize(special, t.shape[-1])
+        t[2] = t[4] = np.resize([np.nan, NEG_NAN, 0.7], t.shape[-1])
+        t[3] = np.broadcast_to(theta, channels)[3]  # z = 0
+
+    def fill_energy(e):
+        e[1] = np.resize(special, e.shape[-1])
+        e[2] = np.nan
+        e[4] = NEG_NAN
+
+    ptn = PTNProcessor("ptn", {"theta": theta, "beta": beta})
+    th = np.asarray(theta)[:, None] if per_channel else np.asarray(theta)
+    be = np.asarray(beta)[:, None] if per_channel else np.asarray(beta)
+    pairs = zip(_contiguous_and_offset(rng, channels, width, fill_energy),
+                _contiguous_and_offset(rng, channels, width, fill_tract))
+    for energy, tract in pairs:
+        out = np.empty(energy.shape)
+        ptn._gate(energy, tract, out)
+        gate = logistic((tract - th) / be)
+        _assert_same_bits(out, gate * energy)
+
+
+@pytest.mark.parametrize("block_dt", [16, 100])
+def test_tiled_block_averages_match_the_untiled_formula(block_dt):
+    """Block counts around the tile's whole blocks, NaN cells of both
+    signs and all-NaN groups, whose 0/0 mean must keep its bits."""
+    channels, block_df = 13, 4
+    per_tile = max(1, tile_columns(channels) // block_dt)
+
+    def fill(d):
+        d[rng.random(d.shape) < 0.1] = np.nan
+        d[rng.random(d.shape) < 0.05] = NEG_NAN
+        d[4:8, : 3 + block_dt] = np.nan
+        d[12] = NEG_NAN
+
+    rng = np.random.default_rng(block_dt)
+    for around in AROUND_TILE.values():
+        n_blocks = around(per_tile)
+        for data in _contiguous_and_offset(
+                rng, channels, n_blocks * block_dt + 5, fill):
+            got = block_averages(data, block_dt, block_df)
+            want = _reference_block_averages(data, block_dt, block_df)
+            assert np.isnan(want[0]).any()
+            for g, w in zip(got, want):
+                _assert_same_bits(g, w)
 
 
 # --- streamed == oracle --------------------------------------------------
@@ -152,16 +359,13 @@ def _minimum_chunk_size(tmp_path, direction):
     return hi
 
 
-@pytest.mark.parametrize("direction", ["horizontal", "vertical"])
-def test_streamed_equals_oracle_at_minimum_chunk_length(tmp_path, direction):
-    chunk_size = _minimum_chunk_size(tmp_path / "probe", direction)
-    plan = validate_graph(config_from_dict(
-        _mic_config(tmp_path / "out", chunk_size, direction, num_chunks=24)))
-    depth = plan.merged_at["ptn"]
-    assert plan.chunk_lengths["ptn"] == depth.d + depth.p + 1
+def _assert_streamed_equals_oracle(tmp_path, make_config):
+    """Stream one plan, compute another's whole-signal reference, and
+    compare every key; returns the streamed plan."""
+    plan = validate_graph(config_from_dict(make_config(tmp_path / "out")))
     run_plan(plan)
-    reference = run_unchunked(validate_graph(config_from_dict(
-        _mic_config(tmp_path / "unused", chunk_size, direction, num_chunks=24))))
+    reference = run_unchunked(
+        validate_graph(config_from_dict(make_config(tmp_path / "unused"))))
     for producer, feature in ALL_KEYS:
         _, records = read_chunk_file(tmp_path / "out" / f"{producer}.{feature}.tfc")
         streamed = concatenate_payloads(records)
@@ -169,3 +373,57 @@ def test_streamed_equals_oracle_at_minimum_chunk_length(tmp_path, direction):
         problem = compare_streamed(
             streamed, reference[(producer, feature)].payload)
         assert problem is None, f"{producer}.{feature}: {problem}"
+    return plan
+
+
+@pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+def test_streamed_equals_oracle_at_minimum_chunk_length(tmp_path, direction):
+    chunk_size = _minimum_chunk_size(tmp_path / "probe", direction)
+    plan = _assert_streamed_equals_oracle(
+        tmp_path,
+        lambda out: _mic_config(out, chunk_size, direction, num_chunks=24))
+    depth = plan.merged_at["ptn"]
+    assert plan.chunk_lengths["ptn"] == depth.d + depth.p + 1
+
+
+@pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+@pytest.mark.parametrize("around", ["tile-1", "tile", "tile+1"])
+def test_streamed_equals_oracle_across_tile_boundaries(tmp_path, direction,
+                                                       around):
+    """After the resampler (/2), chunks of 2 * columns samples reach the
+    64-channel structure extractor and ptn as `columns`-column inputs.
+    Shorter filters (20 ms) let the graph accept chunks that short."""
+    columns = AROUND_TILE[around](tile_columns(64))
+
+    def make_config(out_dir):
+        raw = _mic_config(out_dir, 2 * columns, direction, num_chunks=6)
+        for spec in raw["processors"]:
+            if spec["name"] == "cochlea":
+                spec["params"]["impulse_ms"] = 20
+        return raw
+
+    plan = _assert_streamed_equals_oracle(tmp_path, make_config)
+    assert plan.chunk_lengths["se"] == plan.chunk_lengths["ptn"] == columns
+
+
+def test_oracle_memory_stays_near_three_full_width_arrays(tmp_path):
+    """run_unchunked on the shipped file pipeline: the traced peak above
+    the starting point, in float64 arrays of channels x columns.  It
+    measured 3.2 with tiled kernels and 6.1 with full-width temporaries
+    (4 s of 16 kHz input)."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "file_pipeline.yaml"
+    raw = yaml.safe_load(shipped.read_text())
+    params = {p["name"]: p["params"] for p in raw["processors"]}
+    params["reader"]["path"] = str(write_wav(
+        tmp_path / "in.wav", 16000, synth_tone_noise(16000, 4.0)))
+    params["out"]["directory"] = str(tmp_path / "out")
+    plan = validate_graph(config_from_dict(raw))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        results = run_unchunked(plan)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    full_width = results[("cochlea", "E")].payload.nbytes
+    assert peak < 4.0 * full_width, f"peak {peak / full_width:.2f} arrays"

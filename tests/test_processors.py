@@ -523,6 +523,27 @@ def test_ptn_block_carry_across_continuous_chunks():
     np.testing.assert_array_equal(np.concatenate(parts, axis=-1), ref)
 
 
+@pytest.mark.parametrize("widths", [[35, 40], [5, 3, 30], [20]])
+def test_ptn_carry_owns_only_its_tail(widths):
+    """After every chunk each carry is its own array of fewer than
+    block_dt columns, so no chunk-wide array stays pinned."""
+    rng = np.random.default_rng(16)
+    ptn = PTNProcessor("p", {"block_dt": 10, "block_df": 2,
+                             "theta": 0.5, "beta": 0.1})
+    state = None
+    for number, width in enumerate(widths):
+        continuity = (Continuity.DISCONTINUOUS if number == 0
+                      else Continuity.WITHPREVIOUS)
+        merged, state = make_ptn_merged(rng.exponential(size=(4, width)),
+                                        rng.uniform(0, 1, size=(4, width)),
+                                        continuity, number=number, state=state)
+        ptn.process(merged)
+        carried = sum(widths[: number + 1]) % 10
+        for carry in (ptn._carry_et, ptn._carry_e):
+            assert carry.base is None
+            assert carry.shape == (4, carried)
+
+
 def test_ptn_discontinuity_resets_block_phase():
     rng = np.random.default_rng(13)
     params = {"block_dt": 10, "block_df": 2, "theta": 0.5, "beta": 0.1}
