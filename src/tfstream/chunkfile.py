@@ -20,6 +20,8 @@ fixed config, input and fault schedule.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator, List, Optional, Tuple
@@ -83,6 +85,11 @@ class ChunkFileWriter:
 
 
 def _read_exactly(fh: BinaryIO, size: int, path: Path, what: str) -> bytes:
+    """The next ``size`` bytes; IoError, before any read, when the file
+    holds fewer."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise IoError(f"{path}: truncated {what}: {size} bytes declared, {left} left")
     data = fh.read(size)
     if len(data) != size:
         raise IoError(f"{path}: truncated {what}")
@@ -138,7 +145,9 @@ def read_chunk_file(path: Path) -> Tuple[dict, List[dict]]:
                 raise IoError(f"{path}: record {number} has ndim {ndim}")
             shape = struct.unpack(
                 f"<{ndim}I", _read_exactly(fh, 4 * ndim, path, "record shape"))
-            nbytes = int(np.prod(shape)) * dtype.itemsize
+            # exact: a damaged extent must not wrap, overflow or ask
+            # for more memory than the file holds
+            nbytes = math.prod(shape) * dtype.itemsize
             raw = _read_exactly(fh, nbytes, path, "payload")
             records.append(
                 {

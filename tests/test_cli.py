@@ -115,6 +115,13 @@ def damaged_chunk_files(tmp_path):
                 + struct.pack(f"<{len(shape)}I", *shape)
                 + bytes(8 * math.prod(shape)))
 
+    def with_extent(shape):
+        # the written record with its extents damaged
+        return (data[:record]
+                + RECORD_HEAD.pack(0, int(Continuity.WITHPREVIOUS), 0, 0, 0, 0, 2)
+                + struct.pack("<2I", *shape)
+                + data[record + RECORD_HEAD.size + 8 :])
+
     return {
         "not json": with_header("{bad}"),
         "no keys": with_header("{}"),
@@ -123,6 +130,11 @@ def damaged_chunk_files(tmp_path):
         "unknown continuity": with_record(7, (3, 5)),
         "ndim 0": with_record(int(Continuity.WITHPREVIOUS), ()),
         "ndim 3": with_record(int(Continuity.WITHPREVIOUS), (2, 2, 2)),
+        # extents whose payload would overflow a C long, ask for 32 GB,
+        # or wrap a product in int64
+        "extent 2**31": with_extent((2**31, 2**31)),
+        "extent 2**16": with_extent((2**16, 2**16)),
+        "extent 2**32 - 1": with_extent((2**32 - 1, 2**32 - 1)),
     }
 
 

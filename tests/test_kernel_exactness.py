@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 from conftest import mic_pipeline_config, synth_tone_noise, write_wav
-from test_processors import as_merged
+from test_processors import as_merged, make_ptn_merged
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity
 from tfstream.errors import ChunkTooShortForDepth
@@ -24,7 +24,12 @@ from tfstream.graph import config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
 from tfstream.processors import GammaChirpFilterbank, PTNProcessor
 from tfstream.processors.filterbank import GEMM_ROWS
-from tfstream.processors.ptn import block_average, block_averages, logistic
+from tfstream.processors.ptn import (
+    block_average,
+    block_averages,
+    blocks_per_tile,
+    logistic,
+)
 from tfstream.processors.structure import (
     _moving_sum,
     horizontal_score,
@@ -215,24 +220,6 @@ def _reference_vertical(energy, w_t, w_s):
     return full
 
 
-def _reference_block_averages(data, block_dt, block_df):
-    channels = data.shape[0]
-    n_blocks = data.shape[-1] // block_dt
-    cells = data[:, : n_blocks * block_dt].reshape(channels, n_blocks, block_dt)
-    valid = ~np.isnan(cells)
-    row_sums = np.where(valid, cells, 0.0).sum(axis=-1)
-    row_counts = valid.sum(axis=-1)
-    n_groups = -(-channels // block_df)
-    sums = np.zeros((n_groups, n_blocks))
-    counts = np.zeros((n_groups, n_blocks))
-    for member in range(min(block_df, channels)):
-        rows = row_sums[member::block_df]
-        sums[: rows.shape[0]] += rows
-        counts[: rows.shape[0]] += row_counts[member::block_df]
-    with np.errstate(invalid="ignore"):
-        return sums / counts, counts
-
-
 def _contiguous_and_offset(rng, rows, columns, fill):
     """A C-contiguous array and a column-offset view of the same values."""
     wide = rng.exponential(size=(rows, columns + 3))
@@ -301,29 +288,103 @@ def test_tiled_gate_matches_the_whole_array_expression(per_channel, around):
         _assert_same_bits(out, gate * energy)
 
 
+def _assert_ptn_matches_the_formulas(segments, theta, beta, block_dt, block_df):
+    """Stream each segment's (energy, tract, chunk widths) through one
+    PTNProcessor, a discontinuity at each segment's first chunk, and
+    compare the bits of every published key with the whole-array
+    formulas applied to each segment."""
+    ptn = PTNProcessor("ptn", {"theta": theta, "beta": beta,
+                               "block_dt": block_dt, "block_df": block_df})
+    th, be = (np.asarray(v)[:, None] if np.ndim(v) else v for v in (theta, beta))
+    got = {"E_T": [], "E_T_valid": [], "E_blocks": []}
+    want = {"E_T": [], "E_T_valid": [], "E_blocks": []}
+    number = 0
+    for energy, tract, widths in segments:
+        assert sum(widths) == energy.shape[-1]
+        state, start = None, 0
+        for i, width in enumerate(widths):
+            continuity = (Continuity.DISCONTINUOUS if i == 0
+                          else Continuity.WITHPREVIOUS)
+            merged, state = make_ptn_merged(
+                energy[:, start : start + width], tract[:, start : start + width],
+                continuity, number=number, state=state)
+            for key, feature in ptn.process(merged).items():
+                got[key].append(feature.payload)
+            start += width
+            number += 1
+        et, counts = block_averages(
+            energy * logistic((tract - th) / be), block_dt, block_df)
+        eb, _ = block_averages(energy, block_dt, block_df)
+        want["E_T"].append(et)
+        want["E_T_valid"].append(counts)
+        want["E_blocks"].append(eb)
+    for key in want:
+        _assert_same_bits(np.concatenate(got[key], axis=-1),
+                          np.concatenate(want[key], axis=-1))
+    return ptn
+
+
+def _ptn_inputs(rng, channels, columns, block_dt):
+    """Energy with NaN cells of both signs and an all-NaN group, tract
+    scores around theta with NaN cells of both signs."""
+    energy = rng.exponential(size=(channels, columns))
+    energy[rng.random(energy.shape) < 0.1] = np.nan
+    energy[rng.random(energy.shape) < 0.05] = NEG_NAN
+    energy[4:8, : 3 + block_dt] = np.nan
+    energy[12] = NEG_NAN
+    tract = rng.uniform(0.3, 0.7, size=(channels, columns))
+    tract[rng.random(tract.shape) < 0.05] = np.nan
+    tract[rng.random(tract.shape) < 0.05] = NEG_NAN
+    return energy, tract
+
+
 @pytest.mark.parametrize("block_dt", [16, 100])
 def test_tiled_block_averages_match_the_untiled_formula(block_dt):
-    """Block counts around the tile's whole blocks, NaN cells of both
-    signs and all-NaN groups, whose 0/0 mean must keep its bits."""
+    """ptn's block sums, one chunk each, at block counts around a tile's
+    whole blocks, with NaN cells of both signs and all-NaN groups, whose
+    0/0 mean must keep its bits."""
     channels, block_df = 13, 4
-    per_tile = max(1, tile_columns(channels) // block_dt)
-
-    def fill(d):
-        d[rng.random(d.shape) < 0.1] = np.nan
-        d[rng.random(d.shape) < 0.05] = NEG_NAN
-        d[4:8, : 3 + block_dt] = np.nan
-        d[12] = NEG_NAN
-
+    per_tile = blocks_per_tile(channels, block_dt)
     rng = np.random.default_rng(block_dt)
+    segments = []
     for around in AROUND_TILE.values():
-        n_blocks = around(per_tile)
-        for data in _contiguous_and_offset(
-                rng, channels, n_blocks * block_dt + 5, fill):
-            got = block_averages(data, block_dt, block_df)
-            want = _reference_block_averages(data, block_dt, block_df)
-            assert np.isnan(want[0]).any()
-            for g, w in zip(got, want):
-                _assert_same_bits(g, w)
+        columns = around(per_tile) * block_dt + 5
+        energy, tract = _ptn_inputs(rng, channels, columns + 3, block_dt)
+        # a C-contiguous chunk and a column-offset view
+        for e, t in [(energy[:, :columns].copy(), tract[:, :columns].copy()),
+                     (energy[:, 3:], tract[:, 3:])]:
+            assert np.isnan(block_averages(e, block_dt, block_df)[0]).any()
+            segments.append((e, t, [columns]))
+    _assert_ptn_matches_the_formulas(segments, 0.5, 0.05, block_dt, block_df)
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("block_dt", [16, 100])
+def test_one_pass_ptn_matches_the_whole_array_formulas(per_channel, block_dt):
+    """A sequence of chunks through ``process`` against one whole-array
+    call per segment: carries of 0, 1 and block_dt - 1 columns, chunks
+    that end at, one before and one after a tile edge, chunks shorter
+    than a block, NaN of both signs in E and T, all-NaN groups and a
+    discontinuity after a carried tail."""
+    channels, block_df = 13, 4
+    tile = blocks_per_tile(channels, block_dt) * block_dt
+    rng = np.random.default_rng(block_dt + per_channel)
+    theta = rng.uniform(0.4, 0.6, channels) if per_channel else 0.5
+    beta = rng.uniform(0.01, 0.1, channels) if per_channel else 0.05
+    # each chunk: the carry it starts with -> the carry it leaves
+    first = [tile + 1,                 # 0 -> 1, one after a tile edge
+             tile - 2,                 # 1 -> block_dt - 1, one before
+             2 * tile - block_dt + 1,  # block_dt - 1 -> 0, at a tile edge
+             3,                        # 0 -> 3, shorter than a block
+             block_dt - 4,             # 3 -> block_dt - 1, still no block
+             2,                        # block_dt - 1 -> 1, one block
+             block_dt + 5]             # 1 -> 6, the tail that is dropped
+    second = [block_dt - 1, tile + 1, 1, tile - block_dt - 1]
+    segments = [(*_ptn_inputs(rng, channels, sum(widths), block_dt), widths)
+                for widths in (first, second)]
+    ptn = _assert_ptn_matches_the_formulas(
+        segments, theta, beta, block_dt, block_df)
+    assert ptn._carry_et.shape == ptn._carry_e.shape == (channels, 0)
 
 
 # --- streamed == oracle --------------------------------------------------
@@ -406,11 +467,11 @@ def test_streamed_equals_oracle_across_tile_boundaries(tmp_path, direction,
     assert plan.chunk_lengths["se"] == plan.chunk_lengths["ptn"] == columns
 
 
-def test_oracle_memory_stays_near_three_full_width_arrays(tmp_path):
+def test_oracle_memory_stays_below_two_and_a_half_full_width_arrays(tmp_path):
     """run_unchunked on the shipped file pipeline: the traced peak above
     the starting point, in float64 arrays of channels x columns.  It
-    measured 3.2 with tiled kernels and 6.1 with full-width temporaries
-    (4 s of 16 kHz input)."""
+    measured 2.25 with ptn in one tile pass, 3.2 with a full-width gated
+    array and 6.1 with full-width temporaries (4 s of 16 kHz input)."""
     shipped = Path(__file__).resolve().parent.parent / "configs" / "file_pipeline.yaml"
     raw = yaml.safe_load(shipped.read_text())
     params = {p["name"]: p["params"] for p in raw["processors"]}
@@ -426,4 +487,23 @@ def test_oracle_memory_stays_near_three_full_width_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     full_width = results[("cochlea", "E")].payload.nbytes
-    assert peak < 4.0 * full_width, f"peak {peak / full_width:.2f} arrays"
+    assert peak < 2.5 * full_width, f"peak {peak / full_width:.2f} arrays"
+
+
+def test_ptn_chunk_memory_stays_below_half_an_input():
+    """One process call on a long chunk, its scratch included, allocates
+    less than half of one input array: no chunk-wide gated array and no
+    copy of the energy with its carry."""
+    rng = np.random.default_rng(17)
+    energy = rng.exponential(size=(64, 16000))
+    tract = rng.uniform(0.9, 1.0, size=(64, 16000))
+    merged, _ = make_ptn_merged(energy, tract, Continuity.DISCONTINUOUS)
+    ptn = PTNProcessor("ptn", {"theta": 0.96, "beta": 0.02})
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ptn.process(merged)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * energy.nbytes, f"peak {peak / energy.nbytes:.2f} inputs"
