@@ -24,7 +24,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
 import numpy as np
 
@@ -174,21 +174,3 @@ def export_csv(path: Path, csv_path: Path) -> None:
     if data.ndim == 1:
         data = data[None, :]
     np.savetxt(csv_path, data, delimiter=",")
-
-
-def iter_chunks(path: Path) -> Iterator[DataChunk]:
-    """Yield file records as DataChunks (payload dtype as stored)."""
-    header, records = read_chunk_file(path)
-    freqs = header["channel_freqs"]
-    channel_freqs = None if freqs is None else np.asarray(freqs, dtype=float)
-    key = (header["producer"], header["feature"])
-    for rec in records:
-        yield DataChunk(
-            number=rec["number"],
-            source_key=key,
-            payload=rec["payload"],
-            sample_rate=header["sample_rate"],
-            alignment=rec["alignment"],
-            continuity=rec["continuity"],
-            channel_freqs=channel_freqs,
-        )

@@ -64,11 +64,12 @@ def is_withprevious_subtype(code: Continuity) -> bool:
 
 
 class MergeScenario(Enum):
-    """The three sanctioned ways to slice an incoming array into a merge."""
+    """The three sanctioned ways to slice an incoming array into a merge;
+    each value is the name a merge log reports."""
 
-    REGULAR_CONTINUOUS = "regular_continuous"
-    REGULAR_DISCONTINUOUS = "regular_discontinuous"
-    IRREGULAR_DISCONTINUOUS = "irregular_discontinuous"
+    REGULAR_CONTINUOUS = "RegularContinuous"
+    REGULAR_DISCONTINUOUS = "RegularDiscontinuous"
+    IRREGULAR_DISCONTINUOUS = "IrregularDiscontinuous"
 
 
 @dataclass(frozen=True, slots=True)

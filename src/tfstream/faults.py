@@ -91,29 +91,12 @@ class FaultSchedule:
                     raise ConfigError(f"fault names unknown edge {event.edge!r}")
         return self
 
-    def drops_chunk(
-        self, producer: str, feature: str, consumer: str, number: int
-    ) -> bool:
-        """True if the named chunk must be dropped on this edge."""
-        for event in self.events:
-            if isinstance(event, DropChunk):
-                if event.number == number and _edge_matches(
-                    event.edge, producer, feature, consumer
-                ):
-                    return True
-            elif isinstance(event, LinkDown):
-                if event.from_number <= number <= event.to_number and _edge_matches(
-                    event.edge, producer, feature, consumer
-                ):
-                    return True
-        return False
-
     def dropped_ranges(
         self, producer: str, feature: str, consumer: str
     ) -> Tuple[Tuple[int, int], ...]:
         """The inclusive number ranges dropped on one edge, resolved once
-        per edge: ``drops_chunk`` is true exactly for the numbers they
-        cover."""
+        per edge: a chunk is dropped there exactly when its number lies
+        in one of them."""
         ranges = []
         for event in self.events:
             if isinstance(event, DropChunk):

@@ -150,13 +150,17 @@ def merge_array(
     prev_tail: Optional[np.ndarray],
     current: np.ndarray,
     drops: DropCounts,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Slice (and for continuous operation, concatenate) one incoming array.
 
-    The time axis is last; 1-D time series follow the same rules with the
-    frequency axis absent.
+    Returns the merged array and the tail to carry into the next merge.
+    Both come from one sequence: prev_tail ++ current for a continuous
+    merge, current alone otherwise.  The merged array is that sequence
+    without its first d_L (or d_l) and last d_H columns, and the tail is
+    its last d_H columns, so a continuous chunk shorter than d_H merges
+    carried columns and carries the rest.  The time axis is last; 1-D
+    time series follow the same rules with the frequency axis absent.
     """
-    e = current.shape[-1]
     if scenario is MergeScenario.REGULAR_CONTINUOUS:
         if prev_tail is None or prev_tail.shape[-1] != drops.d_H:
             got = "none" if prev_tail is None else str(prev_tail.shape[-1])
@@ -164,18 +168,23 @@ def merge_array(
                 f"regular continuous merge needs a carried tail of "
                 f"{drops.d_H} columns, got {got}"
             )
-        head = current[..., : e - drops.d_H] if drops.d_H else current
-        merged = np.concatenate([prev_tail, head], axis=-1) if drops.d_H else head
+        if drops.d_H:
+            current = np.concatenate([prev_tail, current], axis=-1)
+        start = 0
     elif scenario is MergeScenario.REGULAR_DISCONTINUOUS:
-        merged = current[..., drops.d_L : e - drops.d_H]
+        start = drops.d_L
     else:
-        merged = current[..., drops.d_l : e - drops.d_H]
-    if merged.shape[-1] <= 0:
+        start = drops.d_l
+    stop = current.shape[-1] - drops.d_H
+    if stop <= start:
         raise EmptyResult(
-            f"merge produced a zero-length chunk (array length {e}, "
-            f"drops {drops}); the chunk time interval is too short"
+            f"merge produced a zero-length chunk (array length "
+            f"{current.shape[-1]}, drops {drops}); the chunk time interval "
+            f"is too short"
         )
-    return merged
+    # Copy, not a view: published chunks may be released by transport,
+    # and a view would keep the whole concatenation alive.
+    return current[..., start:stop], current[..., stop:].copy()
 
 
 def _refine_continuity(
@@ -205,9 +214,9 @@ def complete_merge(
 ) -> Tuple[MergedChunk, MergeState]:
     """Merge one completed set into a MergedChunk and advance the state.
 
-    The fresh tails (last d_H columns of each incoming array) are always
-    retained: a merge directly following a discontinuous one is regular
-    continuous and needs them.
+    The fresh tails (see ``merge_array``) are always retained: a merge
+    directly following a discontinuous one is regular continuous and
+    needs them.
     """
     if not chunk_set:
         raise InvalidInMerge("empty chunk set")
@@ -231,14 +240,10 @@ def complete_merge(
     for (key, chunk), (drops, scenario) in zip(
         chunk_set.items(), decision.members
     ):
-        prev_tail = state.carried_tails.get(key)
-        payloads[key] = merge_array(scenario, prev_tail, chunk.payload, drops)
+        payloads[key], tails[key] = merge_array(
+            scenario, state.carried_tails.get(key), chunk.payload, drops
+        )
         scenarios[key] = scenario
-        # Copy, not a view: published chunks may be released by transport.
-        if drops.d_H:
-            tails[key] = chunk.payload[..., -drops.d_H :].copy()
-        else:
-            tails[key] = chunk.payload[..., :0].copy()
 
     lengths = {key: arr.shape[-1] for key, arr in payloads.items()}
     if len(set(lengths.values())) != 1:

@@ -3,8 +3,8 @@
 Per cell: E_T = E * logistic((T - theta) / beta), with NaN kept in the
 invalid scale margins.  The product is averaged over (block_dt x
 block_df) blocks, NaN-aware, together with the number of valid cells per
-block, and so is E itself.  Pulse/noise complements at block level are
-the difference to the total block energy.
+block, and so is E itself.  E_blocks - E_T is the block energy not on
+the tonal path.
 
 ``PTNProcessor.process`` does all of this in one pass over tiles of
 whole blocks: each tile is gated into scratch and summed with its energy
@@ -73,18 +73,6 @@ def block_averages(
         return sums / counts, counts
 
 
-def block_average(
-    data: np.ndarray, block_df: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """NaN-aware mean and valid-cell count over channel groups.
-
-    data is one complete time block (channels x block_dt); channel groups
-    of block_df rows (last group may be smaller).
-    """
-    means, counts = block_averages(data, data.shape[-1], block_df)
-    return means[:, 0], counts[:, 0]
-
-
 def blocks_per_tile(channels: int, block_dt: int) -> int:
     """Whole blocks of block_dt columns per tile of ``channels`` rows:
     three gate tiles, rounded up, so 8 blocks of 100 columns at 64
@@ -109,11 +97,6 @@ def group_means(freqs: np.ndarray, block_df: int) -> np.ndarray:
             for g in range(-(-freqs.size // block_df))
         ]
     )
-
-
-def noise_complement(total_blocks: np.ndarray, tonal_blocks: np.ndarray) -> np.ndarray:
-    """Block-level energy not attributed to the tonal path."""
-    return total_blocks - tonal_blocks
 
 
 def _per_channel(value) -> np.ndarray:
@@ -157,10 +140,9 @@ class PTNProcessor(Processor):
         self._carry_et: Optional[np.ndarray] = None
         self._carry_e: Optional[np.ndarray] = None
         self._pending_discontinuity: Optional[Continuity] = None
-        #: gate scratch (three float rows and a mask of one tile's
-        #: cells each), set on first use
+        #: gate scratch (three float rows of one tile's cells), set on
+        #: first use
         self._scratch: Optional[np.ndarray] = None
-        self._mask: Optional[np.ndarray] = None
         #: block-sum scratch (gated cells over energy, and their NaN
         #: mask, of one tile of whole blocks), set on first use
         self._stacked: Optional[np.ndarray] = None
@@ -233,10 +215,13 @@ class PTNProcessor(Processor):
         """out = energy * logistic((tract - theta) / beta), a tile of
         columns at a time.
 
-        Each tile goes through the ufuncs of ``logistic``, in its order,
-        on contiguous scratch, so every cell gets the bits of the
-        whole-signal expression, NaN signs included, whatever the width
-        of the call.
+        Each tile goes through the ufuncs of ``logistic``, in its order
+        (its ``where`` as a ``maximum`` with the same bits), on
+        contiguous scratch, so every cell gets the bits of the
+        whole-signal expression, NaN signs included, in pieces of up to
+        4,096 columns; wider strided pieces can flip a NaN's sign.  The
+        filterbank, the only 2-D producer, requires 4 channels, so
+        shipped graphs have tiles of at most 4,096 columns.
         """
         theta = _per_channel(self.theta)
         beta = _per_channel(self.beta)
@@ -245,21 +230,19 @@ class PTNProcessor(Processor):
         cells = channels * columns
         if self._scratch is None or self._scratch.shape[-1] != cells:
             self._scratch = np.empty((3, cells))
-            self._mask = np.empty(cells, dtype=bool)
         for start in range(0, width, columns):
             stop = min(start + columns, width)
             shape = (channels, stop - start)
             size = channels * (stop - start)
             z, a, e = self._scratch[:, :size].reshape(3, *shape)
-            positive = self._mask[:size].reshape(shape)
             np.subtract(tract[:, start:stop], theta, out=z)
             np.divide(z, beta, out=z)
             np.abs(z, out=a)
             np.negative(a, out=a)
             np.exp(a, out=e)
-            np.greater_equal(z, 0, out=positive)
-            np.copyto(a, e)  # a = where(z >= 0, 1.0, e)
-            np.copyto(a, 1.0, where=positive)
+            # a = where(z >= 0, 1.0, e): e <= 1, and NaN z gives e's NaN
+            np.greater_equal(z, 0, out=a, casting="unsafe")
+            np.maximum(e, a, out=a)
             np.add(1.0, e, out=e)
             np.divide(a, e, out=a)
             # gate first: numpy's temporary elision ran the whole-array

@@ -1,21 +1,23 @@
 """Integer-factor decimating resampler with a windowed-sinc FIR.
 
-State (the last fir_length - 1 input samples plus the decimation phase)
-is carried across continuous chunks, so the chunked result equals the
-unchunked filtering exactly, column for column.
+The last fir_length - 1 input samples are carried across continuous
+chunks in a ``TimeWindowState``, as the other windowed transforms carry
+theirs, and the count of samples since the last discontinuity fixes the
+decimation phase; so the chunked result equals the unchunked filtering
+exactly, column for column.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
 from ..errors import EmptyResult, NonIntegerRate, ShapeMismatch
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, register
+from .base import FeatureData, Processor, TimeWindowState, register
 
 
 def design_lowpass(fir_length: int, factor: int) -> np.ndarray:
@@ -50,8 +52,8 @@ class Resampler(Processor):
         self.fir_length = int(params.get("fir_length", 127))
         self.h = design_lowpass(self.fir_length, self.factor)
         self.drop = math.ceil((self.fir_length - 1) / self.factor)
-        self._tail: Optional[np.ndarray] = None
-        self._in_count = 0  # input samples since the last discontinuity
+        self._window = TimeWindowState(declared_d=self.fir_length - 1, declared_p=0)
+        self._count = 0  # input samples since the last discontinuity
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {"snd": AlignmentParams(p=0, d=self.drop, l=0, s=0)}
@@ -73,8 +75,8 @@ class Resampler(Processor):
         return in_rate / self.factor
 
     def reset(self) -> None:
-        self._tail = None
-        self._in_count = 0
+        self._window.reset()
+        self._count = 0
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         if len(merged.payloads) != 1:
@@ -83,36 +85,25 @@ class Resampler(Processor):
         if x.ndim != 1:
             raise ShapeMismatch("resampler expects a 1-D time series")
         R, F = self.factor, self.fir_length
-
-        continuous = is_withprevious_subtype(merged.continuity) and self._tail is not None
-        if continuous:
-            base = self._in_count
-            buf = np.concatenate([self._tail, x])
-            # full np.convolve index of output m is m*R - base + F - 1
-            m_start = -(-base // R)  # ceil
-            offset = F - 1 - base
-        else:
-            base = 0
-            self._in_count = 0
-            buf = x
-            m_start = self.drop
-            offset = 0
-        m_end = -(-(base + x.shape[-1]) // R)
-        if m_end <= m_start:
+        continuous = (
+            is_withprevious_subtype(merged.continuity)
+            and self._window.tail is not None
+        )
+        count = (self._count if continuous else 0) + x.shape[-1]
+        # outputs fall on the counts that are multiples of R, from the
+        # first sample of this chunk that has its full filter history
+        start = self._count if continuous else F - 1
+        if -(-count // R) <= -(-start // R):
             raise EmptyResult(
                 f"chunk of {x.shape[-1]} samples yields no resampled output; "
-                f"minimum chunk length is {(self.drop + 1) * R}"
+                f"minimum chunk length is {self.drop * R + 1} after a "
+                f"discontinuity and {R} otherwise"
             )
-        conv = np.convolve(buf, self.h, mode="full")
-        positions = np.arange(m_start, m_end) * R + offset
-        y = conv[positions]
-
-        self._in_count = base + x.shape[-1]
-        if buf.shape[-1] < F - 1:
-            raise EmptyResult(
-                f"chunk of {buf.shape[-1]} samples is shorter than the "
-                f"filter history {F - 1}"
-            )
-        self._tail = buf[-(F - 1) :].copy() if F > 1 else buf[:0].copy()
+        buf, _ = self._window.feed(continuous, x)
+        self._count = count
+        # buffer position i holds the sample counted count - len(buf) + i,
+        # and "valid" output j is the filter ending at position j + F - 1
+        first = (buf.shape[-1] - F + 1 - count) % R
+        y = np.convolve(buf, self.h, mode="valid")[first::R]
         rate_out = merged.sample_rate / R
         return {"snd": FeatureData(payload=y, sample_rate=rate_out)}

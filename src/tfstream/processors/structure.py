@@ -169,40 +169,19 @@ def _valid_scores(tile, energy: np.ndarray, w_t: int, margin: int) -> np.ndarray
 
 
 def _horizontal_valid(energy: np.ndarray, w_t: int) -> np.ndarray:
+    """Time-shift self-similarity per channel row, for the columns t in
+    [w_t, T - w_t): the score at t compares the windows [t - w_t, t] and
+    [t, t + w_t]."""
     return _valid_scores(partial(_horizontal_tile, w_t=w_t), energy, w_t, 0)
 
 
 def _vertical_valid(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
+    """Scale-shift self-similarity, time-averaged over the window, for the
+    columns t in [w_t, T - w_t); rows outside f in [w_s, F - w_s) are
+    NaN.  The score compares scale windows [f - w_s, f] and [f, f + w_s],
+    each summed over the time window [t - w_t, t + w_t]."""
     return _valid_scores(
         partial(_vertical_tile, w_t=w_t, w_s=w_s), energy, w_t, w_s
-    )
-
-
-def _full_width(scores: np.ndarray, width: int, w_t: int) -> np.ndarray:
-    """Valid-column scores padded with NaN to ``width`` columns."""
-    full = np.full((scores.shape[0], width), np.nan)
-    full[:, w_t : w_t + scores.shape[-1]] = scores
-    return full
-
-
-def horizontal_score(energy: np.ndarray, w_t: int) -> np.ndarray:
-    """Time-shift self-similarity per channel row.
-
-    Valid for t in [w_t, T - w_t), NaN elsewhere: the score at t compares
-    the windows [t - w_t, t] and [t, t + w_t].
-    """
-    return _full_width(_horizontal_valid(energy, w_t), energy.shape[-1], w_t)
-
-
-def vertical_score(energy: np.ndarray, w_t: int, w_s: int) -> np.ndarray:
-    """Scale-shift self-similarity, time-averaged over the window.
-
-    Valid for f in [w_s, F - w_s) and t in [w_t, T - w_t), NaN elsewhere:
-    the score compares scale windows [f - w_s, f] and [f, f + w_s], each
-    summed over the time window [t - w_t, t + w_t].
-    """
-    return _full_width(
-        _vertical_valid(energy, w_t, w_s), energy.shape[-1], w_t
     )
 
 

@@ -27,7 +27,6 @@ from .buffering import BufferCounters, InFlightBuffer
 from .chunks import (
     Continuity,
     DataChunk,
-    MergeScenario,
     SourceKey,
     as_continuity,
     check_publishable,
@@ -37,13 +36,6 @@ from .graph import Edge, GraphPlan
 from .merge import MergeState, complete_merge
 from .processors import Processor, SinkProcessor, SourceProcessor
 from .wire import MAGIC, decode_stream, encode
-
-_SCENARIO_NAMES = {
-    MergeScenario.REGULAR_CONTINUOUS: "RegularContinuous",
-    MergeScenario.REGULAR_DISCONTINUOUS: "RegularDiscontinuous",
-    MergeScenario.IRREGULAR_DISCONTINUOUS: "IrregularDiscontinuous",
-}
-
 
 @dataclass(frozen=True)
 class MergeLogEntry:
@@ -243,7 +235,7 @@ class Streamboard:
         scenarios = tuple(merged.scenarios.items())
         logged = self._scenario_logs.get(scenarios)
         if logged is None:
-            names = {key: _SCENARIO_NAMES[s] for key, s in scenarios}
+            names = {key: s.value for key, s in scenarios}
             unique = set(names.values())
             summary = unique.pop() if len(unique) == 1 else "mixed"
             logged = (summary, tuple(sorted(names.items())))

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import mic_pipeline_config, synth_tone_noise, write_wav
+from conftest import (
+    file_pipeline_config,
+    mic_pipeline_config,
+    synth_tone_noise,
+    write_wav,
+)
 from test_processors import as_merged, make_ptn_merged
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity
@@ -24,17 +29,12 @@ from tfstream.graph import config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
 from tfstream.processors import GammaChirpFilterbank, PTNProcessor
 from tfstream.processors.filterbank import GEMM_ROWS
-from tfstream.processors.ptn import (
-    block_average,
-    block_averages,
-    blocks_per_tile,
-    logistic,
-)
+from tfstream.processors.ptn import block_averages, blocks_per_tile, logistic
 from tfstream.processors.structure import (
+    _horizontal_valid,
     _moving_sum,
-    horizontal_score,
+    _vertical_valid,
     tile_columns,
-    vertical_score,
 )
 from tfstream.runtime import run_plan
 
@@ -131,9 +131,6 @@ def test_block_averages_do_not_depend_on_the_carry(channels, block_df, block_dt)
         means, counts = block_averages(one, block_dt, block_df)
         np.testing.assert_array_equal(means[:, 0], many_means[:, b])
         np.testing.assert_array_equal(counts[:, 0], many_counts[:, b])
-        single_means, single_counts = block_average(one, block_df)
-        np.testing.assert_array_equal(single_means, many_means[:, b])
-        np.testing.assert_array_equal(single_counts, many_counts[:, b])
         expected = [np.nanmean(one[g : g + block_df])
                     if not np.isnan(one[g : g + block_df]).all() else np.nan
                     for g in range(0, channels, block_df)]
@@ -201,10 +198,7 @@ def _reference_horizontal(energy, w_t):
     s_ab = _reference_moving_sum(prod, width)
     s_sq = _reference_moving_sum(sq, width)
     n = s_ab.shape[-1]
-    full = np.full(energy.shape, np.nan)
-    full[:, w_t : w_t + n] = _reference_score(
-        s_ab, s_sq[:, :n], s_sq[:, lag : lag + n])
-    return full
+    return _reference_score(s_ab, s_sq[:, :n], s_sq[:, lag : lag + n])
 
 
 def _reference_vertical(energy, w_t, w_s):
@@ -214,10 +208,10 @@ def _reference_vertical(energy, w_t, w_s):
     s_ab = _reference_moving_sum(_reference_moving_sum(prod.T, w_s + 1).T, width)
     s_sq = _reference_moving_sum(_reference_moving_sum(sq.T, w_s + 1).T, width)
     n_f, n = s_ab.shape
-    full = np.full(energy.shape, np.nan)
-    full[w_s : w_s + n_f, w_t : w_t + n] = _reference_score(
+    scores = np.full((energy.shape[0], n), np.nan)
+    scores[w_s : w_s + n_f] = _reference_score(
         s_ab, s_sq[:n_f], s_sq[lag : lag + n_f])
-    return full
+    return scores
 
 
 def _contiguous_and_offset(rng, rows, columns, fill):
@@ -242,9 +236,9 @@ def test_tiled_scores_match_the_untiled_formulas(w_t, w_s, channels, around):
 
     rng = np.random.default_rng(valid)
     for energy in _contiguous_and_offset(rng, channels, valid + 2 * w_t, fill):
-        _assert_same_bits(horizontal_score(energy, w_t),
+        _assert_same_bits(_horizontal_valid(energy, w_t),
                           _reference_horizontal(energy, w_t))
-        _assert_same_bits(vertical_score(energy, w_t, w_s),
+        _assert_same_bits(_vertical_valid(energy, w_t, w_s),
                           _reference_vertical(energy, w_t, w_s))
 
 
@@ -465,6 +459,20 @@ def test_streamed_equals_oracle_across_tile_boundaries(tmp_path, direction,
 
     plan = _assert_streamed_equals_oracle(tmp_path, make_config)
     assert plan.chunk_lengths["se"] == plan.chunk_lengths["ptn"] == columns
+
+
+@pytest.mark.parametrize("extra", [1, 60, 79])
+def test_streamed_equals_oracle_after_a_short_final_chunk(tmp_path, extra):
+    """The file pipeline on four 1024-sample chunks and ``extra`` more
+    samples, which reach ptn as a final chunk of ceil(extra / 2)
+    columns: fewer than E's held-back d_H = 40 for extra = 1 and 60, so
+    that merge takes carried columns, and exactly 40 for extra = 79."""
+    signal = synth_tone_noise(8000, 1.0)[: 4 * 1024 + extra]
+    wav = write_wav(tmp_path / "in.wav", 8000, signal)
+    plan = _assert_streamed_equals_oracle(
+        tmp_path, lambda out: file_pipeline_config(wav, out, chunk_size=1024))
+    d_H = plan.merged_at["ptn"].p - plan.cumulative[("cochlea", "E")].p
+    assert d_H == 40
 
 
 def test_oracle_memory_stays_below_two_and_a_half_full_width_arrays(tmp_path):

@@ -184,6 +184,32 @@ def test_continuous_merge_directly_after_discontinuous_one():
         )
 
 
+def test_continuous_chunks_shorter_than_the_held_back_columns():
+    """Chunks of 2 and 3 columns against A's d_H = 5 (as a short final
+    chunk reaches ptn): those merges take carried columns only, and the
+    merged values still run without a gap or a repeat."""
+    align_a, align_b = AlignmentParams(p=0, d=0), AlignmentParams(p=5, d=0)
+    bounds = [0, 20, 22, 24, 27, 40]
+    state, parts = MergeState(), {A: [], B: []}
+    for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        continuity = D if n == 0 else W
+        chunk_set = {
+            key: DataChunk(
+                number=n, source_key=key,
+                payload=np.arange(lo + (align.d if n == 0 else -align.p),
+                                  hi - align.p, dtype=float),
+                sample_rate=1.0, alignment=align, continuity=continuity)
+            for key, align in ((A, align_a), (B, align_b))
+        }
+        merged, state = complete_merge(state, chunk_set, n)
+        for key in (A, B):
+            assert merged.payloads[key].shape == (hi - lo - 5 * (n == 0),)
+            parts[key].append(merged.payloads[key])
+    for key in (A, B):
+        np.testing.assert_array_equal(np.concatenate(parts[key]),
+                                      np.arange(0.0, 35.0))
+
+
 def test_refined_continuity_codes_travel():
     state = MergeState()
     merged, state = complete_merge(

@@ -6,6 +6,7 @@ import pytest
 from conftest import synth_tone_noise, write_wav
 from tfstream.chunks import AlignmentParams, Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.errors import (
+    EmptyResult,
     IoError,
     NonIntegerRate,
     SpecMismatch,
@@ -25,10 +26,10 @@ from tfstream.processors import (
     resolve_kind,
 )
 from tfstream.processors.filterbank import erb_bandwidth, gammachirp_ir
-from tfstream.processors.ptn import block_average, logistic, noise_complement
+from tfstream.processors.ptn import block_averages, logistic
 from tfstream.processors.resampler import design_lowpass
 from tfstream.processors.sources import calibration_noise
-from tfstream.processors.structure import horizontal_score, vertical_score
+from tfstream.processors.structure import _horizontal_valid, _vertical_valid
 
 
 def test_registry_contains_all_kinds():
@@ -201,6 +202,22 @@ def test_resampler_chunked_equals_unchunked():
     np.testing.assert_array_equal(np.concatenate(parts), ref)
 
 
+@pytest.mark.parametrize("factor, fir_length", [(2, 127), (4, 31)])
+def test_resampler_minimum_chunk_after_a_discontinuity(factor, fir_length):
+    """drop * factor samples yield nothing, one more yields one output,
+    and the error names that minimum."""
+    r = Resampler("r", {"factor": factor, "fir_length": fir_length})
+    minimum = r.drop * factor + 1
+    assert minimum == {2: 127, 4: 33}[factor]
+    x = np.random.default_rng(2).standard_normal(minimum)
+    with pytest.raises(EmptyResult, match=f"minimum chunk length is {minimum} "):
+        r.process(as_merged("r", ("src", "snd"), x[:-1], 8000.0,
+                            Continuity.DISCONTINUOUS))
+    out = r.process(as_merged("r", ("src", "snd"), x, 8000.0,
+                              Continuity.DISCONTINUOUS))["snd"].payload
+    assert out.shape == (1,)
+
+
 def test_resampler_declared_drop_is_honest():
     """The first declared-dropped output after a discontinuity really does
     depend on missing history: providing that history changes it."""
@@ -371,15 +388,15 @@ def test_filterbank_chunked_equals_unchunked():
 
 def test_horizontal_score_constant_input_is_one():
     energy = np.full((8, 200), 3.5)
-    scores = horizontal_score(energy, 10)
-    valid = scores[:, 10:-10]
-    np.testing.assert_allclose(valid, 1.0, atol=1e-12)
+    scores = _horizontal_valid(energy, 10)
+    assert scores.shape == (8, 180)
+    np.testing.assert_allclose(scores, 1.0, atol=1e-12)
 
 
 def test_horizontal_score_zero_denominator_is_one():
     energy = np.zeros((4, 100))
-    scores = horizontal_score(energy, 5)
-    np.testing.assert_array_equal(scores[:, 5:-5], 1.0)
+    scores = _horizontal_valid(energy, 5)
+    np.testing.assert_array_equal(scores, 1.0)
 
 
 def test_horizontal_score_periodic_rows_score_high_noise_low():
@@ -388,8 +405,8 @@ def test_horizontal_score_periodic_rows_score_high_noise_low():
     periodic = 1.0 + 0.5 * np.sin(2 * np.pi * t / 20)[None, :] * np.ones((3, 1))
     noisy = rng.exponential(size=(3, 400))
     w_t = 40  # multiple of the period: shifted windows line up exactly
-    p_scores = horizontal_score(periodic, w_t)[:, w_t:-w_t]
-    n_scores = horizontal_score(noisy, w_t)[:, w_t:-w_t]
+    p_scores = _horizontal_valid(periodic, w_t)
+    n_scores = _horizontal_valid(noisy, w_t)
     assert p_scores.min() > 0.999
     assert n_scores.mean() < 0.9
 
@@ -397,16 +414,17 @@ def test_horizontal_score_periodic_rows_score_high_noise_low():
 def test_horizontal_score_bounds():
     rng = np.random.default_rng(7)
     energy = rng.exponential(size=(6, 300))
-    scores = horizontal_score(energy, 20)[:, 20:-20]
+    scores = _horizontal_valid(energy, 20)
     assert np.all(scores > 0)
     assert np.all(scores <= 1.0 + 1e-12)
 
 
 def test_vertical_score_constant_input_is_one():
     energy = np.full((12, 100), 2.0)
-    scores = vertical_score(energy, 5, 2)
-    valid = scores[2:-2, 5:-5]
-    np.testing.assert_allclose(valid, 1.0, atol=1e-12)
+    scores = _vertical_valid(energy, 5, 2)
+    assert scores.shape == (12, 90)
+    assert np.isnan(scores[:2]).all() and np.isnan(scores[-2:]).all()
+    np.testing.assert_allclose(scores[2:-2], 1.0, atol=1e-12)
 
 
 def test_structure_extractor_marks_scale_margins():
@@ -456,20 +474,13 @@ def test_block_average_nan_aware():
         [5.0, np.nan],
         [np.nan, np.nan],
     ])
-    means, counts = block_average(data, 2)
-    assert means[0] == pytest.approx((1 + 2 + 4) / 3)
-    assert counts[0] == 3
-    assert means[1] == pytest.approx(5.0)
-    assert counts[1] == 1
-    nan_means, nan_counts = block_average(data[3:4], 2)
-    assert np.isnan(nan_means[0]) and nan_counts[0] == 0
-
-
-def test_noise_complement():
-    total = np.array([[4.0, 5.0]])
-    tonal = np.array([[1.0, 2.0]])
-    np.testing.assert_array_equal(noise_complement(total, tonal),
-                                  [[3.0, 3.0]])
+    means, counts = block_averages(data, 2, 2)
+    assert means[0, 0] == pytest.approx((1 + 2 + 4) / 3)
+    assert counts[0, 0] == 3
+    assert means[1, 0] == pytest.approx(5.0)
+    assert counts[1, 0] == 1
+    nan_means, nan_counts = block_averages(data[3:4], 2, 2)
+    assert np.isnan(nan_means[0, 0]) and nan_counts[0, 0] == 0
 
 
 def make_ptn_merged(energy, tract, continuity, number=0, state=None):
