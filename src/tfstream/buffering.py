@@ -22,6 +22,8 @@ class BufferCounters:
     completed: int = 0
     discarded: int = 0
     stale: int = 0
+    #: completed sets dropped because they were too short to merge
+    too_short: int = 0
 
 
 @dataclass
@@ -32,9 +34,13 @@ class InFlightBuffer:
     expected_next: int = 0
     queues: Dict[SourceKey, "OrderedDict[int, DataChunk]"] = field(init=False)
     counters: BufferCounters = field(default_factory=BufferCounters)
+    #: the configured key when there is only one, else None
+    lone_key: Optional[SourceKey] = field(init=False)
 
     def __post_init__(self) -> None:
         self.queues = {key: OrderedDict() for key in self.configured_keys}
+        self.lone_key = (next(iter(self.configured_keys))
+                         if len(self.configured_keys) == 1 else None)
 
     def occupancy(self) -> int:
         return sum(len(q) for q in self.queues.values())
@@ -47,25 +53,37 @@ class InFlightBuffer:
         of a fast-forward) are counted and dropped, never an error.
         """
         key = chunk.source_key
-        if key not in self.queues:
+        if key != self.lone_key and key not in self.queues:
             raise UnknownKey(f"chunk for unconfigured source key {key}")
         if chunk.number < self.expected_next:
             self.counters.stale += 1
             return None
+        if self.lone_key is not None:
+            # a lone key completes every set it delivers, so its queue
+            # is empty between arrivals and nothing is fast-forwarded
+            self.expected_next = chunk.number + 1
+            self.counters.completed += 1
+            return {key: chunk}
         self.queues[key][chunk.number] = chunk
 
         # FIFO per edge: the head of a non-empty queue is the smallest
         # number that key will ever deliver.  Any set older than the
         # largest such head is missing a member forever.
-        target = max(
-            (next(iter(q)) for q in self.queues.values() if q),
-            default=self.expected_next,
-        )
-        if target > self.expected_next:
-            self.fast_forward(target)
-
         current = self.expected_next
-        if all(current in q for q in self.queues.values()):
+        target, complete = current, True
+        for queue in self.queues.values():
+            if queue:
+                head = next(iter(queue))
+                if head > target:
+                    target = head
+            if current not in queue:
+                complete = False
+        if target > current:
+            self.fast_forward(target)
+            current = target
+            complete = all(current in q for q in self.queues.values())
+
+        if complete:
             completed = {k: q.pop(current) for k, q in self.queues.items()}
             self.expected_next = current + 1
             self.counters.completed += 1

@@ -34,6 +34,8 @@ from .errors import IoError
 MAGIC = b"TFCF"
 #: number, continuity, p, d, l, s and ndim of one record
 RECORD_HEAD = struct.Struct("<Qi4IB")
+#: per ndim, a record's head and extents, packed at once
+_RECORD_STARTS = {ndim: struct.Struct(f"<Qi4IB{ndim}I") for ndim in (1, 2)}
 #: Bytes a writer gathers before it writes to the file, so that a
 #: record's head and payload cost no system call of their own.
 WRITE_BUFFER = 1 << 16
@@ -72,12 +74,10 @@ class ChunkFileWriter:
 
     def append(self, chunk: DataChunk) -> None:
         a = chunk.alignment
-        ndim = chunk.payload.ndim
-        self._fh.write(
-            RECORD_HEAD.pack(chunk.number, int(chunk.continuity),
-                             a.p, a.d, a.l, a.s, ndim)
-            + struct.pack(f"<{ndim}I", *chunk.payload.shape)
-        )
+        shape = chunk.payload.shape
+        self._fh.write(_RECORD_STARTS[len(shape)].pack(
+            chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
+            len(shape), *shape))
         self._fh.write(np.ascontiguousarray(chunk.payload, dtype=self.dtype))
 
     def close(self) -> None:

@@ -144,9 +144,10 @@ def validate_chunk(
     the chunk's ``channel_freqs`` is that same read-only array owning its
     data, its values cannot have changed, so only its length is checked.
     """
-    if chunk.payload.ndim not in (1, 2):
-        raise ShapeError(f"payload must be 1-D or 2-D, got ndim={chunk.payload.ndim}")
-    if chunk.time_length < 1:
+    shape = chunk.payload.shape
+    if len(shape) not in (1, 2):
+        raise ShapeError(f"payload must be 1-D or 2-D, got ndim={len(shape)}")
+    if shape[-1] < 1:
         raise ShapeError("payload time-length must be >= 1")
     try:
         as_continuity(chunk.continuity)
@@ -155,18 +156,17 @@ def validate_chunk(
     if chunk.number < 0:
         raise MetadataError(f"chunk number is negative: {chunk.number}")
     if chunk.channel_freqs is not None:
-        if chunk.payload.ndim != 2:
+        if len(shape) != 2:
             raise ShapeError("channel_freqs given for a 1-D payload")
         freqs = np.asarray(chunk.channel_freqs)
-        if freqs.shape != (chunk.channels,):
+        if freqs.shape != shape[:1]:
             raise ShapeError(
                 f"channel_freqs length {freqs.shape} does not match "
-                f"{chunk.channels} channels"
+                f"{shape[0]} channels"
             )
+        flags = freqs.flags
         unchanged = (
-            freqs is monotone_freqs
-            and freqs.flags.owndata
-            and not freqs.flags.writeable
+            freqs is monotone_freqs and flags.owndata and not flags.writeable
         )
         if not unchanged:
             diffs = np.diff(freqs)

@@ -63,10 +63,11 @@ def _cmd_run(args) -> int:
     for key in sorted(report.written):
         print(f"wrote {report.written[key]} chunks for {key[0]}.{key[1]}")
     if args.stats:
+        merge_logs = report.merge_logs
         for name in plan.order:
-            if name not in report.merge_logs:
+            if name not in merge_logs:
                 continue
-            entries = report.merge_logs[name]
+            entries = merge_logs[name]
             print(f"{name}: {len(entries)} merges")
             for entry in entries:
                 print(
@@ -77,7 +78,8 @@ def _cmd_run(args) -> int:
             print(
                 f"  buffered max {report.max_occupancy[name]}, "
                 f"completed {counters.completed}, "
-                f"discarded {counters.discarded}, stale {counters.stale}"
+                f"discarded {counters.discarded}, stale {counters.stale}, "
+                f"too short {counters.too_short}"
             )
         for key in sorted(report.key_stats):
             stats = report.key_stats[key]

@@ -81,7 +81,7 @@ def _decide(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergedChunk:
     """The aligned result of one completed set; all arrays share one
     time extent and one continuity."""
@@ -220,33 +220,41 @@ def complete_merge(
     """
     if not chunk_set:
         raise InvalidInMerge("empty chunk set")
-    for chunk in chunk_set.values():
+    chunks = chunk_set.values()
+    for chunk in chunks:
         if chunk.number != n:
             raise ProtocolError(
                 f"chunk {chunk.source_key} has number {chunk.number}, "
                 f"expected {n}"
             )
-    alignments = tuple(c.alignment for c in chunk_set.values())
-    incoming = tuple(c.continuity for c in chunk_set.values())
-    follows = state.last_completed is not None and n == state.last_completed + 1
+    alignments = tuple([c.alignment for c in chunks])
+    incoming = tuple([c.continuity for c in chunks])
+    last = state.last_completed
+    follows = last is not None and n == last + 1
     decision = state.decisions.get((alignments, incoming, follows))
     if decision is None:
-        decision = _decide(n, state.last_completed, alignments, incoming)
+        decision = _decide(n, last, alignments, incoming)
         state.decisions[alignments, incoming, follows] = decision
 
     payloads: Dict[SourceKey, np.ndarray] = {}
     scenarios: Dict[SourceKey, MergeScenario] = {}
     tails: Dict[SourceKey, np.ndarray] = {}
+    carried = state.carried_tails
+    length, uneven = None, False
     for (key, chunk), (drops, scenario) in zip(
         chunk_set.items(), decision.members
     ):
-        payloads[key], tails[key] = merge_array(
-            scenario, state.carried_tails.get(key), chunk.payload, drops
+        payload, tails[key] = merge_array(
+            scenario, carried.get(key), chunk.payload, drops
         )
+        payloads[key] = payload
         scenarios[key] = scenario
-
-    lengths = {key: arr.shape[-1] for key, arr in payloads.items()}
-    if len(set(lengths.values())) != 1:
+        if length is None:
+            length = payload.shape[-1]
+        elif payload.shape[-1] != length:
+            uneven = True
+    if uneven:
+        lengths = {key: arr.shape[-1] for key, arr in payloads.items()}
         raise ShapeMismatch(f"merged arrays disagree in time extent: {lengths}")
 
     merged = MergedChunk(
@@ -255,7 +263,7 @@ def complete_merge(
         alignment=decision.alignment,
         payloads=payloads,
         scenarios=scenarios,
-        sample_rate=next(iter(chunk_set.values())).sample_rate,
+        sample_rate=next(iter(chunks)).sample_rate,
         channel_freqs={k: c.channel_freqs for k, c in chunk_set.items()},
     )
     return merged, MergeState(

@@ -53,22 +53,29 @@ class FreqCache:
     ``derive`` runs when the input's values differ from the last call's,
     not once per chunk, and every chunk in between publishes the same
     read-only array, whose monotonicity the runtime then checks once.
+    An input that is the last call's read-only array owning its data
+    cannot hold other values, so it is not compared again.
     """
 
     def __init__(self, derive: Callable[[np.ndarray], np.ndarray]):
         self._derive = derive
+        self._input: Optional[np.ndarray] = None
         self._key: Optional[tuple] = None
         self._value: Optional[np.ndarray] = None
 
     def __call__(self, freqs) -> Optional[np.ndarray]:
         if freqs is None:
             return None
+        if freqs is self._input:
+            return self._value
         freqs = np.asarray(freqs)
         key = (freqs.dtype.str, freqs.shape, freqs.tobytes())
         if key != self._key:
             value = np.array(self._derive(freqs))
             value.setflags(write=False)
             self._key, self._value = key, value
+        frozen = freqs.flags.owndata and not freqs.flags.writeable
+        self._input = freqs if frozen else None
         return self._value
 
 
@@ -97,9 +104,11 @@ class Processor:
                 f"nan_policy must be 'propagate' or 'zero', "
                 f"got {self.nan_policy!r}"
             )
-        #: cumulative counters per feature, keyed by the merged counters
-        #: they were composed from
-        self._composed: Dict[AlignmentParams, Dict[str, AlignmentParams]] = {}
+        #: per feature, its source key and cumulative counters, keyed by
+        #: the merged counters they were composed from
+        self._composed: Dict[
+            AlignmentParams, Dict[str, Tuple[SourceKey, AlignmentParams]]
+        ] = {}
 
     # --- static metadata used by graph validation ------------------------
 
@@ -172,22 +181,23 @@ class Processor:
         if composed is None:
             base = self.convert_alignment(merged.alignment)
             composed = {
-                feature: compose(base, align)
+                feature: ((self.name, feature), compose(base, align))
                 for feature, align in self._alignments.items()
             }
             self._composed[merged.alignment] = composed
-        return [
-            DataChunk(
+        chunks = []
+        for feature, data in outputs.items():
+            key, alignment = composed[feature]
+            chunks.append(DataChunk(
                 number=merged.number,
-                source_key=(self.name, feature),
+                source_key=key,
                 payload=np.ascontiguousarray(data.payload),
                 sample_rate=data.sample_rate,
-                alignment=composed[feature],
+                alignment=alignment,
                 continuity=continuity,
                 channel_freqs=data.channel_freqs,
-            )
-            for feature, data in outputs.items()
-        ]
+            ))
+        return chunks
 
 
 class SourceProcessor:

@@ -8,7 +8,9 @@ the tonal path.
 
 ``PTNProcessor.process`` does all of this in one pass over tiles of
 whole blocks: each tile is gated into scratch and summed with its energy
-while it is in cache, so no full-resolution product is ever stored.
+while it is in cache, so no full-resolution product is ever stored.  The
+last tile also holds the incomplete tail, gated in the same pass and
+carried to the next chunk.
 ``logistic`` and ``block_averages`` are the whole-array formulas whose
 bits it reproduces.
 """
@@ -123,6 +125,9 @@ class PTNProcessor(Processor):
 
     def __init__(self, name: str, params: dict):
         super().__init__(name, params)
+        #: the run's sizes: scratch is (re)sized when the channel count
+        #: changes, never per chunk
+        self._channels = 0
         self.theta = params.get("theta")
         self.beta = params.get("beta")
         self.theta_quantile = float(params.get("theta_quantile", 95.0))
@@ -140,14 +145,39 @@ class PTNProcessor(Processor):
         self._carry_et: Optional[np.ndarray] = None
         self._carry_e: Optional[np.ndarray] = None
         self._pending_discontinuity: Optional[Continuity] = None
-        #: gate scratch (three float rows of one tile's cells), set on
-        #: first use
-        self._scratch: Optional[np.ndarray] = None
-        #: block-sum scratch (gated cells over energy, and their NaN
-        #: mask, of one tile of whole blocks), set on first use
-        self._stacked: Optional[np.ndarray] = None
-        self._nan: Optional[np.ndarray] = None
         self._block_freqs = FreqCache(partial(group_means, block_df=self.block_df))
+
+    @property
+    def theta(self):
+        return self._theta
+
+    @theta.setter
+    def theta(self, value) -> None:
+        self._theta = value
+        self._theta_rows = None if value is None else _per_channel(value)
+
+    @property
+    def beta(self):
+        return self._beta
+
+    @beta.setter
+    def beta(self, value) -> None:
+        self._beta = value
+        self._beta_rows = None if value is None else _per_channel(value)
+
+    def _size_scratch(self, channels: int) -> None:
+        """Tile sizes and scratch for inputs of ``channels`` rows: gate
+        scratch (three float rows of one gate tile's cells), and
+        block-sum scratch (gated cells over energy, and their NaN mask)
+        for one tile of whole blocks plus the block_dt - 1 columns of an
+        incomplete tail."""
+        self._channels = channels
+        self._gate_columns = tile_columns(channels)
+        self._scratch = np.empty((3, channels * self._gate_columns))
+        self._per_tile = blocks_per_tile(channels, self.block_dt)
+        size = 2 * channels * ((self._per_tile + 1) * self.block_dt - 1)
+        self._stacked = np.empty(size)
+        self._nan = np.empty(size, dtype=bool)
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         zero = AlignmentParams()
@@ -223,13 +253,11 @@ class PTNProcessor(Processor):
         filterbank, the only 2-D producer, requires 4 channels, so
         shipped graphs have tiles of at most 4,096 columns.
         """
-        theta = _per_channel(self.theta)
-        beta = _per_channel(self.beta)
+        theta, beta = self._theta_rows, self._beta_rows
         channels, width = energy.shape
-        columns = tile_columns(channels)
-        cells = channels * columns
-        if self._scratch is None or self._scratch.shape[-1] != cells:
-            self._scratch = np.empty((3, cells))
+        if channels != self._channels:
+            self._size_scratch(channels)
+        columns = self._gate_columns
         for start in range(0, width, columns):
             stop = min(start + columns, width)
             shape = (channels, stop - start)
@@ -300,41 +328,50 @@ class PTNProcessor(Processor):
             self._pending_discontinuity = merged.continuity
         channels, width = energy.shape
         self.valid_columns += width
+        if channels != self._channels:
+            self._size_scratch(channels)
         carried = 0 if self._carry_et is None else self._carry_et.shape[-1]
         dt = self.block_dt
-        n_blocks = (carried + width) // dt
-        per_tile = blocks_per_tile(channels, dt)
-        size = 2 * channels * per_tile * dt
-        if self._stacked is None or self._stacked.size != size:
-            self._stacked = np.empty(size)
-            self._nan = np.empty(size, dtype=bool)
-        # gated cells (0) and energy (1), each row summed per block
-        row_sums = np.empty((2, channels, n_blocks))
-        row_nans = np.empty((2, channels, n_blocks), dtype=np.intp)
-        for first in range(0, n_blocks, per_tile):
-            last = min(first + per_tile, n_blocks)
-            cells = self._fill(energy, tract, first * dt, last * dt)
-            nan = self._nan[: cells.size].reshape(cells.shape)
-            np.isnan(cells, out=nan)
-            np.copyto(cells, 0.0, where=nan)
-            blocks = (2, channels, last - first, dt)
-            cells.reshape(blocks).sum(axis=-1, out=row_sums[..., first:last])
-            nan.reshape(blocks).sum(axis=-1, out=row_nans[..., first:last])
+        total = carried + width
+        n_blocks = total // dt
+        # per channel row and block: the sums of the gated cells (0) and
+        # of energy (1), then the NaN cells of each (2, 3)
+        rows = np.empty((4, channels, n_blocks))
+        # tiles of whole blocks; the last one also holds the incomplete
+        # tail, which is gated with it and carried, not summed
+        first = 0
+        while True:
+            last = min(first + self._per_tile, n_blocks)
+            cells = self._fill(
+                energy, tract, first * dt, total if last == n_blocks else last * dt)
+            whole = (last - first) * dt
+            if whole:
+                blocks = cells[..., :whole]
+                nan = self._nan[: blocks.size].reshape(blocks.shape)
+                np.isnan(blocks, out=nan)
+                np.copyto(blocks, 0.0, where=nan)
+                shape = (2, channels, last - first, dt)
+                np.add.reduce(blocks.reshape(shape), axis=-1,
+                              out=rows[:2, :, first:last])
+                np.add.reduce(nan.reshape(shape), axis=-1,
+                              out=rows[2:, :, first:last])
+            if last == n_blocks:
+                break
+            first = last
         # the carries own their tails: the next chunk reuses the scratch
-        tail = self._fill(energy, tract, n_blocks * dt, carried + width)
-        self._carry_et = tail[0].copy()
-        self._carry_e = tail[1].copy()
+        self._carry_et = cells[0, :, whole:].copy()
+        self._carry_e = cells[1, :, whole:].copy()
         if not n_blocks:
             return {}
 
-        n_groups = -(-channels // self.block_df)
-        sums = np.zeros((2, n_groups, n_blocks))
-        counts = np.zeros((2, n_groups, n_blocks))
-        row_counts = dt - row_nans
+        # valid cells per row and block, then every group's member rows
+        # added one after the other, sums and counts alike
+        np.subtract(dt, rows[2:], out=rows[2:])
+        groups = np.zeros((4, -(-channels // self.block_df), n_blocks))
         for member in range(min(self.block_df, channels)):
-            rows = row_sums[:, member :: self.block_df]
-            sums[:, : rows.shape[1]] += rows
-            counts[:, : rows.shape[1]] += row_counts[:, member :: self.block_df]
+            member_rows = rows[:, member :: self.block_df]
+            groups[:, : member_rows.shape[1]] += member_rows
+        sums, counts = groups[:2], groups[2:]
         # 0/0 for an all-NaN group, as x86 writes it (not np.nan's bits)
         with np.errstate(invalid="ignore"):
             means = np.divide(sums, counts, out=sums)

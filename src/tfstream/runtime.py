@@ -31,7 +31,7 @@ from .chunks import (
     as_continuity,
     check_publishable,
 )
-from .errors import TFStreamError, WireError
+from .errors import EmptyResult, TFStreamError, WireError
 from .graph import Edge, GraphPlan
 from .merge import MergeState, complete_merge
 from .processors import Processor, SinkProcessor, SourceProcessor
@@ -62,7 +62,6 @@ class KeyStats:
 class RunReport:
     """Everything observable about one completed run."""
 
-    merge_logs: Dict[str, List[MergeLogEntry]] = field(default_factory=dict)
     buffer_counters: Dict[str, BufferCounters] = field(default_factory=dict)
     key_stats: Dict[SourceKey, KeyStats] = field(default_factory=dict)
     declared_invalid_fraction: Dict[SourceKey, float] = field(default_factory=dict)
@@ -71,9 +70,65 @@ class RunReport:
     wire_errors: Dict[str, int] = field(default_factory=Counter)
     written: Dict[SourceKey, int] = field(default_factory=dict)
     max_occupancy: Dict[str, int] = field(default_factory=dict)
+    #: per merging consumer, each completed merge as its number,
+    #: continuity and scenario per key; see ``merge_logs``
+    merges: Dict[str, List[tuple]] = field(default_factory=dict, repr=False)
+
+    @property
+    def merge_logs(self) -> Dict[str, List[MergeLogEntry]]:
+        """Per merging consumer, one entry per completed merge, built
+        when read: the run records only what each merge decided."""
+        summaries: Dict[tuple, Tuple[str, tuple]] = {}
+        logs: Dict[str, List[MergeLogEntry]] = {}
+        for name, merges in self.merges.items():
+            entries = logs[name] = []
+            for number, continuity, scenarios in merges:
+                pairs = tuple(scenarios.items())
+                summary = summaries.get(pairs)
+                if summary is None:
+                    names = {key: s.value for key, s in pairs}
+                    unique = set(names.values())
+                    summary = summaries[pairs] = (
+                        unique.pop() if len(unique) == 1 else "mixed",
+                        tuple(sorted(names.items())),
+                    )
+                entries.append(MergeLogEntry(
+                    number, as_continuity(continuity), *summary))
+        return logs
 
     def scenario_names(self, consumer: str) -> List[str]:
         return [entry.scenario for entry in self.merge_logs.get(consumer, [])]
+
+
+class _Route:
+    """One transform's arrival path, resolved when a run starts: its
+    buffer, its merge state, the list its merges are recorded in and its
+    ``step``."""
+
+    __slots__ = ("buffer", "state", "merges", "step", "peak")
+
+    def __init__(self, buffer: InFlightBuffer, step: Callable):
+        self.buffer = buffer
+        self.state = MergeState()
+        #: (number, continuity, scenarios) of each completed merge
+        self.merges: List[tuple] = []
+        self.step = step
+        #: most chunks the buffer held after an arrival
+        self.peak = 0
+
+
+class _Outlet:
+    """One published key's frequency check, statistics and sends,
+    resolved on the key's first publish."""
+
+    __slots__ = ("freqs", "stats", "sends")
+
+    def __init__(self, stats: KeyStats, sends: tuple):
+        #: the channel_freqs array the key's last publish passed with
+        self.freqs: Optional[np.ndarray] = None
+        self.stats = stats
+        #: a (dropped number ranges, send) pair per out-edge
+        self.sends = sends
 
 
 class _TcpLink:
@@ -160,30 +215,25 @@ class Streamboard:
         self.plan = plan
         self.report = RunReport()
         self._links: List[_TcpLink] = []
-        self._senders: Dict[str, Dict[SourceKey, list]] = {}
-        self._buffers: Dict[str, InFlightBuffer] = {}
-        self._merge_states: Dict[str, MergeState] = {}
-        #: per key, the channel_freqs array its last publish passed with
-        self._checked_freqs: Dict[SourceKey, Optional[np.ndarray]] = {}
-        #: log summary and sorted names per distinct scenario tuple
-        self._scenario_logs: Dict[tuple, Tuple[str, tuple]] = {}
+        self._routes: Dict[str, _Route] = {}
+        #: per consumer, the callable an arrival from an edge goes to
+        self._receivers: Dict[str, Callable] = {}
+        #: per key with out-edges, its (dropped ranges, send) pairs
+        self._sends: Dict[SourceKey, tuple] = {}
+        self._outlets: Dict[SourceKey, _Outlet] = {}
 
     # --- plumbing --------------------------------------------------------
 
     def _note_wire_error(self, edge_name: str) -> None:
         self.report.wire_errors[edge_name] += 1
 
-    def _make_senders(self, name: str) -> Dict[SourceKey, list]:
-        """Per published key, a (dropped number ranges, send) pair per
-        out-edge, with transports and the fault schedule resolved."""
-        senders: Dict[SourceKey, list] = {}
+    def _make_sends(self, edges: List[Edge]) -> tuple:
+        """A (dropped number ranges, send) pair per out-edge of one key,
+        with transports and the fault schedule resolved."""
+        sends = []
         faults = self.plan.config.faults
-        for edge in self.plan.out_edges[name]:
-            consumer = self.plan.instances[edge.consumer]
-            if isinstance(consumer, SinkProcessor):
-                send = consumer.consume
-            else:
-                send = partial(self._arrive, edge.consumer)
+        for edge in edges:
+            send = self._receivers[edge.consumer]
             if edge.transport != "local":
                 link = _TcpLink(edge, send, self._note_wire_error)
                 self._links.append(link)
@@ -191,79 +241,84 @@ class Streamboard:
             dropped = faults.dropped_ranges(
                 edge.producer, edge.feature, edge.consumer
             )
-            senders.setdefault(edge.source_key, []).append((dropped, send))
-        return senders
+            sends.append((dropped, send))
+        return tuple(sends)
 
-    def _publish(self, name: str, chunk: DataChunk) -> None:
-        key = chunk.source_key
-        check_publishable(chunk, self._checked_freqs.get(key))
-        self._checked_freqs[key] = chunk.channel_freqs
-        chunk.payload.setflags(write=False)
-        stats = self.report.key_stats.get(key)
-        if stats is None:
-            stats = self.report.key_stats[key] = KeyStats()
+    def _add_outlet(self, key: SourceKey) -> _Outlet:
+        """The outlet of a key published for the first time."""
+        stats = self.report.key_stats[key] = KeyStats()
+        outlet = self._outlets[key] = _Outlet(stats, self._sends.get(key, ()))
+        return outlet
+
+    def _publish(self, chunk: DataChunk) -> None:
+        outlet = self._outlets.get(chunk.source_key)
+        if outlet is None:
+            outlet = self._add_outlet(chunk.source_key)
+        check_publishable(chunk, outlet.freqs)
+        outlet.freqs = chunk.channel_freqs
+        payload = chunk.payload
+        payload.setflags(write=False)
+        stats = outlet.stats
         stats.published += 1
         if chunk.continuity != Continuity.CALIBRATION:
-            stats.total_cells += chunk.payload.size
-            stats.nan_cells += np.count_nonzero(np.isnan(chunk.payload))
+            stats.total_cells += payload.size
+            stats.nan_cells += np.count_nonzero(np.isnan(payload))
         number = chunk.number
-        for dropped, send in self._senders[name].get(key, ()):
-            if dropped and any(lo <= number <= hi for lo, hi in dropped):
-                continue
-            send(chunk)
+        for dropped, send in outlet.sends:
+            for lo, hi in dropped:
+                if lo <= number <= hi:
+                    break
+            else:
+                send(chunk)
 
-    def _arrive(self, name: str, item: DataChunk) -> None:
+    def _arrive(self, route: _Route, item: DataChunk) -> None:
         """One arrival at a transform; whatever it publishes in response
-        has moved on, depth-first, when this returns."""
-        buffer = self._buffers[name]
+        has moved on, depth-first, when this returns.
+
+        A completed set too short for its merge (a short chunk right
+        after a fault) is dropped and counted as ``too_short``; the
+        merge state stays where it was, so the next set merges as
+        discontinuous.
+        """
+        buffer = route.buffer
         completed = buffer.accept(item)
         if completed is None:
             # Only an arrival that completes nothing can raise the
             # occupancy: a completing one takes out a chunk per key.
-            occupancy = self.report.max_occupancy
-            occupancy[name] = max(occupancy[name], buffer.occupancy())
+            occupancy = buffer.occupancy()
+            if occupancy > route.peak:
+                route.peak = occupancy
             return
-        n = next(iter(completed.values())).number
-        merged, self._merge_states[name] = complete_merge(
-            self._merge_states[name], completed, n
-        )
-        self.report.merge_logs[name].append(self._log_entry(merged))
-        for out in self.plan.instances[name].step(merged):
-            self._publish(name, out)
-
-    def _log_entry(self, merged) -> MergeLogEntry:
-        scenarios = tuple(merged.scenarios.items())
-        logged = self._scenario_logs.get(scenarios)
-        if logged is None:
-            names = {key: s.value for key, s in scenarios}
-            unique = set(names.values())
-            summary = unique.pop() if len(unique) == 1 else "mixed"
-            logged = (summary, tuple(sorted(names.items())))
-            self._scenario_logs[scenarios] = logged
-        return MergeLogEntry(
-            number=merged.number,
-            continuity=as_continuity(merged.continuity),
-            scenario=logged[0],
-            scenarios=logged[1],
-        )
+        try:
+            merged, route.state = complete_merge(
+                route.state, completed, buffer.expected_next - 1
+            )
+        except EmptyResult:
+            buffer.counters.too_short += 1
+            return
+        route.merges.append((merged.number, merged.continuity, merged.scenarios))
+        for out in route.step(merged):
+            self._publish(out)
 
     # --- the loop --------------------------------------------------------
 
     def _pump(self, sources: List[str]) -> None:
         """Pull one chunk from each live source in turn, in plan order,
         and publish it before pulling the next, until every source ends."""
-        live = [(name, self.plan.instances[name].chunks()) for name in sources]
+        live = [self.plan.instances[name].chunks() for name in sources]
+        publish = self._publish
         while live:
             pulled = []
-            for name, chunks in live:
+            for chunks in live:
                 chunk = next(chunks, None)
                 if chunk is not None:
-                    self._publish(name, chunk)
-                    pulled.append((name, chunks))
+                    publish(chunk)
+                    pulled.append(chunks)
             live = pulled
 
     def run(self) -> RunReport:
         plan = self.plan
+        report = self.report
         failure: Optional[Exception] = None
         try:
             sources = []
@@ -271,15 +326,22 @@ class Streamboard:
                 inst = plan.instances[name]
                 if isinstance(inst, SourceProcessor):
                     sources.append(name)
+                elif isinstance(inst, SinkProcessor):
+                    self._receivers[name] = inst.consume
                 elif isinstance(inst, Processor):
                     inst.reset()
                     buffer = InFlightBuffer(frozenset(plan.in_keys[name]))
-                    self._buffers[name] = buffer
-                    self._merge_states[name] = MergeState()
-                    self.report.merge_logs[name] = []
-                    self.report.buffer_counters[name] = buffer.counters
-                    self.report.max_occupancy[name] = 0
-                self._senders[name] = self._make_senders(name)
+                    route = _Route(buffer, inst.step)
+                    self._routes[name] = route
+                    self._receivers[name] = partial(self._arrive, route)
+                    report.merges[name] = route.merges
+                    report.buffer_counters[name] = buffer.counters
+                    report.max_occupancy[name] = 0
+            edges: Dict[SourceKey, List[Edge]] = {}
+            for name in plan.order:
+                for edge in plan.out_edges[name]:
+                    edges.setdefault(edge.source_key, []).append(edge)
+            self._sends = {key: self._make_sends(e) for key, e in edges.items()}
             try:
                 self._pump(sources)
             except Exception as exc:  # noqa: BLE001 - raised below
@@ -287,19 +349,24 @@ class Streamboard:
         finally:
             for link in self._links:
                 link.close()
-            # senders and links call back into this board: drop them, so
-            # that the plan is freed without waiting for the cycle collector
-            self._links, self._senders = [], {}
+            # routes, outlets and links call back into this board: drop
+            # them, so that the plan is freed without waiting for the
+            # cycle collector
+            routes = self._routes
+            self._links, self._routes = [], {}
+            self._receivers, self._sends, self._outlets = {}, {}, {}
+        for name, route in routes.items():
+            route.buffer.drain()
+            report.max_occupancy[name] = route.peak
         for name, inst in plan.instances.items():
             if isinstance(inst, SinkProcessor):
                 inst.close()
-                self.report.written.update(inst.written)
+                report.written.update(inst.written)
             elif isinstance(inst, Processor):
-                self._buffers[name].drain()
                 if inst.valid_columns is not None:
-                    self.report.valid_columns[name] = inst.valid_columns
+                    report.valid_columns[name] = inst.valid_columns
                 if inst.theta is not None and inst.beta is not None:
-                    self.report.calibration[name] = (inst.theta, inst.beta)
+                    report.calibration[name] = (inst.theta, inst.beta)
         if failure is not None:
             if isinstance(failure, TFStreamError):
                 raise failure
@@ -307,10 +374,10 @@ class Streamboard:
         for key, params in plan.cumulative.items():
             channels = plan.channels.get(key, 1)
             if channels > 1:
-                self.report.declared_invalid_fraction[key] = (
+                report.declared_invalid_fraction[key] = (
                     (params.l + params.s) / channels
                 )
-        return self.report
+        return report
 
 
 def run_plan(plan: GraphPlan) -> RunReport:

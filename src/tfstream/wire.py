@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from functools import lru_cache
 from io import BytesIO
-from typing import BinaryIO
+from typing import BinaryIO, Dict, Optional, Tuple
 
 import numpy as np
 
-from .chunks import AlignmentParams, DataChunk, as_continuity
+from .chunks import AlignmentParams, DataChunk, SourceKey, as_continuity
 from .errors import ChecksumError, TruncatedFrame, VersionError, WireError
 
 MAGIC = b"TFSB"
@@ -62,11 +63,21 @@ _PREAMBLE = struct.Struct("<4sHI")
 _NAME_LEN = struct.Struct("<H")
 #: number, continuity, p, d, l, s, dtype tag and ndim
 _FIXED = struct.Struct("<Qi4IBB")
-#: the extents of a 1-D or a 2-D payload
-_SHAPES = {1: struct.Struct("<I"), 2: struct.Struct("<2I")}
-#: sample rate and channel frequency count
-_RATE = struct.Struct("<dI")
+#: per ndim, the extents (channels first, time last), sample rate and
+#: channel frequency count that follow the fixed fields
+_EXTENTS = {ndim: struct.Struct(f"<{ndim}IdI") for ndim in (1, 2)}
+#: per ndim, the fixed fields and those that follow them, packed at once
+_MIDDLE = {ndim: struct.Struct(f"<Qi4IBB{ndim}IdI") for ndim in (1, 2)}
 _CRC = struct.Struct("<I")
+
+#: Per source key, the header parts a key's frames repeat: the
+#: channel_freqs array last encoded, its packed names and its packed
+#: frequencies.  They are reused while the key's channel_freqs is that
+#: same read-only array owning its data, so its values cannot differ.
+_HEADER_ENDS: Dict[SourceKey, Tuple[Optional[np.ndarray], bytes, bytes]] = {}
+#: Keys whose header parts are kept at most; past that the parts start
+#: over, so that a process encoding ever new keys stays bounded.
+_HEADER_KEYS = 64
 
 
 def _pack_str(value: str) -> bytes:
@@ -74,23 +85,21 @@ def _pack_str(value: str) -> bytes:
     return _NAME_LEN.pack(len(raw)) + raw
 
 
-def _encode_header(chunk: DataChunk, dtype: np.dtype) -> bytes:
-    a = chunk.alignment
-    ndim = chunk.payload.ndim
-    parts = [
-        _pack_str(chunk.source_key[0]),
-        _pack_str(chunk.source_key[1]),
-        _FIXED.pack(chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
-                    _DTYPE_TAGS[dtype], ndim),
-        struct.pack(f"<{ndim}I", *chunk.payload.shape),
-    ]
-    if chunk.channel_freqs is None:
-        parts.append(_RATE.pack(chunk.sample_rate, 0))
-    else:
-        freqs = np.ascontiguousarray(chunk.channel_freqs, dtype="<f8")
-        parts.append(_RATE.pack(chunk.sample_rate, freqs.size))
-        parts.append(freqs.tobytes())
-    return b"".join(parts)
+def _header_ends(chunk: DataChunk) -> Tuple[bytes, bytes]:
+    """The packed names and packed channel frequencies of a chunk."""
+    key, freqs = chunk.source_key, chunk.channel_freqs
+    cached = _HEADER_ENDS.get(key)
+    if cached is not None and cached[0] is freqs and (
+        freqs is None or (freqs.flags.owndata and not freqs.flags.writeable)
+    ):
+        return cached[1], cached[2]
+    names = _pack_str(key[0]) + _pack_str(key[1])
+    packed = (b"" if freqs is None
+              else np.ascontiguousarray(freqs, dtype="<f8").tobytes())
+    if len(_HEADER_ENDS) >= _HEADER_KEYS:
+        _HEADER_ENDS.clear()
+    _HEADER_ENDS[key] = (freqs, names, packed)
+    return names, packed
 
 
 def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
@@ -98,7 +107,17 @@ def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
     dtype = np.dtype(dtype)
     if dtype not in _DTYPE_TAGS:
         raise WireError(f"unsupported wire dtype {dtype}")
-    header = _encode_header(chunk, dtype)
+    names, freqs = _header_ends(chunk)
+    a = chunk.alignment
+    shape = chunk.payload.shape
+    header = b"".join((
+        names,
+        _MIDDLE[len(shape)].pack(
+            chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
+            _DTYPE_TAGS[dtype], len(shape), *shape, chunk.sample_rate,
+            len(freqs) // 8),
+        freqs,
+    ))
     if len(header) > MAX_HEADER_LEN:
         raise WireError(f"header of {len(header)} bytes exceeds {MAX_HEADER_LEN}")
     payload = np.ascontiguousarray(chunk.payload, dtype=dtype)
@@ -133,8 +152,27 @@ def _slice(header: bytes, pos: int, n: int) -> bytes:
     return data
 
 
+#: Validated counters, one object per distinct (p, d, l, s): frames of
+#: one edge repeat a few of them, so each is checked once.
+_alignment = lru_cache(maxsize=256)(AlignmentParams)
+
+
+@lru_cache(maxsize=64)
+def _frequencies(raw: bytes) -> np.ndarray:
+    """Channel frequencies packed as ``raw``, as one read-only array for
+    every frame that repeats them."""
+    freqs = np.frombuffer(raw, dtype="<f8").copy()
+    freqs.setflags(write=False)
+    return freqs
+
+
 def decode_stream(stream: BinaryIO) -> DataChunk:
-    """Decode one frame from a byte stream; raises WireError subclasses."""
+    """Decode one frame from a byte stream; raises WireError subclasses.
+
+    The payload is a read-only view of the bytes read for it, which
+    nothing else holds, and frames that repeat their channel frequencies
+    share one read-only array of them.
+    """
     preamble = stream.read(_PREAMBLE.size)
     if len(preamble) >= len(MAGIC) and preamble[: len(MAGIC)] != MAGIC:
         raise WireError(f"bad magic {preamble[:len(MAGIC)]!r}")
@@ -164,27 +202,23 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
         raise WireError(f"unknown dtype tag {dtype_tag}")
     if ndim not in (1, 2):
         raise WireError(f"unsupported ndim {ndim}")
-    shape = _unpack(_SHAPES[ndim], header, pos)
-    pos += _SHAPES[ndim].size
-    sample_rate, freq_count = _unpack(_RATE, header, pos)
-    pos += _RATE.size
+    *shape, sample_rate, freq_count = _unpack(_EXTENTS[ndim], header, pos)
+    pos += _EXTENTS[ndim].size
     channel_freqs = None
     if freq_count:
-        channel_freqs = np.frombuffer(
-            _slice(header, pos, 8 * freq_count), dtype="<f8"
-        ).copy()
+        channel_freqs = _frequencies(_slice(header, pos, 8 * freq_count))
 
     dtype = _TAG_DTYPES[dtype_tag]
-    payload_bytes = math.prod(shape) * dtype.itemsize
-    payload_raw = _read_exact(stream, payload_bytes)
-    (crc_stored,) = _CRC.unpack(_read_exact(stream, _CRC.size))
-    crc = zlib.crc32(payload_raw, zlib.crc32(header))
+    size = math.prod(shape) * dtype.itemsize
+    # the payload and the CRC after it, in one read
+    rest = _read_exact(stream, size + _CRC.size)
+    (crc_stored,) = _CRC.unpack_from(rest, size)
+    crc = zlib.crc32(memoryview(rest)[:size], zlib.crc32(header))
     if crc != crc_stored:
         raise ChecksumError(
             f"CRC mismatch: stored {crc_stored:#010x}, computed {crc:#010x}"
         )
 
-    payload = np.frombuffer(payload_raw, dtype=dtype).reshape(shape).copy()
     try:
         code = as_continuity(continuity)
     except ValueError:
@@ -192,9 +226,10 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
     return DataChunk(
         number=number,
         source_key=(names[0], names[1]),
-        payload=payload,
+        payload=np.frombuffer(rest, dtype=dtype, count=size // dtype.itemsize)
+        .reshape(shape),
         sample_rate=sample_rate,
-        alignment=AlignmentParams(p, d, l, s),
+        alignment=_alignment(p, d, l, s),
         continuity=code,
         channel_freqs=channel_freqs,
     )

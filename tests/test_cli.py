@@ -38,9 +38,12 @@ def test_run_with_stats_writes_files_and_one_line_per_merging_processor(
     assert main(["run", "--config", MIC, "--output", str(out), "--stats"]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "ptn.E_T.tfc", "ptn.E_blocks.tfc"]
-    merges = re.findall(r"^(\w+): \d+ merges$", capsys.readouterr().out,
-                        flags=re.MULTILINE)
+    printed = capsys.readouterr().out
+    merges = re.findall(r"^(\w+): \d+ merges$", printed, flags=re.MULTILINE)
     assert sorted(merges) == ["cochlea", "ptn", "resampler", "se"]
+    # each merging processor's buffer counters, sets too short included
+    assert re.findall(r"stale \d+, too short (\d+)$", printed,
+                      flags=re.MULTILINE) == ["0"] * 4
 
 
 def test_oracle_writes_one_array_per_transform_feature(tmp_path):

@@ -381,6 +381,40 @@ def test_one_pass_ptn_matches_the_whole_array_formulas(per_channel, block_dt):
     assert ptn._carry_et.shape == ptn._carry_e.shape == (channels, 0)
 
 
+def test_ptn_gates_each_tile_once_its_tail_included():
+    """The tail is gated in the last tile, not in a pass of its own: one
+    ``_fill`` for blocks and a tail that fit one tile, one for a carry
+    that stays shorter than a block, and two for a tile of blocks, one
+    more block and a tail."""
+    channels, block_dt = 13, 16
+    tile = blocks_per_tile(channels, block_dt) * block_dt
+    ptn = PTNProcessor("ptn", {"theta": 0.5, "beta": 0.05,
+                               "block_dt": block_dt, "block_df": 4})
+    fill, calls = ptn._fill, []
+
+    def counted_fill(*args):
+        calls.append(args)
+        return fill(*args)
+
+    ptn._fill = counted_fill
+    rng = np.random.default_rng(5)
+    # each chunk: the carry it starts with -> the carry it leaves
+    widths = [3 * block_dt + 5,            # 0 -> 5
+              4,                           # 5 -> 9, no block
+              tile + block_dt + 3 - 9]     # 9 -> 3
+    state = None
+    for number, (width, fills) in enumerate(zip(widths, [1, 1, 2])):
+        energy, tract = _ptn_inputs(rng, channels, width, block_dt)
+        merged, state = make_ptn_merged(
+            energy, tract,
+            Continuity.DISCONTINUOUS if number == 0 else Continuity.WITHPREVIOUS,
+            number=number, state=state)
+        calls.clear()
+        ptn.process(merged)
+        assert len(calls) == fills, f"chunk {number}"
+    assert ptn._carry_et.shape == (channels, 3)
+
+
 # --- streamed == oracle --------------------------------------------------
 
 ALL_KEYS = [("cochlea", "E"), ("se", "T"), ("ptn", "E_T"),

@@ -9,7 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import file_pipeline_config, mic_pipeline_config
+from conftest import (
+    file_pipeline_config, mic_pipeline_config, synth_tone_noise, write_wav)
 from tfstream import runtime
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
@@ -131,6 +132,30 @@ def test_link_down_drops_a_range(tmp_path):
     assert 6 in merged_numbers
     logs = {e.number: e for e in report.merge_logs["ptn"]}
     assert logs[6].scenario == "IrregularDiscontinuous"
+
+
+@pytest.mark.parametrize("extra", [1, 30, 60, 200])
+def test_a_short_chunk_after_a_fault_costs_only_itself(tmp_path, extra):
+    """Four 1024-sample chunks and ``extra`` more samples, with chunk 4
+    dropped on its way into ptn: the final chunk merges irregularly at
+    ptn and is too short for that merge.  That set is dropped and
+    counted; the run completes and every other chunk is written."""
+    signal = synth_tone_noise(8000, 1.0)[: 4 * 1024 + extra]
+    wav = write_wav(tmp_path / "in.wav", 8000, signal)
+    raw = file_pipeline_config(wav, tmp_path / "out", chunk_size=1024,
+                               faults=[{"kind": "drop_chunk",
+                                        "edge": "cochlea.E->ptn", "number": 4}])
+    _, report = run_config(raw)
+    counters = report.buffer_counters["ptn"]
+    assert (counters.discarded, counters.too_short) == (1, 1)
+    assert all(c.too_short == 0 for name, c in report.buffer_counters.items()
+               if name != "ptn")
+    assert [e.number for e in report.merge_logs["ptn"]] == [0, 1, 2, 3]
+    # chunk 0 is the calibration chunk, which is never written
+    for key in OUT_KEYS:
+        _, records = read_chunk_file(tmp_path / "out" / f"{key[0]}.{key[1]}.tfc")
+        written = range(1, 4) if key[0] == "ptn" else range(1, 6)
+        assert [r["number"] for r in records] == list(written), key
 
 
 def test_overflow_regularizes_downstream(tmp_path):
@@ -316,6 +341,25 @@ def test_every_single_bit_flip_costs_exactly_its_frame():
             errors.clear()
     finally:
         link.close()
+
+
+def test_a_delivered_chunk_keeps_its_values_after_the_next_transfer():
+    """A decoded payload is a read-only view of bytes of its own, never
+    of the link's reusable receive buffer: the next frame through the
+    link leaves it as it was delivered."""
+    first, second = se_frames(4, 10, count=2)
+    delivered = []
+    link = _TcpLink(SE_T_PTN, delivered.append, [].append)
+    try:
+        link.transfer(first)
+        kept = delivered[0].payload
+        link.transfer(second)
+    finally:
+        link.close()
+    assert [c.number for c in delivered] == [0, 1]
+    assert not kept.flags.writeable
+    np.testing.assert_array_equal(kept, np.zeros((4, 10)))
+    np.testing.assert_array_equal(delivered[1].payload, np.ones((4, 10)))
 
 
 def test_frame_larger_than_the_socket_buffers_goes_through():
