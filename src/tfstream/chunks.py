@@ -134,15 +134,12 @@ class DataChunk:
         return self.payload.shape[0] if self.payload.ndim == 2 else 1
 
 
-def validate_chunk(
-    chunk: DataChunk, monotone_freqs: Optional[np.ndarray] = None
-) -> DataChunk:
+def validate_chunk(chunk: DataChunk) -> DataChunk:
     """Check all DataChunk invariants; return the chunk unchanged.
 
-    Idempotent: validating an already valid chunk is a no-op.
-    ``monotone_freqs`` is an array already found strictly monotone: when
-    the chunk's ``channel_freqs`` is that same read-only array owning its
-    data, its values cannot have changed, so only its length is checked.
+    Idempotent: validating an already valid chunk is a no-op.  Whether
+    a key's frequency axis is strictly monotone is a property of the
+    plan, checked once by graph validation, not per chunk.
     """
     shape = chunk.payload.shape
     if len(shape) not in (1, 2):
@@ -164,14 +161,6 @@ def validate_chunk(
                 f"channel_freqs length {freqs.shape} does not match "
                 f"{shape[0]} channels"
             )
-        flags = freqs.flags
-        unchanged = (
-            freqs is monotone_freqs and flags.owndata and not flags.writeable
-        )
-        if not unchanged:
-            diffs = np.diff(freqs)
-            if not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise ShapeError("channel_freqs must be strictly monotone")
     # Note: cumulative d + p may legitimately exceed the length of a
     # single chunk (short final chunks of a continuous stream); whether
     # the counters fit the canonical chunk interval is a configuration
@@ -179,13 +168,8 @@ def validate_chunk(
     return chunk
 
 
-def check_publishable(
-    chunk: DataChunk, monotone_freqs: Optional[np.ndarray] = None
-) -> DataChunk:
-    """Reject invalid chunks at a publish boundary; they stay unpublished.
-
-    ``monotone_freqs`` is as for ``validate_chunk``.
-    """
+def check_publishable(chunk: DataChunk) -> DataChunk:
+    """Reject invalid chunks at a publish boundary; they stay unpublished."""
     if as_continuity(chunk.continuity) is Continuity.INVALID:
         raise MetadataError("invalid chunks (code -1) are never published")
-    return validate_chunk(chunk, monotone_freqs)
+    return validate_chunk(chunk)

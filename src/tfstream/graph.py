@@ -2,9 +2,10 @@
 
 A pipeline is a DAG of named processors (forks and merges, no loops)
 with per-edge transports and an optional fault schedule.  Validation
-topologically sorts the graph, propagates sample rates, chunk lengths
-and cumulative alignment counters, and rejects configurations whose
-chunk size cannot satisfy d + p < length at some merge point.
+topologically sorts the graph, propagates sample rates, frequency axes,
+chunk lengths and cumulative alignment counters, and rejects
+configurations whose chunk size cannot satisfy d + p < length at some
+merge point.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 import yaml
 
 from .alignment import compose, merge_params
@@ -63,7 +65,9 @@ class GraphPlan:
     merged_at: Dict[str, AlignmentParams]
     rates: Dict[SourceKey, float]
     chunk_lengths: Dict[str, float]        # nominal input time-length per node
-    channels: Dict[SourceKey, int]
+    #: per key, its read-only frequency axis, one value per channel
+    #: (None: the key has none, and one channel)
+    freqs: Dict[SourceKey, Optional[np.ndarray]]
 
     def minimum_chunk_length(self) -> int:
         """Smallest source chunk length the deepest merge point allows.
@@ -171,6 +175,22 @@ def _topological_order(names: List[str], edges: List[Edge]) -> List[str]:
     return order
 
 
+def _checked_axis(name: str, feature: str, axis) -> Optional[np.ndarray]:
+    """A published feature's frequency axis as a read-only float array;
+    ConfigError unless it is 1-D and strictly monotone."""
+    if axis is None:
+        return None
+    axis = np.array(axis, dtype=float)
+    steps = axis[1:] - axis[:-1] if axis.ndim == 1 else None
+    if steps is None or not ((steps > 0).all() or (steps < 0).all()):
+        raise ConfigError(
+            f"processor {name!r} feature {feature!r}: frequency axis "
+            f"is not a strictly monotone 1-D array"
+        )
+    axis.setflags(write=False)
+    return axis
+
+
 def validate_graph(config: PipelineConfig) -> GraphPlan:
     """Instantiate and validate the whole pipeline; returns the plan."""
     names = [spec.name for spec in config.processors]
@@ -206,7 +226,7 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
     merged_at: Dict[str, AlignmentParams] = {}
     rates: Dict[SourceKey, float] = {}
     chunk_lengths: Dict[str, float] = {}
-    channels: Dict[SourceKey, int] = {}
+    freqs: Dict[SourceKey, Optional[np.ndarray]] = {}
 
     calibrated = set()  # nodes that emit or receive a calibration chunk
     for name in order:
@@ -217,7 +237,7 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
             rates[key] = inst.sample_rate()
             chunk_lengths[name] = float(inst.chunk_size())
             chunk_lengths[f"{name}:out"] = chunk_lengths[name]
-            channels[key] = 1
+            freqs[key] = None
             if inst.params.get("calibration"):
                 calibrated.add(name)
             continue
@@ -256,14 +276,23 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                 f"{merged.d + merged.p} does not fit the chunk length "
                 f"{int(e_in)}; minimum is {merged.d + merged.p + 1}"
             )
+        axes = {key: freqs[key] for key in keys if freqs[key] is not None}
+        in_freqs = next(iter(axes.values()), None)
+        if any(not np.array_equal(axis, in_freqs) for axis in axes.values()):
+            raise ConfigError(
+                f"processor {name!r} receives different frequency axes on "
+                + ", ".join(".".join(key) for key in axes)
+            )
         rate_out = inst.prepare(rate_in)
-        in_channels = max(channels[key] for key in keys)
         merged_out = inst.convert_alignment(merged)
+        out_freqs = {}
         for feature, align in inst.feature_alignment().items():
             key = (name, feature)
             cumulative[key] = compose(merged_out, align)
             rates[key] = rate_out
-            channels[key] = inst.output_channels(feature, in_channels)
+            freqs[key] = out_freqs[feature] = _checked_axis(
+                name, feature, inst.output_freqs(feature, in_freqs))
+        inst.set_output_freqs(out_freqs)
         chunk_lengths[f"{name}:out"] = e_in * inst.time_scale()
 
     edge_triples = [(e.producer, e.feature, e.consumer) for e in config.edges]
@@ -284,5 +313,5 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
         merged_at=merged_at,
         rates=rates,
         chunk_lengths=chunk_lengths,
-        channels=channels,
+        freqs=freqs,
     )

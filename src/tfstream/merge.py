@@ -92,7 +92,6 @@ class MergedChunk:
     payloads: Mapping[SourceKey, np.ndarray]
     scenarios: Mapping[SourceKey, MergeScenario]
     sample_rate: float
-    channel_freqs: Mapping[SourceKey, Optional[np.ndarray]]
 
     @property
     def time_length(self) -> int:
@@ -264,7 +263,6 @@ def complete_merge(
         payloads=payloads,
         scenarios=scenarios,
         sample_rate=next(iter(chunks)).sample_rate,
-        channel_freqs={k: c.channel_freqs for k, c in chunk_set.items()},
     )
     return merged, MergeState(
         last_completed=n, carried_tails=tails, decisions=state.decisions

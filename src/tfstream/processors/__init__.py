@@ -2,7 +2,6 @@
 
 from .base import (
     FeatureData,
-    FreqCache,
     Processor,
     SinkProcessor,
     SourceProcessor,
@@ -21,7 +20,6 @@ from .writer import FileWriter
 __all__ = [
     "FeatureData",
     "FileWriter",
-    "FreqCache",
     "GammaChirpFilterbank",
     "MicInput",
     "PTNProcessor",

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import (
-    Callable,
     ClassVar,
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -39,44 +39,10 @@ from ..merge import MergedChunk
 
 @dataclass
 class FeatureData:
-    """One published feature array plus its axis metadata."""
+    """One published feature array and its sample rate."""
 
     payload: np.ndarray
     sample_rate: float
-    channel_freqs: Optional[np.ndarray] = None
-
-
-class FreqCache:
-    """The published frequency axis derived from an input axis, as one
-    read-only array for as long as the input's values stay the same.
-
-    ``derive`` runs when the input's values differ from the last call's,
-    not once per chunk, and every chunk in between publishes the same
-    read-only array, whose monotonicity the runtime then checks once.
-    An input that is the last call's read-only array owning its data
-    cannot hold other values, so it is not compared again.
-    """
-
-    def __init__(self, derive: Callable[[np.ndarray], np.ndarray]):
-        self._derive = derive
-        self._input: Optional[np.ndarray] = None
-        self._key: Optional[tuple] = None
-        self._value: Optional[np.ndarray] = None
-
-    def __call__(self, freqs) -> Optional[np.ndarray]:
-        if freqs is None:
-            return None
-        if freqs is self._input:
-            return self._value
-        freqs = np.asarray(freqs)
-        key = (freqs.dtype.str, freqs.shape, freqs.tobytes())
-        if key != self._key:
-            value = np.array(self._derive(freqs))
-            value.setflags(write=False)
-            self._key, self._value = key, value
-        frozen = freqs.flags.owndata and not freqs.flags.writeable
-        self._input = freqs if frozen else None
-        return self._value
 
 
 class Processor:
@@ -109,6 +75,9 @@ class Processor:
         self._composed: Dict[
             AlignmentParams, Dict[str, Tuple[SourceKey, AlignmentParams]]
         ] = {}
+        #: per feature, the read-only frequency axis that validation
+        #: resolved (None, or no entry before validation: no axis)
+        self._freqs: Dict[str, Optional[np.ndarray]] = {}
 
     # --- static metadata used by graph validation ------------------------
 
@@ -120,9 +89,18 @@ class Processor:
         """Relative alignment counters per published feature."""
         raise NotImplementedError
 
-    def output_channels(self, feature: str, in_channels: int) -> int:
-        """Channel count of a published feature, given the input's."""
-        return in_channels
+    def output_freqs(
+        self, feature: str, in_freqs: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """Frequency axis of a published feature, given the one its 2-D
+        inputs share (None for a key without one, such as a 1-D series)."""
+        return in_freqs
+
+    def set_output_freqs(self, freqs: Mapping[str, Optional[np.ndarray]]) -> None:
+        """Take the frequency axis of each published feature, as graph
+        validation resolved and checked it; ``step`` attaches it to
+        every chunk of the feature."""
+        self._freqs = dict(freqs)
 
     def time_scale(self) -> float:
         """Output time steps per input time step (1.0 if rate-preserving)."""
@@ -161,9 +139,10 @@ class Processor:
 
         The one transform step of both the streaming runtime and the
         whole-signal reference: apply the NaN policy, process, settle
-        the continuity and compose each feature's cumulative alignment
+        the continuity, compose each feature's cumulative alignment
         (once per distinct merged alignment: ``convert_alignment`` and
-        ``feature_alignment`` depend on nothing else).
+        ``feature_alignment`` depend on nothing else) and attach its
+        frequency axis.
         """
         if self.nan_policy == "zero":
             merged = replace(merged, payloads={
@@ -195,7 +174,7 @@ class Processor:
                 sample_rate=data.sample_rate,
                 alignment=alignment,
                 continuity=continuity,
-                channel_freqs=data.channel_freqs,
+                channel_freqs=self._freqs.get(feature),
             ))
         return chunks
 

@@ -81,9 +81,7 @@ class GammaChirpFilterbank(Processor):
         self._h_real: Optional[np.ndarray] = None
         self._h_imag: Optional[np.ndarray] = None
         self.impulse_length: Optional[int] = None
-        #: published as every chunk's channel_freqs, so read-only
         self.center_freqs = np.geomspace(self.f_min, self.f_max, self.channels)
-        self.center_freqs.setflags(write=False)
         self._window: Optional[TimeWindowState] = None
         #: (L, 2C) reversed taps, set by prepare
         self._taps: Optional[np.ndarray] = None
@@ -121,8 +119,10 @@ class GammaChirpFilterbank(Processor):
             raise SpecMismatch("filterbank not prepared: sample rate unknown")
         return {"E": AlignmentParams(p=0, d=self.impulse_length, l=0, s=0)}
 
-    def output_channels(self, feature: str, in_channels: int) -> int:
-        return self.channels
+    def output_freqs(
+        self, feature: str, in_freqs: Optional[np.ndarray]
+    ) -> np.ndarray:
+        return self.center_freqs
 
     def reset(self) -> None:
         if self._window is not None:
@@ -180,10 +180,4 @@ class GammaChirpFilterbank(Processor):
         continuous = is_withprevious_subtype(merged.continuity)
         buf, out = self._window.feed(continuous, x)
         energy = self._energy(buf, out)
-        return {
-            "E": FeatureData(
-                payload=energy,
-                sample_rate=merged.sample_rate,
-                channel_freqs=self.center_freqs,
-            )
-        }
+        return {"E": FeatureData(payload=energy, sample_rate=merged.sample_rate)}

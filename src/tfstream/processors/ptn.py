@@ -18,7 +18,6 @@ bits it reproduces.
 from __future__ import annotations
 
 import warnings
-from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -26,13 +25,12 @@ import numpy as np
 from ..chunks import (
     AlignmentParams,
     Continuity,
-    SourceKey,
     as_continuity,
     is_withprevious_subtype,
 )
 from ..errors import ConfigError, ShapeMismatch
 from ..merge import MergedChunk
-from .base import FeatureData, FreqCache, Processor, register
+from .base import FeatureData, Processor, register
 from .structure import tile_columns
 
 
@@ -93,12 +91,10 @@ def group_means(freqs: np.ndarray, block_df: int) -> np.ndarray:
     """Mean frequency of each group of block_df channels (the last group
     may be smaller)."""
     freqs = np.asarray(freqs, dtype=float)
-    return np.array(
-        [
-            freqs[g * block_df : (g + 1) * block_df].mean()
-            for g in range(-(-freqs.size // block_df))
-        ]
-    )
+    groups = [freqs[g : g + block_df] for g in range(0, freqs.size, block_df)]
+    # each group's sum over its count: the bits of group.mean(), without
+    # its per-call overhead
+    return np.array([np.add.reduce(group) / group.size for group in groups])
 
 
 def _per_channel(value) -> np.ndarray:
@@ -138,14 +134,11 @@ class PTNProcessor(Processor):
         self.block_df = int(params.get("block_df", 8))
         if self.block_dt < 1 or self.block_df < 1:
             raise ValueError("block sizes must be >= 1")
-        self.energy_feature = params.get("energy_feature", "E")
-        self.tract_feature = params.get("tract_feature", "T")
         self.valid_columns = 0
         #: incomplete-block tails (fewer than block_dt columns), owned
         self._carry_et: Optional[np.ndarray] = None
         self._carry_e: Optional[np.ndarray] = None
         self._pending_discontinuity: Optional[Continuity] = None
-        self._block_freqs = FreqCache(partial(group_means, block_df=self.block_df))
 
     @property
     def theta(self):
@@ -183,8 +176,10 @@ class PTNProcessor(Processor):
         zero = AlignmentParams()
         return {"E_T": zero, "E_T_valid": zero, "E_blocks": zero}
 
-    def output_channels(self, feature: str, in_channels: int) -> int:
-        return -(-in_channels // self.block_df)
+    def output_freqs(
+        self, feature: str, in_freqs: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        return None if in_freqs is None else group_means(in_freqs, self.block_df)
 
     def time_scale(self) -> float:
         return 1.0 / self.block_dt
@@ -226,20 +221,20 @@ class PTNProcessor(Processor):
         fill = max(float(np.nanmean(spread)), 1e-9)
         self.beta = np.where(np.isnan(spread), fill, np.maximum(spread, 1e-9))
 
-    def _pick_inputs(self, merged: MergedChunk) -> Tuple[SourceKey, SourceKey]:
-        e_key = t_key = None
-        for key in merged.payloads:
-            if key[1] == self.energy_feature:
-                e_key = key
-            elif key[1] == self.tract_feature:
-                t_key = key
-        if e_key is None or t_key is None:
+    def _pick_inputs(self, merged: MergedChunk) -> Tuple[np.ndarray, np.ndarray]:
+        """The merged arrays of the features E and T."""
+        energy = tract = None
+        for (_, feature), payload in merged.payloads.items():
+            if feature == "E":
+                energy = payload
+            elif feature == "T":
+                tract = payload
+        if energy is None or tract is None:
             raise ConfigError(
-                f"ptn needs inputs with features "
-                f"{self.energy_feature!r} and {self.tract_feature!r}, "
+                f"ptn needs inputs with features 'E' and 'T', "
                 f"got {sorted(merged.payloads)}"
             )
-        return e_key, t_key
+        return energy, tract
 
     def _gate(self, energy: np.ndarray, tract: np.ndarray, out: np.ndarray) -> None:
         """out = energy * logistic((tract - theta) / beta), a tile of
@@ -298,9 +293,7 @@ class PTNProcessor(Processor):
         return cells
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
-        e_key, t_key = self._pick_inputs(merged)
-        energy = merged.payloads[e_key]
-        tract = merged.payloads[t_key]
+        energy, tract = self._pick_inputs(merged)
         if energy.shape != tract.shape:
             raise ShapeMismatch(
                 f"E {energy.shape} and T {tract.shape} disagree; "
@@ -377,11 +370,10 @@ class PTNProcessor(Processor):
             means = np.divide(sums, counts, out=sums)
 
         rate = merged.sample_rate / dt
-        block_freqs = self._block_freqs(merged.channel_freqs.get(e_key))
         return {
-            "E_T": FeatureData(means[0], rate, block_freqs),
-            "E_T_valid": FeatureData(counts[0], rate, block_freqs),
-            "E_blocks": FeatureData(means[1], rate, block_freqs),
+            "E_T": FeatureData(means[0], rate),
+            "E_T_valid": FeatureData(counts[0], rate),
+            "E_blocks": FeatureData(means[1], rate),
         }
 
     def consume_pending_continuity(self) -> Optional[Continuity]:

@@ -19,7 +19,7 @@ import numpy as np
 from ..chunks import AlignmentParams, is_withprevious_subtype
 from ..errors import ShapeMismatch, TooFewChannels
 from ..merge import MergedChunk
-from .base import FeatureData, FreqCache, Processor, TimeWindowState, register
+from .base import FeatureData, Processor, TimeWindowState, register
 
 
 #: Cells (channels x columns) per tile of a per-cell kernel: the
@@ -201,7 +201,6 @@ class StructureExtractor(Processor):
         if self.direction not in ("horizontal", "vertical"):
             raise ValueError(f"bad direction {self.direction!r}")
         self._window = TimeWindowState(declared_d=self.w_t, declared_p=self.w_t)
-        self._freqs = FreqCache(lambda freqs: freqs)
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {
@@ -214,8 +213,7 @@ class StructureExtractor(Processor):
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         if len(merged.payloads) != 1:
             raise ShapeMismatch("structure extractor expects exactly one input")
-        key = next(iter(merged.payloads))
-        energy = merged.payloads[key]
+        energy = next(iter(merged.payloads.values()))
         if energy.ndim != 2:
             raise ShapeMismatch("structure extractor expects a 2-D representation")
         if energy.shape[0] < 2 * self.w_s + 1:
@@ -235,10 +233,4 @@ class StructureExtractor(Processor):
         s_cum = merged.alignment.s + self.w_s
         scores[:l_cum, :] = np.nan
         scores[scores.shape[0] - s_cum :, :] = np.nan
-        return {
-            "T": FeatureData(
-                payload=scores,
-                sample_rate=merged.sample_rate,
-                channel_freqs=self._freqs(merged.channel_freqs.get(key)),
-            )
-        }
+        return {"T": FeatureData(payload=scores, sample_rate=merged.sample_rate)}

@@ -117,20 +117,6 @@ class _Route:
         self.peak = 0
 
 
-class _Outlet:
-    """One published key's frequency check, statistics and sends,
-    resolved on the key's first publish."""
-
-    __slots__ = ("freqs", "stats", "sends")
-
-    def __init__(self, stats: KeyStats, sends: tuple):
-        #: the channel_freqs array the key's last publish passed with
-        self.freqs: Optional[np.ndarray] = None
-        self.stats = stats
-        #: a (dropped number ranges, send) pair per out-edge
-        self.sends = sends
-
-
 class _TcpLink:
     """One edge over a loopback TCP socket using the framed codec.
 
@@ -220,7 +206,9 @@ class Streamboard:
         self._receivers: Dict[str, Callable] = {}
         #: per key with out-edges, its (dropped ranges, send) pairs
         self._sends: Dict[SourceKey, tuple] = {}
-        self._outlets: Dict[SourceKey, _Outlet] = {}
+        #: per published key, its statistics and its sends, resolved on
+        #: the key's first publish
+        self._outlets: Dict[SourceKey, Tuple[KeyStats, tuple]] = {}
 
     # --- plumbing --------------------------------------------------------
 
@@ -244,27 +232,22 @@ class Streamboard:
             sends.append((dropped, send))
         return tuple(sends)
 
-    def _add_outlet(self, key: SourceKey) -> _Outlet:
-        """The outlet of a key published for the first time."""
-        stats = self.report.key_stats[key] = KeyStats()
-        outlet = self._outlets[key] = _Outlet(stats, self._sends.get(key, ()))
-        return outlet
-
     def _publish(self, chunk: DataChunk) -> None:
         outlet = self._outlets.get(chunk.source_key)
         if outlet is None:
-            outlet = self._add_outlet(chunk.source_key)
-        check_publishable(chunk, outlet.freqs)
-        outlet.freqs = chunk.channel_freqs
+            key = chunk.source_key
+            stats = self.report.key_stats[key] = KeyStats()
+            outlet = self._outlets[key] = (stats, self._sends.get(key, ()))
+        check_publishable(chunk)
         payload = chunk.payload
         payload.setflags(write=False)
-        stats = outlet.stats
+        stats, sends = outlet
         stats.published += 1
         if chunk.continuity != Continuity.CALIBRATION:
             stats.total_cells += payload.size
             stats.nan_cells += np.count_nonzero(np.isnan(payload))
         number = chunk.number
-        for dropped, send in outlet.sends:
+        for dropped, send in sends:
             for lo, hi in dropped:
                 if lo <= number <= hi:
                     break
@@ -372,10 +355,10 @@ class Streamboard:
                 raise failure
             raise RuntimeError(f"run failed: {failure!r}") from failure
         for key, params in plan.cumulative.items():
-            channels = plan.channels.get(key, 1)
-            if channels > 1:
+            axis = plan.freqs[key]
+            if axis is not None and len(axis) > 1:
                 report.declared_invalid_fraction[key] = (
-                    (params.l + params.s) / channels
+                    (params.l + params.s) / len(axis)
                 )
         return report
 

@@ -34,12 +34,18 @@ import struct
 import zlib
 from functools import lru_cache
 from io import BytesIO
-from typing import BinaryIO, Dict, Optional, Tuple
+from typing import BinaryIO
 
 import numpy as np
 
-from .chunks import AlignmentParams, DataChunk, SourceKey, as_continuity
-from .errors import ChecksumError, TruncatedFrame, VersionError, WireError
+from .chunks import AlignmentParams, Continuity, DataChunk, as_continuity
+from .errors import (
+    ChecksumError,
+    MetadataError,
+    TruncatedFrame,
+    VersionError,
+    WireError,
+)
 
 MAGIC = b"TFSB"
 VERSION = 1
@@ -70,36 +76,9 @@ _EXTENTS = {ndim: struct.Struct(f"<{ndim}IdI") for ndim in (1, 2)}
 _MIDDLE = {ndim: struct.Struct(f"<Qi4IBB{ndim}IdI") for ndim in (1, 2)}
 _CRC = struct.Struct("<I")
 
-#: Per source key, the header parts a key's frames repeat: the
-#: channel_freqs array last encoded, its packed names and its packed
-#: frequencies.  They are reused while the key's channel_freqs is that
-#: same read-only array owning its data, so its values cannot differ.
-_HEADER_ENDS: Dict[SourceKey, Tuple[Optional[np.ndarray], bytes, bytes]] = {}
-#: Keys whose header parts are kept at most; past that the parts start
-#: over, so that a process encoding ever new keys stays bounded.
-_HEADER_KEYS = 64
-
-
 def _pack_str(value: str) -> bytes:
     raw = value.encode("utf-8")
     return _NAME_LEN.pack(len(raw)) + raw
-
-
-def _header_ends(chunk: DataChunk) -> Tuple[bytes, bytes]:
-    """The packed names and packed channel frequencies of a chunk."""
-    key, freqs = chunk.source_key, chunk.channel_freqs
-    cached = _HEADER_ENDS.get(key)
-    if cached is not None and cached[0] is freqs and (
-        freqs is None or (freqs.flags.owndata and not freqs.flags.writeable)
-    ):
-        return cached[1], cached[2]
-    names = _pack_str(key[0]) + _pack_str(key[1])
-    packed = (b"" if freqs is None
-              else np.ascontiguousarray(freqs, dtype="<f8").tobytes())
-    if len(_HEADER_ENDS) >= _HEADER_KEYS:
-        _HEADER_ENDS.clear()
-    _HEADER_ENDS[key] = (freqs, names, packed)
-    return names, packed
 
 
 def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
@@ -107,15 +86,18 @@ def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
     dtype = np.dtype(dtype)
     if dtype not in _DTYPE_TAGS:
         raise WireError(f"unsupported wire dtype {dtype}")
-    names, freqs = _header_ends(chunk)
+    producer, feature = chunk.source_key
+    freqs = chunk.channel_freqs
+    freqs = b"" if freqs is None else np.ascontiguousarray(freqs, dtype="<f8")
     a = chunk.alignment
     shape = chunk.payload.shape
     header = b"".join((
-        names,
+        _pack_str(producer),
+        _pack_str(feature),
         _MIDDLE[len(shape)].pack(
             chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
             _DTYPE_TAGS[dtype], len(shape), *shape, chunk.sample_rate,
-            len(freqs) // 8),
+            len(freqs)),
         freqs,
     ))
     if len(header) > MAX_HEADER_LEN:
@@ -157,21 +139,11 @@ def _slice(header: bytes, pos: int, n: int) -> bytes:
 _alignment = lru_cache(maxsize=256)(AlignmentParams)
 
 
-@lru_cache(maxsize=64)
-def _frequencies(raw: bytes) -> np.ndarray:
-    """Channel frequencies packed as ``raw``, as one read-only array for
-    every frame that repeats them."""
-    freqs = np.frombuffer(raw, dtype="<f8").copy()
-    freqs.setflags(write=False)
-    return freqs
-
-
 def decode_stream(stream: BinaryIO) -> DataChunk:
     """Decode one frame from a byte stream; raises WireError subclasses.
 
-    The payload is a read-only view of the bytes read for it, which
-    nothing else holds, and frames that repeat their channel frequencies
-    share one read-only array of them.
+    The payload and the channel frequencies are read-only views of the
+    bytes read for them, which nothing else holds.
     """
     preamble = stream.read(_PREAMBLE.size)
     if len(preamble) >= len(MAGIC) and preamble[: len(MAGIC)] != MAGIC:
@@ -206,7 +178,8 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
     pos += _EXTENTS[ndim].size
     channel_freqs = None
     if freq_count:
-        channel_freqs = _frequencies(_slice(header, pos, 8 * freq_count))
+        channel_freqs = np.frombuffer(
+            _slice(header, pos, 8 * freq_count), dtype="<f8")
 
     dtype = _TAG_DTYPES[dtype_tag]
     size = math.prod(shape) * dtype.itemsize
@@ -223,13 +196,19 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
         code = as_continuity(continuity)
     except ValueError:
         raise WireError(f"unknown continuity code {continuity}") from None
+    if code is Continuity.INVALID:
+        raise WireError("invalid chunk (code -1): never published")
+    try:
+        alignment = _alignment(p, d, l, s)
+    except MetadataError as exc:
+        raise WireError(f"corrupt header: {exc}") from None
     return DataChunk(
         number=number,
         source_key=(names[0], names[1]),
         payload=np.frombuffer(rest, dtype=dtype, count=size // dtype.itemsize)
         .reshape(shape),
         sample_rate=sample_rate,
-        alignment=_alignment(p, d, l, s),
+        alignment=alignment,
         continuity=code,
         channel_freqs=channel_freqs,
     )

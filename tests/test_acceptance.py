@@ -47,19 +47,25 @@ def read_key(out_dir, producer, feature):
 
 @pytest.mark.parametrize("chunk_size", [1024, 4096, 16384])
 def test_chunk_size_invariance(long_wav, tmp_path, chunk_size):
-    start = time.monotonic()
     out_dir = tmp_path / f"out{chunk_size}"
+    start = time.perf_counter()
     run_config(file_pipeline_config(long_wav, out_dir, chunk_size=chunk_size))
+    streamed_s = time.perf_counter() - start
+    start = time.perf_counter()
     reference = run_unchunked(validate_graph(config_from_dict(
         file_pipeline_config(long_wav, tmp_path / "unused")
     )))
+    reference_s = time.perf_counter() - start
     for producer, feature in [("cochlea", "E"), ("se", "T"), ("ptn", "E_T")]:
         streamed = read_key(out_dir, producer, feature)
         problem = compare_streamed(
             streamed, reference[(producer, feature)].payload
         )
         assert problem is None, f"{producer}.{feature}: {problem}"
-    assert time.monotonic() - start < 30.0
+    # relative to the whole-signal reference of the same signal, so the
+    # bound holds on a slow or shared machine as on a fast one; the
+    # stream takes 1.0 to 2.0 times as long on a 2-vCPU VM
+    assert streamed_s < 15 * reference_s
 
 
 # --- 2: scenario trace under injected faults ----------------------------

@@ -109,14 +109,6 @@ def test_validate_channel_freqs_shape():
         validate_chunk(chunk)
 
 
-def test_validate_channel_freqs_monotone():
-    freqs = np.array([100.0, 300.0, 200.0, 400.0])
-    with pytest.raises(ShapeError):
-        validate_chunk(make_chunk(np.zeros((4, 10)), channel_freqs=freqs))
-    ok = np.array([100.0, 200.0, 300.0, 400.0])
-    validate_chunk(make_chunk(np.zeros((4, 10)), channel_freqs=ok))
-
-
 def test_validate_channel_freqs_need_2d_payload():
     with pytest.raises(ShapeError):
         validate_chunk(make_chunk(np.zeros(10), channel_freqs=np.array([1.0])))

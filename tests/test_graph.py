@@ -16,6 +16,8 @@ from tfstream.errors import (
     UnknownProcessorKind,
 )
 from tfstream.graph import config_from_dict, load_config, validate_graph
+from tfstream.processors import StructureExtractor
+from tfstream.processors.ptn import group_means
 
 
 def build(raw):
@@ -59,9 +61,54 @@ def test_rates_and_channels_propagate(tone_wav, tmp_path):
     assert plan.rates[("reader", "snd")] == 8000.0
     assert plan.rates[("resampler", "snd")] == 4000.0
     assert plan.rates[("se", "T")] == 4000.0
-    assert plan.channels[("cochlea", "E")] == 64
-    assert plan.channels[("ptn", "E_T")] == 8
+    assert plan.freqs[("resampler", "snd")] is None
+    assert len(plan.freqs[("cochlea", "E")]) == 64
+    assert len(plan.freqs[("ptn", "E_T")]) == 8
+    axis = plan.freqs[("cochlea", "E")]
+    assert np.array_equal(axis, plan.instances["cochlea"].center_freqs)
+    assert np.array_equal(plan.freqs[("se", "T")], axis)
+    assert np.array_equal(plan.freqs[("ptn", "E_T")], group_means(axis, 8))
+    assert not any(a.flags.writeable for a in plan.freqs.values()
+                   if a is not None)
     assert plan.chunk_lengths["ptn:out"] == pytest.approx(512 / 100)
+
+
+@pytest.mark.parametrize("case", ["equal_bounds", "swapped_pair"])
+def test_frequency_axis_that_is_not_strictly_monotone_is_rejected(
+        tmp_path, monkeypatch, case):
+    """Each published axis is checked once, at validation: a filterbank
+    whose bounds coincide publishes 64 equal frequencies, and a transform
+    may derive an axis out of order."""
+    raw = mic_pipeline_config(tmp_path / "out")
+    if case == "equal_bounds":
+        raw["processors"][2]["params"]["f_max"] = 100
+        name, feature = "cochlea", "E"
+    else:
+        def swapped(self, feature, in_freqs):
+            return in_freqs[[1, 0, *range(2, len(in_freqs))]]
+        monkeypatch.setattr(StructureExtractor, "output_freqs", swapped)
+        name, feature = "se", "T"
+    with pytest.raises(ConfigError,
+                       match=f"'{name}' feature '{feature}'.*monotone"):
+        build(raw)
+
+
+def test_transform_fed_two_frequency_axes_is_rejected(tmp_path):
+    """ptn merges E and T along time only, so both must share one axis:
+    here the structure extractor reads a second, narrower filterbank."""
+    raw = mic_pipeline_config(tmp_path / "out")
+    narrow = copy.deepcopy(raw["processors"][2])
+    narrow["name"] = "narrow"
+    narrow["params"]["f_max"] = 1400
+    raw["processors"].append(narrow)
+    raw["edges"][2] = {"from": "narrow.E", "to": "se"}
+    raw["edges"].append({"from": "resampler.snd", "to": "narrow"})
+    with pytest.raises(ConfigError,
+                       match="'ptn' receives different frequency axes "
+                             "on cochlea.E, se.T"):
+        build(raw)
+    raw["processors"][-1]["params"]["f_max"] = 1500
+    build(raw)
 
 
 def test_minimum_chunk_length_is_honest(tone_wav, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import synth_tone_noise, write_wav
+from conftest import mic_pipeline_config, synth_tone_noise, write_wav
 from tfstream.chunks import AlignmentParams, Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.errors import (
     EmptyResult,
@@ -13,6 +13,7 @@ from tfstream.errors import (
     TooFewChannels,
     UnsupportedFormat,
 )
+from tfstream.graph import config_from_dict, validate_graph
 from tfstream.merge import MergeState, complete_merge
 from tfstream.processors import (
     GammaChirpFilterbank,
@@ -42,11 +43,11 @@ def test_registry_contains_all_kinds():
 
 
 def as_merged(processor_name, key, payload, rate, continuity,
-              alignment=ZERO_ALIGNMENT, freqs=None):
+              alignment=ZERO_ALIGNMENT):
     """Wrap one array as the merged input set of a single-input processor."""
     chunk = DataChunk(
         number=0, source_key=key, payload=payload, sample_rate=rate,
-        alignment=alignment, continuity=continuity, channel_freqs=freqs,
+        alignment=alignment, continuity=continuity,
     )
     merged, _ = complete_merge(MergeState(), {key: chunk}, 0)
     return merged
@@ -292,13 +293,16 @@ def test_filterbank_designs_every_channel_as_the_scalar_response(params):
         assert np.array_equal(fb._h_imag[c], h.imag)
 
 
-def test_filterbank_publishes_its_read_only_centre_frequencies():
-    fb = GammaChirpFilterbank("fb", {"channels": 8, "sample_rate": 8000.0})
+def test_filterbank_publishes_its_read_only_centre_frequencies(tmp_path):
+    """The axis validation resolved goes out with every chunk, as is."""
+    plan = validate_graph(config_from_dict(mic_pipeline_config(tmp_path)))
+    fb = plan.instances["cochlea"]
     x = np.random.default_rng(0).standard_normal(1000)
-    out = fb.step(as_merged("fb", ("s", "snd"), x, 8000.0,
+    out = fb.step(as_merged("fb", ("resampler", "snd"), x, 4000.0,
                             Continuity.DISCONTINUOUS))
-    assert out[0].channel_freqs is fb.center_freqs
-    assert not fb.center_freqs.flags.writeable
+    assert out[0].channel_freqs is plan.freqs[("cochlea", "E")]
+    assert np.array_equal(out[0].channel_freqs, fb.center_freqs)
+    assert not out[0].channel_freqs.flags.writeable
 
 
 def test_filterbank_white_noise_energy_matches_filter_norm():

@@ -18,7 +18,8 @@ from tfstream.wire import (
     encode,
 )
 
-CODES = [c for c in Continuity]
+#: every code a publish sends: decoding rejects INVALID (-1)
+CODES = [c for c in Continuity if c is not Continuity.INVALID]
 
 
 def random_chunk(rng):
