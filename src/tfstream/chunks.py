@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -113,17 +113,18 @@ class DataChunk:
     """A numbered, flagged segment of a (time-frequency) representation.
 
     payload is (channels, time) or (time,); the time axis is always last.
-    Chunks are immutable after publication and safe to share between
-    consumers; the runtime freezes the payload when publishing.
+    A chunk carries only what changes from chunk to chunk: its key's
+    sample rate and frequency axis are plan constants (``GraphPlan.rates``
+    and ``GraphPlan.freqs``).  Chunks are immutable after publication and
+    safe to share between consumers; the runtime freezes the payload when
+    publishing.
     """
 
     number: int
     source_key: SourceKey
     payload: np.ndarray
-    sample_rate: float
     alignment: AlignmentParams
     continuity: Continuity
-    channel_freqs: Optional[np.ndarray] = None
 
     @property
     def time_length(self) -> int:
@@ -137,9 +138,10 @@ class DataChunk:
 def validate_chunk(chunk: DataChunk) -> DataChunk:
     """Check all DataChunk invariants; return the chunk unchanged.
 
-    Idempotent: validating an already valid chunk is a no-op.  Whether
-    a key's frequency axis is strictly monotone is a property of the
-    plan, checked once by graph validation, not per chunk.
+    Idempotent: validating an already valid chunk is a no-op.  A key's
+    sample rate and frequency axis, and so its channel count, are
+    properties of the plan, checked once by graph validation, not per
+    chunk.
     """
     shape = chunk.payload.shape
     if len(shape) not in (1, 2):
@@ -152,15 +154,6 @@ def validate_chunk(chunk: DataChunk) -> DataChunk:
         raise MetadataError(f"unknown continuity code {chunk.continuity!r}") from None
     if chunk.number < 0:
         raise MetadataError(f"chunk number is negative: {chunk.number}")
-    if chunk.channel_freqs is not None:
-        if len(shape) != 2:
-            raise ShapeError("channel_freqs given for a 1-D payload")
-        freqs = np.asarray(chunk.channel_freqs)
-        if freqs.shape != shape[:1]:
-            raise ShapeError(
-                f"channel_freqs length {freqs.shape} does not match "
-                f"{shape[0]} channels"
-            )
     # Note: cumulative d + p may legitimately exceed the length of a
     # single chunk (short final chunks of a continuous stream); whether
     # the counters fit the canonical chunk interval is a configuration

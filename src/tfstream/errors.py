@@ -13,7 +13,7 @@ class TFStreamError(Exception):
 # --- chunk model ---------------------------------------------------------
 
 class ShapeError(TFStreamError):
-    """Payload empty or channel_freqs length does not match channel count."""
+    """Payload neither 1-D nor 2-D, or without a time column."""
 
 
 class MetadataError(TFStreamError):
@@ -91,11 +91,11 @@ class NonIntegerRate(TFStreamError):
 
 
 class SpecMismatch(TFStreamError):
-    """Incoming sample rate does not match the filterbank design rate."""
+    """Filterbank design does not fit its sample rate, or is not made yet."""
 
 
 class TooFewChannels(TFStreamError):
-    """Structure extraction needs at least 2*w_s + 1 channels."""
+    """A filterbank needs at least 4 channels."""
 
 
 class ShapeMismatch(TFStreamError):

@@ -5,7 +5,8 @@ with per-edge transports and an optional fault schedule.  Validation
 topologically sorts the graph, propagates sample rates, frequency axes,
 chunk lengths and cumulative alignment counters, and rejects
 configurations whose chunk size cannot satisfy d + p < length at some
-merge point.
+merge point.  A key's rate and axis live in the plan only: sinks get
+them from validation, and chunks carry neither.
 """
 
 from __future__ import annotations
@@ -250,16 +251,19 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                     f"edge {key[0]}.{key[1]} -> {name}: producer does not "
                     f"publish feature {key[1]!r}"
                 )
-        in_rates = {rates[key] for key in keys}
-        if len(in_rates) != 1:
-            raise ConfigError(f"processor {name!r} receives mixed rates {in_rates}")
-        rate_in = in_rates.pop()
         e_in = min(chunk_lengths[f"{key[0]}:out"] for key in keys)
         chunk_lengths[name] = e_in
         merged = merge_params([cumulative[key] for key in keys])
         merged_at[name] = merged
         if isinstance(inst, SinkProcessor):
+            inst.set_inputs({key: rates[key] for key in keys},
+                            {key: freqs[key] for key in keys})
             continue
+        # a sink takes keys of any rates; a transform's share one
+        in_rates = {rates[key] for key in keys}
+        if len(in_rates) != 1:
+            raise ConfigError(f"processor {name!r} receives mixed rates {in_rates}")
+        rate_in = in_rates.pop()
         if any(key[0] in calibrated for key in keys):
             calibrated.add(name)
         elif inst.needs_threshold and (inst.theta is None or inst.beta is None):
@@ -285,15 +289,14 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
             )
         rate_out = inst.prepare(rate_in)
         merged_out = inst.convert_alignment(merged)
-        out_freqs = {}
         for feature, align in inst.feature_alignment().items():
             key = (name, feature)
             cumulative[key] = compose(merged_out, align)
             rates[key] = rate_out
-            freqs[key] = out_freqs[feature] = _checked_axis(
+            freqs[key] = _checked_axis(
                 name, feature, inst.output_freqs(feature, in_freqs))
-        inst.set_output_freqs(out_freqs)
-        chunk_lengths[f"{name}:out"] = e_in * inst.time_scale()
+        # output time steps per input time step
+        chunk_lengths[f"{name}:out"] = e_in * (rate_out / rate_in)
 
     edge_triples = [(e.producer, e.feature, e.consumer) for e in config.edges]
     source_names = [

@@ -91,7 +91,6 @@ class MergedChunk:
     alignment: AlignmentParams
     payloads: Mapping[SourceKey, np.ndarray]
     scenarios: Mapping[SourceKey, MergeScenario]
-    sample_rate: float
 
     @property
     def time_length(self) -> int:
@@ -262,7 +261,6 @@ def complete_merge(
         alignment=decision.alignment,
         payloads=payloads,
         scenarios=scenarios,
-        sample_rate=next(iter(chunks)).sample_rate,
     )
     return merged, MergeState(
         last_completed=n, carried_tails=tails, decisions=state.decisions

@@ -39,10 +39,10 @@ from ..merge import MergedChunk
 
 @dataclass
 class FeatureData:
-    """One published feature array and its sample rate."""
+    """One published feature array; its sample rate is the one that
+    ``prepare`` returned."""
 
     payload: np.ndarray
-    sample_rate: float
 
 
 class Processor:
@@ -75,14 +75,12 @@ class Processor:
         self._composed: Dict[
             AlignmentParams, Dict[str, Tuple[SourceKey, AlignmentParams]]
         ] = {}
-        #: per feature, the read-only frequency axis that validation
-        #: resolved (None, or no entry before validation: no axis)
-        self._freqs: Dict[str, Optional[np.ndarray]] = {}
 
     # --- static metadata used by graph validation ------------------------
 
     def prepare(self, in_rate: float) -> float:
-        """Fix the input sample rate before a run; returns the output rate."""
+        """Fix the input sample rate before a run; returns the one sample
+        rate of every published feature."""
         return in_rate
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
@@ -95,16 +93,6 @@ class Processor:
         """Frequency axis of a published feature, given the one its 2-D
         inputs share (None for a key without one, such as a 1-D series)."""
         return in_freqs
-
-    def set_output_freqs(self, freqs: Mapping[str, Optional[np.ndarray]]) -> None:
-        """Take the frequency axis of each published feature, as graph
-        validation resolved and checked it; ``step`` attaches it to
-        every chunk of the feature."""
-        self._freqs = dict(freqs)
-
-    def time_scale(self) -> float:
-        """Output time steps per input time step (1.0 if rate-preserving)."""
-        return 1.0
 
     def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:
         """Re-express incoming cumulative counters in output time steps.
@@ -139,10 +127,9 @@ class Processor:
 
         The one transform step of both the streaming runtime and the
         whole-signal reference: apply the NaN policy, process, settle
-        the continuity, compose each feature's cumulative alignment
+        the continuity and compose each feature's cumulative alignment
         (once per distinct merged alignment: ``convert_alignment`` and
-        ``feature_alignment`` depend on nothing else) and attach its
-        frequency axis.
+        ``feature_alignment`` depend on nothing else).
         """
         if self.nan_policy == "zero":
             merged = replace(merged, payloads={
@@ -171,10 +158,8 @@ class Processor:
                 number=merged.number,
                 source_key=key,
                 payload=np.ascontiguousarray(data.payload),
-                sample_rate=data.sample_rate,
                 alignment=alignment,
                 continuity=continuity,
-                channel_freqs=self._freqs.get(feature),
             ))
         return chunks
 
@@ -211,7 +196,6 @@ class SourceProcessor:
             number=number,
             source_key=(self.name, self.feature),
             payload=payload,
-            sample_rate=self.sample_rate(),
             alignment=ZERO_ALIGNMENT,
             continuity=continuity,
         )
@@ -243,6 +227,20 @@ class SinkProcessor:
         self.params = dict(params)
         #: Chunks written per source key.
         self.written: Dict[SourceKey, int] = {}
+        #: per received key, its sample rate and its read-only frequency
+        #: axis (None: the key has none), as graph validation resolved them
+        self.rates: Dict[SourceKey, float] = {}
+        self.freqs: Dict[SourceKey, Optional[np.ndarray]] = {}
+
+    def set_inputs(
+        self,
+        rates: Mapping[SourceKey, float],
+        freqs: Mapping[SourceKey, Optional[np.ndarray]],
+    ) -> None:
+        """Take the sample rate and frequency axis of each received key,
+        from the plan: chunks carry neither."""
+        self.rates = dict(rates)
+        self.freqs = dict(freqs)
 
     def consume(self, chunk: DataChunk) -> None:
         raise NotImplementedError

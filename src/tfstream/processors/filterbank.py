@@ -77,7 +77,6 @@ class GammaChirpFilterbank(Processor):
         self.impulse_ms = float(params.get("impulse_ms", 50.0))
         self.order = int(params.get("order", 4))
         self.chirp = float(params.get("chirp", 0.0))
-        self._rate: Optional[float] = None
         self._h_real: Optional[np.ndarray] = None
         self._h_imag: Optional[np.ndarray] = None
         self.impulse_length: Optional[int] = None
@@ -97,7 +96,6 @@ class GammaChirpFilterbank(Processor):
             raise SpecMismatch(
                 f"f_max {self.f_max} Hz is not below Nyquist for rate {in_rate}"
             )
-        self._rate = in_rate
         self.impulse_length = max(2, int(round(self.impulse_ms * in_rate / 1000.0)))
         bank = gammachirp_ir(self.center_freqs, in_rate, self.impulse_length,
                              self.order, chirp=self.chirp)
@@ -173,11 +171,7 @@ class GammaChirpFilterbank(Processor):
         x = next(iter(merged.payloads.values()))
         if x.ndim != 1:
             raise ShapeMismatch("filterbank expects a 1-D time series")
-        if merged.sample_rate != self._rate:
-            raise SpecMismatch(
-                f"chunk rate {merged.sample_rate} != design rate {self._rate}"
-            )
         continuous = is_withprevious_subtype(merged.continuity)
         buf, out = self._window.feed(continuous, x)
         energy = self._energy(buf, out)
-        return {"E": FeatureData(payload=energy, sample_rate=merged.sample_rate)}
+        return {"E": FeatureData(energy)}

@@ -181,8 +181,8 @@ class PTNProcessor(Processor):
     ) -> Optional[np.ndarray]:
         return None if in_freqs is None else group_means(in_freqs, self.block_df)
 
-    def time_scale(self) -> float:
-        return 1.0 / self.block_dt
+    def prepare(self, in_rate: float) -> float:
+        return in_rate / self.block_dt
 
     def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:
         """Block values are final once published: only complete blocks go
@@ -369,11 +369,10 @@ class PTNProcessor(Processor):
         with np.errstate(invalid="ignore"):
             means = np.divide(sums, counts, out=sums)
 
-        rate = merged.sample_rate / dt
         return {
-            "E_T": FeatureData(means[0], rate),
-            "E_T_valid": FeatureData(counts[0], rate),
-            "E_blocks": FeatureData(means[1], rate),
+            "E_T": FeatureData(means[0]),
+            "E_T_valid": FeatureData(counts[0]),
+            "E_blocks": FeatureData(means[1]),
         }
 
     def consume_pending_continuity(self) -> Optional[Continuity]:

@@ -58,9 +58,6 @@ class Resampler(Processor):
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {"snd": AlignmentParams(p=0, d=self.drop, l=0, s=0)}
 
-    def time_scale(self) -> float:
-        return 1.0 / self.factor
-
     def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:
         R = self.factor
         return AlignmentParams(
@@ -105,5 +102,4 @@ class Resampler(Processor):
         # and "valid" output j is the filter ending at position j + F - 1
         first = (buf.shape[-1] - F + 1 - count) % R
         y = np.convolve(buf, self.h, mode="valid")[first::R]
-        rate_out = merged.sample_rate / R
-        return {"snd": FeatureData(payload=y, sample_rate=rate_out)}
+        return {"snd": FeatureData(y)}

@@ -12,12 +12,12 @@ scores.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
-from ..errors import ShapeMismatch, TooFewChannels
+from ..errors import ConfigError, ShapeMismatch
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -207,6 +207,19 @@ class StructureExtractor(Processor):
             "T": AlignmentParams(p=self.w_t, d=self.w_t, l=self.w_s, s=self.w_s)
         }
 
+    def output_freqs(
+        self, feature: str, in_freqs: Optional[np.ndarray]
+    ) -> Optional[np.ndarray]:
+        """The input axis; ConfigError when it has fewer than
+        2 w_s + 1 channels (a 1-D input has one)."""
+        channels = 1 if in_freqs is None else len(in_freqs)
+        if channels < 2 * self.w_s + 1:
+            raise ConfigError(
+                f"processor {self.name!r}: structure extraction needs "
+                f">= {2 * self.w_s + 1} channels, got {channels}"
+            )
+        return in_freqs
+
     def reset(self) -> None:
         self._window.reset()
 
@@ -216,11 +229,6 @@ class StructureExtractor(Processor):
         energy = next(iter(merged.payloads.values()))
         if energy.ndim != 2:
             raise ShapeMismatch("structure extractor expects a 2-D representation")
-        if energy.shape[0] < 2 * self.w_s + 1:
-            raise TooFewChannels(
-                f"structure extraction needs >= {2 * self.w_s + 1} channels, "
-                f"got {energy.shape[0]}"
-            )
         continuous = is_withprevious_subtype(merged.continuity)
         # d = p = w_t, so the output columns are always [w_t, T - w_t)
         buf, _ = self._window.feed(continuous, energy)
@@ -233,4 +241,4 @@ class StructureExtractor(Processor):
         s_cum = merged.alignment.s + self.w_s
         scores[:l_cum, :] = np.nan
         scores[scores.shape[0] - s_cum :, :] = np.nan
-        return {"T": FeatureData(payload=scores, sample_rate=merged.sample_rate)}
+        return {"T": FeatureData(scores)}

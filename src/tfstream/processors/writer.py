@@ -14,7 +14,9 @@ from .base import SinkProcessor, register
 class FileWriter(SinkProcessor):
     """Appends arriving chunks to per-key files in the output directory.
 
-    Calibration chunks are consumed but never written.
+    Each file's header holds its key's sample rate and frequency axis, as
+    graph validation handed them over.  Calibration chunks are consumed
+    but never written.
     """
 
     kind = "file_writer"
@@ -37,8 +39,8 @@ class FileWriter(SinkProcessor):
             self._writers[key] = ChunkFileWriter(
                 self.path_for(key),
                 key,
-                chunk.sample_rate,
-                chunk.channel_freqs,
+                self.rates[key],
+                self.freqs[key],
                 dtype=self.dtype,
             )
             self.written[key] = 0

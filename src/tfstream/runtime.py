@@ -123,12 +123,19 @@ class _TcpLink:
     Both ends live in this process: ``send`` writes the frame, reads the
     same bytes back from the other end and decodes them in the caller's
     thread, so a link holds no bytes between sends and needs no thread.
+
+    ``lead`` is the payload shape before the time axis that the plan
+    gives the edge's key: ``(channels,)`` for a key with a frequency
+    axis, ``()`` for one without.  A decoded frame of another shape is
+    lost like a damaged one.  None delivers frames of any shape.
     """
 
-    def __init__(self, edge: Edge, deliver: Callable, on_wire_error: Callable):
+    def __init__(self, edge: Edge, deliver: Callable, on_wire_error: Callable,
+                 lead: Optional[Tuple[int, ...]] = None):
         self.name = f"{edge.producer}.{edge.feature}->{edge.consumer}"
         self._deliver = deliver
         self._on_wire_error = on_wire_error
+        self._lead = lead
         self._wire_dtype = np.dtype(edge.wire_dtype)
         _, host, port = edge.transport.split(":")
         with socket.create_server((host or "127.0.0.1", int(port))) as listener:
@@ -170,15 +177,19 @@ class _TcpLink:
         self._decode(bytes(into[:size]))
 
     def _decode(self, data: bytes) -> None:
-        """Deliver every intact frame in ``data``.  A damaged frame is
-        lost whole and counted once: the scan resumes at the next magic
-        after its first byte, so a damaged length that overran into the
-        next frame costs that frame nothing."""
+        """Deliver every intact frame in ``data``.  A damaged frame, or
+        an intact one whose shape disagrees with the plan, is lost whole
+        and counted once: the scan resumes at the next magic after its
+        first byte, so a damaged length that overran into the next frame
+        costs that frame nothing."""
         stream = BytesIO(data)
+        lead = self._lead
         start = 0
         while start < len(data):
             try:
                 chunk = decode_stream(stream)
+                if lead is not None and chunk.payload.shape[:-1] != lead:
+                    raise WireError("frame shape disagrees with the plan")
             except WireError:
                 self._on_wire_error(self.name)
                 start = data.find(MAGIC, start + 1)
@@ -223,7 +234,9 @@ class Streamboard:
         for edge in edges:
             send = self._receivers[edge.consumer]
             if edge.transport != "local":
-                link = _TcpLink(edge, send, self._note_wire_error)
+                axis = self.plan.freqs[edge.source_key]
+                link = _TcpLink(edge, send, self._note_wire_error,
+                                () if axis is None else (len(axis),))
                 self._links.append(link)
                 send = link.send
             dropped = faults.dropped_ranges(

@@ -4,7 +4,7 @@ Frame layout (all integers little-endian):
 
     offset  size  field
     0       4     magic  b"TFSB"
-    4       2     version (u16), currently 1
+    4       2     version (u16), currently 2
     6       4     header length H (u32)
     10      H     header, see below
     10+H    P     payload, raw little-endian array data
@@ -20,11 +20,15 @@ Header layout:
     u8   dtype tag (0 = float32, 1 = float64)
     u8   ndim (1 or 2)
     u32  per dimension: extent (channels first, time last)
-    f64  sample rate
-    u32  channel frequency count (0 = absent), then f64 per channel
+
+A frame carries what changes from chunk to chunk.  Its key's sample rate
+and frequency axis are plan constants and never travel; version 1
+frames, which carried both, raise ``VersionError``.
 
 A frame that fails any check is discarded whole; the consumer sees a
-missing chunk number, exactly as for a lost transmission.
+missing chunk number, exactly as for a lost transmission.  A TCP link
+also discards an intact frame whose shape disagrees with the plan: its
+ndim, and for a key with a frequency axis its channel count.
 """
 
 from __future__ import annotations
@@ -48,14 +52,14 @@ from .errors import (
 )
 
 MAGIC = b"TFSB"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
-#: Largest header a frame may declare: room for short names and the
-#: frequencies of some 8000 channels.  A larger declared length is
-#: damage, rejected before the reader waits for that many bytes.
+#: Largest header a frame may declare: room for two names of some
+#: 32,000 bytes each.  A larger declared length is damage, rejected
+#: before the reader waits for that many bytes.
 MAX_HEADER_LEN = 1 << 16
 
 #: Transport precision over the wire; float32 halves the volume and the
@@ -69,11 +73,11 @@ _PREAMBLE = struct.Struct("<4sHI")
 _NAME_LEN = struct.Struct("<H")
 #: number, continuity, p, d, l, s, dtype tag and ndim
 _FIXED = struct.Struct("<Qi4IBB")
-#: per ndim, the extents (channels first, time last), sample rate and
-#: channel frequency count that follow the fixed fields
-_EXTENTS = {ndim: struct.Struct(f"<{ndim}IdI") for ndim in (1, 2)}
-#: per ndim, the fixed fields and those that follow them, packed at once
-_MIDDLE = {ndim: struct.Struct(f"<Qi4IBB{ndim}IdI") for ndim in (1, 2)}
+#: per ndim, the extents (channels first, time last) that follow the
+#: fixed fields
+_EXTENTS = {ndim: struct.Struct(f"<{ndim}I") for ndim in (1, 2)}
+#: per ndim, the fixed fields and the extents, packed at once
+_MIDDLE = {ndim: struct.Struct(f"<Qi4IBB{ndim}I") for ndim in (1, 2)}
 _CRC = struct.Struct("<I")
 
 def _pack_str(value: str) -> bytes:
@@ -87,8 +91,6 @@ def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
     if dtype not in _DTYPE_TAGS:
         raise WireError(f"unsupported wire dtype {dtype}")
     producer, feature = chunk.source_key
-    freqs = chunk.channel_freqs
-    freqs = b"" if freqs is None else np.ascontiguousarray(freqs, dtype="<f8")
     a = chunk.alignment
     shape = chunk.payload.shape
     header = b"".join((
@@ -96,9 +98,7 @@ def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
         _pack_str(feature),
         _MIDDLE[len(shape)].pack(
             chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
-            _DTYPE_TAGS[dtype], len(shape), *shape, chunk.sample_rate,
-            len(freqs)),
-        freqs,
+            _DTYPE_TAGS[dtype], len(shape), *shape),
     ))
     if len(header) > MAX_HEADER_LEN:
         raise WireError(f"header of {len(header)} bytes exceeds {MAX_HEADER_LEN}")
@@ -142,8 +142,8 @@ _alignment = lru_cache(maxsize=256)(AlignmentParams)
 def decode_stream(stream: BinaryIO) -> DataChunk:
     """Decode one frame from a byte stream; raises WireError subclasses.
 
-    The payload and the channel frequencies are read-only views of the
-    bytes read for them, which nothing else holds.
+    The payload is a read-only view of the bytes read for it, which
+    nothing else holds.
     """
     preamble = stream.read(_PREAMBLE.size)
     if len(preamble) >= len(MAGIC) and preamble[: len(MAGIC)] != MAGIC:
@@ -174,12 +174,7 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
         raise WireError(f"unknown dtype tag {dtype_tag}")
     if ndim not in (1, 2):
         raise WireError(f"unsupported ndim {ndim}")
-    *shape, sample_rate, freq_count = _unpack(_EXTENTS[ndim], header, pos)
-    pos += _EXTENTS[ndim].size
-    channel_freqs = None
-    if freq_count:
-        channel_freqs = np.frombuffer(
-            _slice(header, pos, 8 * freq_count), dtype="<f8")
+    shape = _unpack(_EXTENTS[ndim], header, pos)
 
     dtype = _TAG_DTYPES[dtype_tag]
     size = math.prod(shape) * dtype.itemsize
@@ -207,10 +202,8 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
         source_key=(names[0], names[1]),
         payload=np.frombuffer(rest, dtype=dtype, count=size // dtype.itemsize)
         .reshape(shape),
-        sample_rate=sample_rate,
         alignment=alignment,
         continuity=code,
-        channel_freqs=channel_freqs,
     )
 
 

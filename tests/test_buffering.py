@@ -16,7 +16,7 @@ C = ("c", "z")
 
 def chunk(key, n, continuity=Continuity.WITHPREVIOUS):
     return DataChunk(
-        number=n, source_key=key, payload=np.zeros(4), sample_rate=1.0,
+        number=n, source_key=key, payload=np.zeros(4),
         alignment=ZERO_ALIGNMENT, continuity=continuity,
     )
 

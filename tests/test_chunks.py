@@ -22,7 +22,6 @@ def make_chunk(payload=None, **kw):
         number=0,
         source_key=("src", "snd"),
         payload=np.zeros(100) if payload is None else payload,
-        sample_rate=8000.0,
         alignment=ZERO_ALIGNMENT,
         continuity=Continuity.DISCONTINUOUS,
     )
@@ -101,17 +100,6 @@ def test_validate_rejects_negative_number():
 def test_validate_rejects_unknown_continuity():
     with pytest.raises(MetadataError):
         validate_chunk(make_chunk(continuity=7))
-
-
-def test_validate_channel_freqs_shape():
-    chunk = make_chunk(np.zeros((4, 10)), channel_freqs=np.array([1.0, 2.0]))
-    with pytest.raises(ShapeError):
-        validate_chunk(chunk)
-
-
-def test_validate_channel_freqs_need_2d_payload():
-    with pytest.raises(ShapeError):
-        validate_chunk(make_chunk(np.zeros(10), channel_freqs=np.array([1.0])))
 
 
 def test_validation_is_idempotent():

@@ -69,7 +69,7 @@ def test_a_cut_chunk_file_reads_to_its_last_record_or_fails_clearly(
             writer.append(DataChunk(
                 number=number, source_key=("ptn", "E_T"),
                 payload=np.full((3, columns), float(number)),
-                sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
+                alignment=ZERO_ALIGNMENT,
                 continuity=Continuity.WITHPREVIOUS))
         writer.close()
         return path.read_bytes()
@@ -103,7 +103,7 @@ def damaged_chunk_files(tmp_path):
     writer = ChunkFileWriter(good, ("ptn", "E_T"), 4000.0, None)
     writer.append(DataChunk(
         number=0, source_key=("ptn", "E_T"), payload=np.zeros((3, 5)),
-        sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
+        alignment=ZERO_ALIGNMENT,
         continuity=Continuity.WITHPREVIOUS))
     writer.close()
     data = good.read_bytes()

@@ -61,6 +61,8 @@ def test_rates_and_channels_propagate(tone_wav, tmp_path):
     assert plan.rates[("reader", "snd")] == 8000.0
     assert plan.rates[("resampler", "snd")] == 4000.0
     assert plan.rates[("se", "T")] == 4000.0
+    for feature in ("E_T", "E_T_valid", "E_blocks"):
+        assert plan.rates[("ptn", feature)] == 40.0
     assert plan.freqs[("resampler", "snd")] is None
     assert len(plan.freqs[("cochlea", "E")]) == 64
     assert len(plan.freqs[("ptn", "E_T")]) == 8
@@ -71,6 +73,41 @@ def test_rates_and_channels_propagate(tone_wav, tmp_path):
     assert not any(a.flags.writeable for a in plan.freqs.values()
                    if a is not None)
     assert plan.chunk_lengths["ptn:out"] == pytest.approx(512 / 100)
+
+
+def test_transform_fed_two_rates_is_rejected(tmp_path):
+    """ptn publishes at its block rate, 40 Hz here: a second ptn merging
+    filterbank energy with the scores of those blocks mixes 4000 Hz and
+    40 Hz, which validation rejects before a merge can disagree."""
+    raw = mic_pipeline_config(tmp_path / "out", chunk_size=60000)
+    ptn = raw["processors"][4]
+    ptn["params"]["block_df"] = 1
+    raw["processors"] += [
+        {"name": "se2", "kind": "structure_extractor",
+         "params": {"w_t": 1, "w_s": 1}},
+        {"name": "ptn2", "kind": "ptn", "params": dict(ptn["params"])},
+    ]
+    raw["edges"] += [
+        {"from": "ptn.E_blocks", "to": "se2"},
+        {"from": "cochlea.E", "to": "ptn2"},
+        {"from": "se2.T", "to": "ptn2"},
+    ]
+    with pytest.raises(ConfigError, match="'ptn2' receives mixed rates"):
+        build(raw)
+
+
+@pytest.mark.parametrize("channels", [4, 6])
+def test_structure_extractor_with_too_few_channels_is_rejected(
+        tmp_path, channels):
+    """w_s = 3 needs 7 channels: the count is a plan constant, checked
+    once at validation, not on every chunk."""
+    raw = mic_pipeline_config(tmp_path / "out")
+    raw["processors"][2]["params"]["channels"] = channels
+    with pytest.raises(ConfigError,
+                       match=f"'se'.* needs >= 7 channels, got {channels}"):
+        build(raw)
+    raw["processors"][2]["params"]["channels"] = 7
+    build(raw)
 
 
 @pytest.mark.parametrize("case", ["equal_bounds", "swapped_pair"])

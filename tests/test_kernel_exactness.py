@@ -55,7 +55,7 @@ def test_filterbank_columns_do_not_depend_on_the_call(channels, impulse_ms):
     x = np.random.default_rng(5).standard_normal(taps + 1000 + 3 * GEMM_ROWS)
 
     def energy(signal):
-        merged = as_merged("fb", key, signal, 8000.0, Continuity.DISCONTINUOUS)
+        merged = as_merged("fb", key, signal, Continuity.DISCONTINUOUS)
         return fb.process(merged)["E"].payload
 
     whole = energy(x)

@@ -103,7 +103,6 @@ def producer_chunk(key, n, align, continuity):
         number=n,
         source_key=key,
         payload=np.arange(lo, hi, dtype=float),
-        sample_rate=1.0,
         alignment=align,
         continuity=continuity,
     )
@@ -198,7 +197,7 @@ def test_continuous_chunks_shorter_than_the_held_back_columns():
                 number=n, source_key=key,
                 payload=np.arange(lo + (align.d if n == 0 else -align.p),
                                   hi - align.p, dtype=float),
-                sample_rate=1.0, alignment=align, continuity=continuity)
+                alignment=align, continuity=continuity)
             for key, align in ((A, align_a), (B, align_b))
         }
         merged, state = complete_merge(state, chunk_set, n)
@@ -261,7 +260,7 @@ def test_complete_merge_rejects_mismatched_extents():
     state = MergeState()
     good = producer_chunk(A, 0, ALIGN_A, D)
     bad = DataChunk(
-        number=0, source_key=B, payload=np.arange(7.0), sample_rate=1.0,
+        number=0, source_key=B, payload=np.arange(7.0),
         alignment=ALIGN_B, continuity=D,
     )
     with pytest.raises(ShapeMismatch):
@@ -280,7 +279,7 @@ def test_merged_payloads_share_time_extent_2d():
         number=0, source_key=A,
         payload=np.arange(3 * (E - ALIGN_A.d - ALIGN_A.p), dtype=float)
         .reshape(3, -1),
-        sample_rate=1.0, alignment=ALIGN_A, continuity=D,
+        alignment=ALIGN_A, continuity=D,
     )
     other = producer_chunk(B, 0, ALIGN_B, D)
     merged, _ = complete_merge(MergeState(), {A: chunk, B: other}, 0)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import mic_pipeline_config, synth_tone_noise, write_wav
+from conftest import (
+    file_pipeline_config, mic_pipeline_config, synth_tone_noise, write_wav)
+from tfstream.chunkfile import read_chunk_file
 from tfstream.chunks import AlignmentParams, Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.errors import (
     EmptyResult,
@@ -15,6 +17,7 @@ from tfstream.errors import (
 )
 from tfstream.graph import config_from_dict, validate_graph
 from tfstream.merge import MergeState, complete_merge
+from tfstream.runtime import run_plan
 from tfstream.processors import (
     GammaChirpFilterbank,
     MicInput,
@@ -42,11 +45,11 @@ def test_registry_contains_all_kinds():
         assert resolve_kind(kind).kind == kind
 
 
-def as_merged(processor_name, key, payload, rate, continuity,
+def as_merged(processor_name, key, payload, continuity,
               alignment=ZERO_ALIGNMENT):
     """Wrap one array as the merged input set of a single-input processor."""
     chunk = DataChunk(
-        number=0, source_key=key, payload=payload, sample_rate=rate,
+        number=0, source_key=key, payload=payload,
         alignment=alignment, continuity=continuity,
     )
     merged, _ = complete_merge(MergeState(), {key: chunk}, 0)
@@ -186,7 +189,7 @@ def test_resampler_chunked_equals_unchunked():
 
     whole = Resampler("r", {"factor": 2})
     ref = whole.process(
-        as_merged("r", key, x, 8000.0, Continuity.DISCONTINUOUS)
+        as_merged("r", key, x, Continuity.DISCONTINUOUS)
     )["snd"].payload
 
     chunked = Resampler("r", {"factor": 2})
@@ -196,7 +199,7 @@ def test_resampler_chunked_equals_unchunked():
             Continuity.WITHPREVIOUS]):
         chunk = DataChunk(
             number=i, source_key=key, payload=x[i * 1024:(i + 1) * 1024],
-            sample_rate=8000.0, alignment=ZERO_ALIGNMENT, continuity=continuity,
+            alignment=ZERO_ALIGNMENT, continuity=continuity,
         )
         merged, state = complete_merge(state, {key: chunk}, i)
         parts.append(chunked.process(merged)["snd"].payload)
@@ -212,9 +215,9 @@ def test_resampler_minimum_chunk_after_a_discontinuity(factor, fir_length):
     assert minimum == {2: 127, 4: 33}[factor]
     x = np.random.default_rng(2).standard_normal(minimum)
     with pytest.raises(EmptyResult, match=f"minimum chunk length is {minimum} "):
-        r.process(as_merged("r", ("src", "snd"), x[:-1], 8000.0,
+        r.process(as_merged("r", ("src", "snd"), x[:-1],
                             Continuity.DISCONTINUOUS))
-    out = r.process(as_merged("r", ("src", "snd"), x, 8000.0,
+    out = r.process(as_merged("r", ("src", "snd"), x,
                               Continuity.DISCONTINUOUS))["snd"].payload
     assert out.shape == (1,)
 
@@ -229,17 +232,17 @@ def test_resampler_declared_drop_is_honest():
 
     r1 = Resampler("r", {"factor": 2})
     without = r1.process(
-        as_merged("r", key, x, 8000.0, Continuity.DISCONTINUOUS)
+        as_merged("r", key, x, Continuity.DISCONTINUOUS)
     )["snd"].payload
 
     r2 = Resampler("r", {"factor": 2})
-    r2.process(as_merged("r", key, past, 8000.0, Continuity.DISCONTINUOUS))
+    r2.process(as_merged("r", key, past, Continuity.DISCONTINUOUS))
     state = MergeState()
     chunk0 = DataChunk(number=0, source_key=key, payload=past,
-                       sample_rate=8000.0, alignment=ZERO_ALIGNMENT,
+                       alignment=ZERO_ALIGNMENT,
                        continuity=Continuity.DISCONTINUOUS)
     _, state = complete_merge(state, {key: chunk0}, 0)
-    chunk1 = DataChunk(number=1, source_key=key, payload=x, sample_rate=8000.0,
+    chunk1 = DataChunk(number=1, source_key=key, payload=x,
                        alignment=ZERO_ALIGNMENT,
                        continuity=Continuity.WITHPREVIOUS)
     merged, _ = complete_merge(state, {key: chunk1}, 1)
@@ -282,10 +285,11 @@ def test_filterbank_designs_every_channel_as_the_scalar_response(params):
     """The bank is designed in one batch; each channel's taps equal the
     scalar gammachirp_ir of its centre frequency bit for bit."""
     fb = GammaChirpFilterbank("fb", params)
-    bank = gammachirp_ir(fb.center_freqs, fb._rate, fb.impulse_length,
+    rate = params["sample_rate"]
+    bank = gammachirp_ir(fb.center_freqs, rate, fb.impulse_length,
                          fb.order, chirp=fb.chirp)
     for c, cf in enumerate(fb.center_freqs):
-        h = gammachirp_ir(cf, fb._rate, fb.impulse_length, fb.order,
+        h = gammachirp_ir(cf, rate, fb.impulse_length, fb.order,
                           chirp=fb.chirp)
         assert h.shape == (fb.impulse_length,)
         assert np.array_equal(bank[c], h)
@@ -293,16 +297,23 @@ def test_filterbank_designs_every_channel_as_the_scalar_response(params):
         assert np.array_equal(fb._h_imag[c], h.imag)
 
 
-def test_filterbank_publishes_its_read_only_centre_frequencies(tmp_path):
-    """The axis validation resolved goes out with every chunk, as is."""
-    plan = validate_graph(config_from_dict(mic_pipeline_config(tmp_path)))
-    fb = plan.instances["cochlea"]
-    x = np.random.default_rng(0).standard_normal(1000)
-    out = fb.step(as_merged("fb", ("resampler", "snd"), x, 4000.0,
-                            Continuity.DISCONTINUOUS))
-    assert out[0].channel_freqs is plan.freqs[("cochlea", "E")]
-    assert np.array_equal(out[0].channel_freqs, fb.center_freqs)
-    assert not out[0].channel_freqs.flags.writeable
+@pytest.mark.parametrize("pipeline", ["mic", "file"])
+def test_file_writer_headers_hold_the_plan_rates_and_axes(
+        tone_wav, tmp_path, pipeline):
+    """Chunks carry neither rate nor axis: every chunk file's header
+    holds its key's rate and axis as the plan resolved them."""
+    out = tmp_path / "out"
+    raw = (mic_pipeline_config(out) if pipeline == "mic"
+           else file_pipeline_config(tone_wav, out))
+    plan = validate_graph(config_from_dict(raw))
+    report = run_plan(plan)
+    assert sorted(report.written) == sorted(plan.in_keys["out"])
+    for key in report.written:
+        header, _ = read_chunk_file(out / f"{key[0]}.{key[1]}.tfc")
+        axis = plan.freqs[key]
+        assert header["sample_rate"] == plan.rates[key]
+        assert header["channel_freqs"] == (
+            None if axis is None else axis.tolist())
 
 
 def test_filterbank_white_noise_energy_matches_filter_norm():
@@ -315,7 +326,7 @@ def test_filterbank_white_noise_energy_matches_filter_norm():
     noise = sigma * rng.standard_normal(8 * 4000)
     key = ("src", "snd")
     out = fb.process(
-        as_merged("fb", key, noise, 4000.0, Continuity.DISCONTINUOUS)
+        as_merged("fb", key, noise, Continuity.DISCONTINUOUS)
     )["E"].payload
     norms = (fb._h_real ** 2 + fb._h_imag ** 2).sum(axis=1)
     measured = out.mean(axis=1)
@@ -331,19 +342,11 @@ def test_filterbank_tone_peaks_at_matching_channel():
     t = np.arange(4000) / 4000.0
     tone = np.sin(2 * np.pi * 440.0 * t)
     out = fb.process(
-        as_merged("fb", ("s", "snd"), tone, 4000.0, Continuity.DISCONTINUOUS)
+        as_merged("fb", ("s", "snd"), tone, Continuity.DISCONTINUOUS)
     )["E"].payload
     peak = int(np.argmax(out.mean(axis=1)))
     nearest = int(np.argmin(np.abs(fb.center_freqs - 440.0)))
     assert abs(peak - nearest) <= 1
-
-
-def test_filterbank_rejects_rate_mismatch():
-    fb = GammaChirpFilterbank("fb", {"channels": 8, "f_min": 100,
-                                     "f_max": 1500, "sample_rate": 4000})
-    with pytest.raises(SpecMismatch):
-        fb.process(as_merged("fb", ("s", "snd"), np.zeros(500), 8000.0,
-                             Continuity.DISCONTINUOUS))
 
 
 def test_filterbank_rejects_f_max_at_nyquist():
@@ -367,7 +370,7 @@ def test_filterbank_chunked_equals_unchunked():
     x = rng.standard_normal(3000)
     key = ("src", "snd")
     ref = fb_whole.process(
-        as_merged("fb", key, x, 4000.0, Continuity.DISCONTINUOUS)
+        as_merged("fb", key, x, Continuity.DISCONTINUOUS)
     )["E"].payload
 
     fb = GammaChirpFilterbank("fb", {
@@ -381,7 +384,7 @@ def test_filterbank_chunked_equals_unchunked():
         continuity = (Continuity.DISCONTINUOUS if i == 0
                       else Continuity.WITHPREVIOUS)
         chunk = DataChunk(number=i, source_key=key, payload=x[lo:hi],
-                          sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
+                          alignment=ZERO_ALIGNMENT,
                           continuity=continuity)
         merged, state = complete_merge(state, {key: chunk}, i)
         parts.append(fb.process(merged)["E"].payload)
@@ -435,7 +438,7 @@ def test_structure_extractor_marks_scale_margins():
     se = StructureExtractor("se", {"w_t": 10, "w_s": 2})
     rng = np.random.default_rng(8)
     energy = rng.exponential(size=(16, 300))
-    merged = as_merged("se", ("fb", "E"), energy, 4000.0,
+    merged = as_merged("se", ("fb", "E"), energy,
                        Continuity.DISCONTINUOUS)
     out = se.process(merged)["T"].payload
     assert np.isnan(out[:2]).all()
@@ -490,10 +493,10 @@ def test_block_average_nan_aware():
 def make_ptn_merged(energy, tract, continuity, number=0, state=None):
     state = state if state is not None else MergeState()
     e = DataChunk(number=number, source_key=("fb", "E"), payload=energy,
-                  sample_rate=40.0, alignment=ZERO_ALIGNMENT,
+                  alignment=ZERO_ALIGNMENT,
                   continuity=continuity)
     t = DataChunk(number=number, source_key=("se", "T"), payload=tract,
-                  sample_rate=40.0, alignment=ZERO_ALIGNMENT,
+                  alignment=ZERO_ALIGNMENT,
                   continuity=continuity)
     return complete_merge(state, {("fb", "E"): e, ("se", "T"): t}, number)
 

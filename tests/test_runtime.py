@@ -1,5 +1,6 @@
 """Dispatch-loop runtime: end-to-end runs, transports, faults, reporting."""
 
+import dataclasses
 import gc
 import socket
 import struct
@@ -15,10 +16,10 @@ from conftest import (
 from tfstream import runtime
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity, DataChunk, MAX_COUNTER, ZERO_ALIGNMENT
-from tfstream.errors import TooFewChannels
+from tfstream.errors import TFStreamError
 from tfstream.graph import Edge, config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
-from tfstream.processors import Processor, SinkProcessor
+from tfstream.processors import Processor, SinkProcessor, StructureExtractor
 from tfstream.runtime import _TcpLink, run_plan
 from tfstream.wire import encode
 
@@ -217,9 +218,8 @@ def test_a_finished_plan_is_freed_without_the_cycle_collector(tmp_path):
         gc.enable()
 
 
-# frame prefix, the two names, then the fixed fields before the channel
-# frequency count, and before the first (channel) extent of the shape
-FREQ_COUNT_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB2Id")
+# frame prefix, the two names, then the fixed fields before the first
+# (channel) extent of the shape
 SHAPE_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB")
 HEADER_LEN_OFFSET = 6
 SE_T_PTN = Edge("se", "T", "ptn", transport="tcp::0", wire_dtype="<f8")
@@ -227,13 +227,11 @@ SE_T_PTN = Edge("se", "T", "ptn", transport="tcp::0", wire_dtype="<f8")
 
 def se_frames(channels, columns, count=6):
     """Frames of ``se.T`` chunks 0..count-1, chunk n filled with n."""
-    freqs = np.geomspace(100.0, 1500.0, channels)
     return [
         encode(DataChunk(number=n, source_key=("se", "T"),
                          payload=np.full((channels, columns), float(n)),
-                         sample_rate=4000.0, alignment=ZERO_ALIGNMENT,
-                         continuity=Continuity.WITHPREVIOUS,
-                         channel_freqs=freqs), dtype="<f8")
+                         alignment=ZERO_ALIGNMENT,
+                         continuity=Continuity.WITHPREVIOUS), dtype="<f8")
         for n in range(count)
     ]
 
@@ -258,18 +256,18 @@ def transfer(pieces):
 
 
 @pytest.mark.parametrize("offset, bit", [
-    (FREQ_COUNT_OFFSET, 0),
+    (SHAPE_OFFSET, 0),         # 65 channels: the payload overruns
     (HEADER_LEN_OFFSET, 0),
     (HEADER_LEN_OFFSET, 3),
     (HEADER_LEN_OFFSET, 12),   # the reader overruns into frame 2
     (HEADER_LEN_OFFSET, 30),   # far above any real header
-], ids=["freq_count-0", "header_len-0", "header_len-3", "header_len-12",
+], ids=["channels-0", "header_len-0", "header_len-3", "header_len-12",
         "header_len-30"])
 def test_damaged_frame_costs_one_wire_error(offset, bit):
     """The link skips a damaged frame whole and counts it once, whether
     the frames pass through it as one piece or one at a time."""
     frames = se_frames(64, 100)
-    assert struct.unpack_from("<I", frames[1], FREQ_COUNT_OFFSET) == (64,)
+    assert struct.unpack_from("<I", frames[1], SHAPE_OFFSET) == (64,)
     frames[1] = flip(frames[1], offset, bit)
     for pieces in ([b"".join(frames)], frames):
         assert transfer(pieces) == ([0, 2, 3, 4, 5], ["se.T->ptn"])
@@ -408,6 +406,33 @@ def test_frame_declaring_a_huge_shape_costs_only_its_chunk(tmp_path):
         assert records[lost]["number"] == lost + 1
         for record, reference in zip(records[:lost], want):
             np.testing.assert_array_equal(record["payload"], reference["payload"])
+
+
+@pytest.mark.parametrize("cut", [
+    lambda payload: payload[:4],
+    lambda payload: payload[0],
+], ids=["four-rows", "one-row-as-1-D"])
+def test_intact_frame_whose_shape_disagrees_with_the_plan_costs_its_chunk(
+        tmp_path, cut):
+    """The plan gives se.T 64 channels.  A frame of chunk 3 whose CRC
+    holds but which carries 4 rows, or one row as a 1-D series, costs one
+    wire error and exactly what dropping that chunk on that edge costs."""
+    lost = 3
+
+    def damage(chunk, dtype):
+        if chunk.source_key == ("se", "T") and chunk.number == lost:
+            chunk = dataclasses.replace(chunk, payload=cut(chunk.payload))
+        return encode(chunk, dtype)
+
+    damaged = mic_run_over_tcp(tmp_path / "damaged", damage=damage)
+    dropped = mic_run_over_tcp(tmp_path / "dropped", faults=[
+        {"kind": "drop_chunk", "edge": "se.T->ptn", "number": lost}])
+    assert damaged.wire_errors == {"se.T->ptn": 1}
+    assert damaged.merge_logs == dropped.merge_logs
+    assert damaged.buffer_counters == dropped.buffer_counters
+    for name in ["ptn.E_T.tfc", "ptn.E_blocks.tfc"]:
+        got = (tmp_path / "damaged" / name).read_bytes()
+        assert got == (tmp_path / "dropped" / name).read_bytes()
 
 
 def threads_of_a_run(raw):
@@ -594,14 +619,21 @@ def test_two_edges_on_one_fixed_port_run(tmp_path):
         assert (fixed / name).read_bytes() == (local / name).read_bytes()
 
 
+class Failure(TFStreamError):
+    """What a failing processor raises."""
+
+
+def fail(processor, merged):
+    """A ``process`` that fails on every chunk."""
+    raise Failure(f"{processor.name} fails on chunk {merged.number}")
+
+
 @pytest.mark.parametrize("transport", ["local", "tcp::0"])
-def test_failing_processor_ends_the_run(tmp_path, transport):
+def test_failing_processor_ends_the_run(tmp_path, monkeypatch, transport):
     """A failure on the first chunk of a 60-chunk run ends the run:
     run_plan returns and raises the failure."""
+    monkeypatch.setattr(StructureExtractor, "process", fail)
     raw = mic_pipeline_config(tmp_path / "out", num_chunks=60)
-    for spec in raw["processors"]:
-        if spec["name"] == "cochlea":
-            spec["params"]["channels"] = 4   # too few for w_s = 3
     for edge in raw["edges"]:
         if edge["from"] in ("cochlea.E", "se.T"):
             edge["transport"] = transport
@@ -609,7 +641,7 @@ def test_failing_processor_ends_the_run(tmp_path, transport):
     raised = []
 
     def run():
-        with pytest.raises(TooFewChannels):
+        with pytest.raises(Failure):
             run_plan(plan)
         raised.append(True)
 
@@ -620,14 +652,12 @@ def test_failing_processor_ends_the_run(tmp_path, transport):
     assert raised
 
 
-def test_a_failure_stops_pulling_the_sources(tmp_path):
+def test_a_failure_stops_pulling_the_sources(tmp_path, monkeypatch):
     """After the first failure the loop pulls nothing more: a run that
     fails on its first chunk pulls one chunk of 60, still closes its
     sink, and raises the failure."""
+    monkeypatch.setattr(StructureExtractor, "process", fail)
     raw = mic_pipeline_config(tmp_path / "out", num_chunks=60)
-    for spec in raw["processors"]:
-        if spec["name"] == "cochlea":
-            spec["params"]["channels"] = 4   # too few for w_s = 3
     plan = validate_graph(config_from_dict(raw))
     mic, out = plan.instances["mic"], plan.instances["out"]
     chunks, close = mic.chunks, out.close
@@ -640,7 +670,7 @@ def test_a_failure_stops_pulling_the_sources(tmp_path):
 
     mic.chunks = counted_chunks
     out.close = lambda: closed.append(close())
-    with pytest.raises(TooFewChannels):
+    with pytest.raises(Failure):
         run_plan(plan)
     assert pulled == [0]
     assert closed
