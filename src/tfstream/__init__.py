@@ -1,11 +1,12 @@
 """Streaming time-frequency analysis with chunk alignment metadata.
 
 The package moves numbered, continuity-flagged array chunks through a
-graph of processors.  Four alignment counters per chunk (included past,
-dropped after discontinuity, invalid large/small-scale channels) let
-every consumer re-align multiple incoming representations exactly, drop
-what a discontinuity invalidated, and keep chunked results equal to the
-whole-signal computation.
+graph of processors.  Four alignment counters per key (included past,
+dropped after discontinuity, invalid large/small-scale channels),
+composed once when the graph is validated, let every consumer re-align
+multiple incoming representations exactly, drop what a discontinuity
+invalidated, and keep chunked results equal to the whole-signal
+computation.
 """
 
 from .alignment import DropCounts, compose, drop_counts, merge_params

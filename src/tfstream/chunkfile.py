@@ -13,6 +13,8 @@ File layout:
                 u8   ndim, u32 per-dimension extent (time last)
                 raw  little-endian payload
 
+The counters of every record are the key's cumulative counters, which
+the writer takes from the plan when it is made: chunks do not carry them.
 Chunks are appended in publication order, which is deterministic for a
 fixed config, input and fault schedule.
 """
@@ -53,10 +55,12 @@ class ChunkFileWriter:
         source_key: SourceKey,
         sample_rate: float,
         channel_freqs: Optional[np.ndarray],
+        alignment: AlignmentParams,
         dtype: str = "<f8",
     ):
         self.path = Path(path)
         self.dtype = np.dtype(dtype)
+        self._counters = alignment.as_tuple()
         header = json.dumps(
             {
                 "producer": source_key[0],
@@ -73,10 +77,9 @@ class ChunkFileWriter:
         self._fh.write(MAGIC + struct.pack("<I", len(header)) + header)
 
     def append(self, chunk: DataChunk) -> None:
-        a = chunk.alignment
         shape = chunk.payload.shape
         self._fh.write(_RECORD_STARTS[len(shape)].pack(
-            chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
+            chunk.number, int(chunk.continuity), *self._counters,
             len(shape), *shape))
         self._fh.write(np.ascontiguousarray(chunk.payload, dtype=self.dtype))
 

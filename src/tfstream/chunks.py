@@ -1,8 +1,10 @@
-"""Chunk model: alignment metadata, continuity flags and the DataChunk.
+"""Chunk model: alignment counters, continuity flags and the DataChunk.
 
 Every representation travelling through the pipeline is wrapped in a
-DataChunk: a numbered, flagged array (channels x time, or plain time)
-plus the four alignment counters that make re-alignment possible.
+DataChunk: a numbered, flagged array (channels x time, or plain time).
+The four alignment counters that make re-alignment possible belong to
+the chunk's key, not to the chunk: graph validation composes them once
+per key (``GraphPlan.cumulative``).
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class AlignmentParams:
     l: invalid large-scale (low frequency) channels at the array edge.
     s: invalid small-scale (high frequency) channels at the array edge.
 
-    Carried in cumulative form on chunks, in relative form on processors.
+    Cumulative per key in the plan, relative per feature on processors.
     """
 
     p: int = 0
@@ -113,35 +115,32 @@ class DataChunk:
     """A numbered, flagged segment of a (time-frequency) representation.
 
     payload is (channels, time) or (time,); the time axis is always last.
-    A chunk carries only what changes from chunk to chunk: its key's
-    sample rate and frequency axis are plan constants (``GraphPlan.rates``
-    and ``GraphPlan.freqs``).  Chunks are immutable after publication and
-    safe to share between consumers; the runtime freezes the payload when
-    publishing.
+    A chunk carries only what changes from chunk to chunk: its number,
+    continuity and payload.  Its key's sample rate, frequency axis and
+    cumulative alignment counters are plan constants (``GraphPlan.rates``,
+    ``GraphPlan.freqs`` and ``GraphPlan.cumulative``).  Chunks are
+    immutable after publication and safe to share between consumers; the
+    runtime freezes the payload when publishing.
     """
 
     number: int
     source_key: SourceKey
     payload: np.ndarray
-    alignment: AlignmentParams
     continuity: Continuity
 
     @property
     def time_length(self) -> int:
         return self.payload.shape[-1]
 
-    @property
-    def channels(self) -> int:
-        return self.payload.shape[0] if self.payload.ndim == 2 else 1
-
 
 def validate_chunk(chunk: DataChunk) -> DataChunk:
     """Check all DataChunk invariants; return the chunk unchanged.
 
     Idempotent: validating an already valid chunk is a no-op.  A key's
-    sample rate and frequency axis, and so its channel count, are
-    properties of the plan, checked once by graph validation, not per
-    chunk.
+    sample rate, frequency axis (and so its channel count) and alignment
+    counters are properties of the plan, checked once by graph
+    validation, not per chunk; so is whether the counters fit the
+    canonical chunk interval (d + p < length at every merge point).
     """
     shape = chunk.payload.shape
     if len(shape) not in (1, 2):
@@ -154,10 +153,6 @@ def validate_chunk(chunk: DataChunk) -> DataChunk:
         raise MetadataError(f"unknown continuity code {chunk.continuity!r}") from None
     if chunk.number < 0:
         raise MetadataError(f"chunk number is negative: {chunk.number}")
-    # Note: cumulative d + p may legitimately exceed the length of a
-    # single chunk (short final chunks of a continuous stream); whether
-    # the counters fit the canonical chunk interval is a configuration
-    # property, checked once per pipeline, not per chunk.
     return chunk
 
 

@@ -94,10 +94,6 @@ class SpecMismatch(TFStreamError):
     """Filterbank design does not fit its sample rate, or is not made yet."""
 
 
-class TooFewChannels(TFStreamError):
-    """A filterbank needs at least 4 channels."""
-
-
 class ShapeMismatch(TFStreamError):
     """Merged representations disagree in shape; indicates a framework bug."""
 

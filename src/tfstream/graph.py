@@ -5,8 +5,9 @@ with per-edge transports and an optional fault schedule.  Validation
 topologically sorts the graph, propagates sample rates, frequency axes,
 chunk lengths and cumulative alignment counters, and rejects
 configurations whose chunk size cannot satisfy d + p < length at some
-merge point.  A key's rate and axis live in the plan only: sinks get
-them from validation, and chunks carry neither.
+merge point.  A key's rate, axis and counters live in the plan only:
+sinks get them from validation, merges their drop counts from the plan,
+and chunks carry none of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import yaml
 
-from .alignment import compose, merge_params
+from .alignment import DropCounts, compose, drop_counts, merge_params
 from .chunks import AlignmentParams, SourceKey, ZERO_ALIGNMENT
 from .errors import ChunkTooShortForDepth, ConfigError, CycleError
 from .faults import FaultSchedule, parse_fault_events
@@ -87,6 +88,13 @@ class GraphPlan:
             need = (params.d + params.p + 1) / scale
             worst = max(worst, int(-(-need // 1)))
         return worst
+
+    def drops(self, name: str) -> Dict[SourceKey, DropCounts]:
+        """Drop counts of each key merged at ``name``, from the key's
+        cumulative counters and the merged ones."""
+        merged = self.merged_at[name]
+        return {key: drop_counts(merged, self.cumulative[key])
+                for key in self.in_keys[name]}
 
     def _source_names(self) -> List[str]:
         return [
@@ -257,7 +265,8 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
         merged_at[name] = merged
         if isinstance(inst, SinkProcessor):
             inst.set_inputs({key: rates[key] for key in keys},
-                            {key: freqs[key] for key in keys})
+                            {key: freqs[key] for key in keys},
+                            {key: cumulative[key] for key in keys})
             continue
         # a sink takes keys of any rates; a transform's share one
         in_rates = {rates[key] for key in keys}
@@ -287,7 +296,7 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                 f"processor {name!r} receives different frequency axes on "
                 + ", ".join(".".join(key) for key in axes)
             )
-        rate_out = inst.prepare(rate_in)
+        rate_out = inst.prepare(rate_in, merged)
         merged_out = inst.convert_alignment(merged)
         for feature, align in inst.feature_alignment().items():
             key = (name, feature)

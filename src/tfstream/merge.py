@@ -13,9 +13,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alignment import DropCounts, drop_counts, merge_params
+from .alignment import DropCounts
 from .chunks import (
-    AlignmentParams,
     Continuity,
     DataChunk,
     MergeScenario,
@@ -37,18 +36,24 @@ from .errors import (
 class MergeState:
     """Per-consumer carry-over between consecutive merges.
 
+    drops maps each source key to its drop counts at this consumer.
+    They follow from the key's cumulative counters and the consumer's
+    merged ones, which are plan constants, so they are derived once per
+    run (``GraphPlan.drops``), never per chunk.
+
     carried_tails maps each source key to the last d_H columns of the
     previously merged incoming array; these become the prepended past of
     the next regular continuous merge.
 
     decisions maps everything a merge decides from besides the arrays --
-    each member's counters and continuity, in set order, and whether the
-    set directly follows the last completed one -- to the merged counters,
-    the merged continuity and each member's drop counts and scenario.
-    These inputs take few distinct values in a run, so each distinct
-    combination is computed and checked once, then carried forward.
+    each member's continuity, in set order, and whether the set directly
+    follows the last completed one -- to the merged continuity and each
+    member's scenario.  These inputs take few distinct values in a run,
+    so each distinct combination is computed and checked once, then
+    carried forward.
     """
 
+    drops: Mapping[SourceKey, DropCounts]
     last_completed: Optional[int] = None
     carried_tails: Dict[SourceKey, np.ndarray] = field(default_factory=dict)
     decisions: Dict[tuple, "_Decision"] = field(default_factory=dict)
@@ -56,45 +61,34 @@ class MergeState:
 
 @dataclass(frozen=True)
 class _Decision:
-    """What one merge decides from its members' counters and continuity."""
+    """What one merge decides from its members' continuity."""
 
-    alignment: AlignmentParams
     continuity: Continuity
-    members: Tuple[Tuple[DropCounts, MergeScenario], ...]
+    scenarios: Tuple[MergeScenario, ...]
 
 
 def _decide(
     n: int,
     last_completed: Optional[int],
-    alignments: Sequence[AlignmentParams],
     incoming: Sequence[Continuity],
 ) -> _Decision:
-    merged_align = merge_params(alignments)
     subtype = decide_continuity(n, last_completed, incoming)
     return _Decision(
-        alignment=merged_align,
         continuity=_refine_continuity(subtype, incoming),
-        members=tuple(
-            (drop_counts(merged_align, a), classify_scenario(c, subtype))
-            for a, c in zip(alignments, incoming)
-        ),
+        scenarios=tuple(classify_scenario(c, subtype) for c in incoming),
     )
 
 
 @dataclass(frozen=True, slots=True)
 class MergedChunk:
     """The aligned result of one completed set; all arrays share one
-    time extent and one continuity."""
+    time extent and one continuity.  The merged counters are the
+    consumer's plan constant (``GraphPlan.merged_at``)."""
 
     number: int
     continuity: Continuity
-    alignment: AlignmentParams
     payloads: Mapping[SourceKey, np.ndarray]
     scenarios: Mapping[SourceKey, MergeScenario]
-
-    @property
-    def time_length(self) -> int:
-        return next(iter(self.payloads.values())).shape[-1]
 
 
 def decide_continuity(
@@ -225,25 +219,22 @@ def complete_merge(
                 f"chunk {chunk.source_key} has number {chunk.number}, "
                 f"expected {n}"
             )
-    alignments = tuple([c.alignment for c in chunks])
     incoming = tuple([c.continuity for c in chunks])
     last = state.last_completed
     follows = last is not None and n == last + 1
-    decision = state.decisions.get((alignments, incoming, follows))
+    decision = state.decisions.get((incoming, follows))
     if decision is None:
-        decision = _decide(n, last, alignments, incoming)
-        state.decisions[alignments, incoming, follows] = decision
+        decision = state.decisions[incoming, follows] = _decide(
+            n, last, incoming)
 
     payloads: Dict[SourceKey, np.ndarray] = {}
     scenarios: Dict[SourceKey, MergeScenario] = {}
     tails: Dict[SourceKey, np.ndarray] = {}
-    carried = state.carried_tails
+    carried, drops = state.carried_tails, state.drops
     length, uneven = None, False
-    for (key, chunk), (drops, scenario) in zip(
-        chunk_set.items(), decision.members
-    ):
+    for (key, chunk), scenario in zip(chunk_set.items(), decision.scenarios):
         payload, tails[key] = merge_array(
-            scenario, carried.get(key), chunk.payload, drops
+            scenario, carried.get(key), chunk.payload, drops[key]
         )
         payloads[key] = payload
         scenarios[key] = scenario
@@ -258,10 +249,7 @@ def complete_merge(
     merged = MergedChunk(
         number=n,
         continuity=decision.continuity,
-        alignment=decision.alignment,
         payloads=payloads,
         scenarios=scenarios,
     )
-    return merged, MergeState(
-        last_completed=n, carried_tails=tails, decisions=state.decisions
-    )
+    return merged, MergeState(drops, n, tails, state.decisions)

@@ -3,7 +3,7 @@
 Feeds each source's whole signal through the processor graph as a single
 discontinuous chunk (after an optional calibration pass), using the same
 merge slicing and the same transform step (``Processor.step``: NaN
-policy, kernels, alignment) as the streaming runtime.  Every
+policy, kernels, continuity) as the streaming runtime.  Every
 kernel computes each output value by a fixed expression over that
 value's own input window, whatever the chunk length or start, so
 streaming results must equal these arrays bit for bit, NaN placement
@@ -45,7 +45,7 @@ def _feed_pass(
         if any(key not in available for key in keys):
             continue
         chunk_set = {key: available[key] for key in keys}
-        merged, _ = complete_merge(MergeState(), chunk_set, 0)
+        merged, _ = complete_merge(MergeState(plan.drops(name)), chunk_set, 0)
         for chunk in inst.step(merged):
             available[chunk.source_key] = chunk
     return available

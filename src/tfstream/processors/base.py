@@ -2,14 +2,14 @@
 
 A transform processor consumes one merged chunk per time interval and
 publishes one or more features, each with its own relative alignment
-counters.  The time-window state keeps just enough input history that
-chunked processing reproduces the unchunked computation exactly.
+counters, which graph validation composes once per key.  The
+time-window state keeps just enough input history that chunked
+processing reproduces the unchunked computation exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import (
     ClassVar,
     Dict,
@@ -24,13 +24,11 @@ from typing import (
 
 import numpy as np
 
-from ..alignment import compose
 from ..chunks import (
     AlignmentParams,
     Continuity,
     DataChunk,
     SourceKey,
-    ZERO_ALIGNMENT,
     is_withprevious_subtype,
 )
 from ..errors import ConfigError, EmptyResult, UnknownProcessorKind
@@ -70,17 +68,12 @@ class Processor:
                 f"nan_policy must be 'propagate' or 'zero', "
                 f"got {self.nan_policy!r}"
             )
-        #: per feature, its source key and cumulative counters, keyed by
-        #: the merged counters they were composed from
-        self._composed: Dict[
-            AlignmentParams, Dict[str, Tuple[SourceKey, AlignmentParams]]
-        ] = {}
 
     # --- static metadata used by graph validation ------------------------
 
-    def prepare(self, in_rate: float) -> float:
-        """Fix the input sample rate before a run; returns the one sample
-        rate of every published feature."""
+    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
+        """Fix the input sample rate and the merged input counters before
+        a run; returns the one sample rate of every published feature."""
         return in_rate
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
@@ -117,19 +110,13 @@ class Processor:
     def reset(self) -> None:
         """Drop any carried state (called once before a run)."""
 
-    @cached_property
-    def _alignments(self) -> Dict[str, AlignmentParams]:
-        """feature_alignment(), read once: it is fixed after prepare."""
-        return self.feature_alignment()
-
     def step(self, merged: MergedChunk) -> List[DataChunk]:
         """The chunks to publish for one merged chunk.
 
         The one transform step of both the streaming runtime and the
-        whole-signal reference: apply the NaN policy, process, settle
-        the continuity and compose each feature's cumulative alignment
-        (once per distinct merged alignment: ``convert_alignment`` and
-        ``feature_alignment`` depend on nothing else).
+        whole-signal reference: apply the NaN policy, process and settle
+        the continuity.  The features' counters are plan constants,
+        composed at validation only.
         """
         if self.nan_policy == "zero":
             merged = replace(merged, payloads={
@@ -143,25 +130,15 @@ class Processor:
         pending = self.consume_pending_continuity()
         if pending is not None and is_withprevious_subtype(continuity):
             continuity = pending
-        composed = self._composed.get(merged.alignment)
-        if composed is None:
-            base = self.convert_alignment(merged.alignment)
-            composed = {
-                feature: ((self.name, feature), compose(base, align))
-                for feature, align in self._alignments.items()
-            }
-            self._composed[merged.alignment] = composed
-        chunks = []
-        for feature, data in outputs.items():
-            key, alignment = composed[feature]
-            chunks.append(DataChunk(
+        return [
+            DataChunk(
                 number=merged.number,
-                source_key=key,
+                source_key=(self.name, feature),
                 payload=np.ascontiguousarray(data.payload),
-                alignment=alignment,
                 continuity=continuity,
-            ))
-        return chunks
+            )
+            for feature, data in outputs.items()
+        ]
 
 
 class SourceProcessor:
@@ -191,12 +168,11 @@ class SourceProcessor:
         self, number: int, payload: np.ndarray, continuity: Continuity
     ) -> DataChunk:
         """A chunk of this source's feature, as the stream and the
-        whole-signal reference both emit it (zero alignment)."""
+        whole-signal reference both emit it."""
         return DataChunk(
             number=number,
             source_key=(self.name, self.feature),
             payload=payload,
-            alignment=ZERO_ALIGNMENT,
             continuity=continuity,
         )
 
@@ -227,20 +203,24 @@ class SinkProcessor:
         self.params = dict(params)
         #: Chunks written per source key.
         self.written: Dict[SourceKey, int] = {}
-        #: per received key, its sample rate and its read-only frequency
-        #: axis (None: the key has none), as graph validation resolved them
+        #: per received key, its sample rate, its read-only frequency
+        #: axis (None: the key has none) and its cumulative counters, as
+        #: graph validation resolved them
         self.rates: Dict[SourceKey, float] = {}
         self.freqs: Dict[SourceKey, Optional[np.ndarray]] = {}
+        self.alignments: Dict[SourceKey, AlignmentParams] = {}
 
     def set_inputs(
         self,
         rates: Mapping[SourceKey, float],
         freqs: Mapping[SourceKey, Optional[np.ndarray]],
+        alignments: Mapping[SourceKey, AlignmentParams],
     ) -> None:
-        """Take the sample rate and frequency axis of each received key,
-        from the plan: chunks carry neither."""
+        """Take the sample rate, frequency axis and cumulative counters
+        of each received key, from the plan: chunks carry none of them."""
         self.rates = dict(rates)
         self.freqs = dict(freqs)
+        self.alignments = dict(alignments)
 
     def consume(self, chunk: DataChunk) -> None:
         raise NotImplementedError

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
-from ..errors import ShapeMismatch, SpecMismatch, TooFewChannels
+from ..errors import ShapeMismatch, SpecMismatch
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -61,8 +61,8 @@ class GammaChirpFilterbank(Processor):
     against the time-reversed real and imaginary taps; see ``_energy``.
 
     Parameters: channels, f_min, f_max (center frequencies log-spaced),
-    impulse_ms (filter length, default 50 ms), order, chirp, and
-    optionally sample_rate to pin the design rate up front.
+    impulse_ms (filter length, default 50 ms), order and chirp.  The
+    design rate is the graph's: ``prepare`` takes the input key's rate.
     """
 
     kind = "gammachirp_filterbank"
@@ -71,7 +71,11 @@ class GammaChirpFilterbank(Processor):
         super().__init__(name, params)
         self.channels = int(params.get("channels", 64))
         if self.channels < 4:
-            raise TooFewChannels("filterbank needs at least 4 channels")
+            raise ValueError("filterbank needs at least 4 channels")
+        if "sample_rate" in params:
+            raise ValueError(
+                "sample_rate is not a filterbank parameter: the bank is "
+                "designed at the rate of its input key")
         self.f_min = float(params.get("f_min", 100.0))
         self.f_max = float(params.get("f_max", 1500.0))
         self.impulse_ms = float(params.get("impulse_ms", 50.0))
@@ -88,10 +92,8 @@ class GammaChirpFilterbank(Processor):
         self._windows: Optional[np.ndarray] = None
         self._product: Optional[np.ndarray] = None
         self._block: Optional[np.ndarray] = None
-        if "sample_rate" in params:
-            self.prepare(float(params["sample_rate"]))
 
-    def prepare(self, in_rate: float) -> float:
+    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
         if self.f_max >= in_rate / 2:
             raise SpecMismatch(
                 f"f_max {self.f_max} Hz is not below Nyquist for rate {in_rate}"

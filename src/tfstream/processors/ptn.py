@@ -181,7 +181,7 @@ class PTNProcessor(Processor):
     ) -> Optional[np.ndarray]:
         return None if in_freqs is None else group_means(in_freqs, self.block_df)
 
-    def prepare(self, in_rate: float) -> float:
+    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
         return in_rate / self.block_dt
 
     def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:

@@ -64,7 +64,7 @@ class Resampler(Processor):
             p=-(-merged.p // R), d=-(-merged.d // R), l=merged.l, s=merged.s
         )
 
-    def prepare(self, in_rate: float) -> float:
+    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
         if in_rate % self.factor != 0:
             raise NonIntegerRate(
                 f"factor {self.factor} does not divide sample rate {in_rate}"

@@ -12,7 +12,7 @@ scores.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -201,6 +201,12 @@ class StructureExtractor(Processor):
         if self.direction not in ("horizontal", "vertical"):
             raise ValueError(f"bad direction {self.direction!r}")
         self._window = TimeWindowState(declared_d=self.w_t, declared_p=self.w_t)
+        #: T's cumulative invalid scale margins (l, s), set by prepare
+        self._margins: Optional[Tuple[int, int]] = None
+
+    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
+        self._margins = (merged.l + self.w_s, merged.s + self.w_s)
+        return in_rate
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {
@@ -237,8 +243,7 @@ class StructureExtractor(Processor):
         else:
             scores = _vertical_valid(buf, self.w_t, self.w_s)
         # mark the cumulative invalid scale margins
-        l_cum = merged.alignment.l + self.w_s
-        s_cum = merged.alignment.s + self.w_s
+        l_cum, s_cum = self._margins
         scores[:l_cum, :] = np.nan
         scores[scores.shape[0] - s_cum :, :] = np.nan
         return {"T": FeatureData(scores)}

@@ -14,9 +14,9 @@ from .base import SinkProcessor, register
 class FileWriter(SinkProcessor):
     """Appends arriving chunks to per-key files in the output directory.
 
-    Each file's header holds its key's sample rate and frequency axis, as
-    graph validation handed them over.  Calibration chunks are consumed
-    but never written.
+    Each file's header holds its key's sample rate and frequency axis,
+    and each record its key's cumulative counters, as graph validation
+    handed them over.  Calibration chunks are consumed but never written.
     """
 
     kind = "file_writer"
@@ -41,6 +41,7 @@ class FileWriter(SinkProcessor):
                 key,
                 self.rates[key],
                 self.freqs[key],
+                self.alignments[key],
                 dtype=self.dtype,
             )
             self.written[key] = 0

@@ -107,9 +107,10 @@ class _Route:
 
     __slots__ = ("buffer", "state", "merges", "step", "peak")
 
-    def __init__(self, buffer: InFlightBuffer, step: Callable):
+    def __init__(self, buffer: InFlightBuffer, state: MergeState,
+                 step: Callable):
         self.buffer = buffer
-        self.state = MergeState()
+        self.state = state
         #: (number, continuity, scenarios) of each completed merge
         self.merges: List[tuple] = []
         self.step = step
@@ -327,7 +328,8 @@ class Streamboard:
                 elif isinstance(inst, Processor):
                     inst.reset()
                     buffer = InFlightBuffer(frozenset(plan.in_keys[name]))
-                    route = _Route(buffer, inst.step)
+                    route = _Route(buffer, MergeState(plan.drops(name)),
+                                   inst.step)
                     self._routes[name] = route
                     self._receivers[name] = partial(self._arrive, route)
                     report.merges[name] = route.merges

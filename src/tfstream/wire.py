@@ -4,7 +4,7 @@ Frame layout (all integers little-endian):
 
     offset  size  field
     0       4     magic  b"TFSB"
-    4       2     version (u16), currently 2
+    4       2     version (u16), currently 3
     6       4     header length H (u32)
     10      H     header, see below
     10+H    P     payload, raw little-endian array data
@@ -16,14 +16,14 @@ Header layout:
     u16  feature name length, then that many UTF-8 bytes
     u64  chunk number
     i32  continuity code
-    u32  p, u32 d, u32 l, u32 s
     u8   dtype tag (0 = float32, 1 = float64)
     u8   ndim (1 or 2)
     u32  per dimension: extent (channels first, time last)
 
-A frame carries what changes from chunk to chunk.  Its key's sample rate
-and frequency axis are plan constants and never travel; version 1
-frames, which carried both, raise ``VersionError``.
+A frame carries what changes from chunk to chunk: number, continuity and
+payload.  Its key's sample rate, frequency axis and alignment counters
+are plan constants and never travel; frames of an older version (1
+carried all three, 2 the counters) raise ``VersionError``.
 
 A frame that fails any check is discarded whole; the consumer sees a
 missing chunk number, exactly as for a lost transmission.  A TCP link
@@ -36,23 +36,21 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from functools import lru_cache
 from io import BytesIO
 from typing import BinaryIO
 
 import numpy as np
 
-from .chunks import AlignmentParams, Continuity, DataChunk, as_continuity
+from .chunks import Continuity, DataChunk, as_continuity
 from .errors import (
     ChecksumError,
-    MetadataError,
     TruncatedFrame,
     VersionError,
     WireError,
 )
 
 MAGIC = b"TFSB"
-VERSION = 2
+VERSION = 3
 
 _DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -71,13 +69,13 @@ WIRE_DTYPE = np.dtype("<f4")
 _PREAMBLE = struct.Struct("<4sHI")
 #: length of a name in the header
 _NAME_LEN = struct.Struct("<H")
-#: number, continuity, p, d, l, s, dtype tag and ndim
-_FIXED = struct.Struct("<Qi4IBB")
+#: number, continuity, dtype tag and ndim
+_FIXED = struct.Struct("<QiBB")
 #: per ndim, the extents (channels first, time last) that follow the
 #: fixed fields
 _EXTENTS = {ndim: struct.Struct(f"<{ndim}I") for ndim in (1, 2)}
 #: per ndim, the fixed fields and the extents, packed at once
-_MIDDLE = {ndim: struct.Struct(f"<Qi4IBB{ndim}I") for ndim in (1, 2)}
+_MIDDLE = {ndim: struct.Struct(f"<QiBB{ndim}I") for ndim in (1, 2)}
 _CRC = struct.Struct("<I")
 
 def _pack_str(value: str) -> bytes:
@@ -91,13 +89,12 @@ def encode(chunk: DataChunk, dtype: np.dtype = WIRE_DTYPE) -> bytes:
     if dtype not in _DTYPE_TAGS:
         raise WireError(f"unsupported wire dtype {dtype}")
     producer, feature = chunk.source_key
-    a = chunk.alignment
     shape = chunk.payload.shape
     header = b"".join((
         _pack_str(producer),
         _pack_str(feature),
         _MIDDLE[len(shape)].pack(
-            chunk.number, int(chunk.continuity), a.p, a.d, a.l, a.s,
+            chunk.number, int(chunk.continuity),
             _DTYPE_TAGS[dtype], len(shape), *shape),
     ))
     if len(header) > MAX_HEADER_LEN:
@@ -134,11 +131,6 @@ def _slice(header: bytes, pos: int, n: int) -> bytes:
     return data
 
 
-#: Validated counters, one object per distinct (p, d, l, s): frames of
-#: one edge repeat a few of them, so each is checked once.
-_alignment = lru_cache(maxsize=256)(AlignmentParams)
-
-
 def decode_stream(stream: BinaryIO) -> DataChunk:
     """Decode one frame from a byte stream; raises WireError subclasses.
 
@@ -168,7 +160,7 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
         except UnicodeDecodeError as exc:
             raise WireError(f"corrupt header: {exc}") from None
         pos += _NAME_LEN.size + length
-    number, continuity, p, d, l, s, dtype_tag, ndim = _unpack(_FIXED, header, pos)
+    number, continuity, dtype_tag, ndim = _unpack(_FIXED, header, pos)
     pos += _FIXED.size
     if dtype_tag not in _TAG_DTYPES:
         raise WireError(f"unknown dtype tag {dtype_tag}")
@@ -193,16 +185,11 @@ def decode_stream(stream: BinaryIO) -> DataChunk:
         raise WireError(f"unknown continuity code {continuity}") from None
     if code is Continuity.INVALID:
         raise WireError("invalid chunk (code -1): never published")
-    try:
-        alignment = _alignment(p, d, l, s)
-    except MetadataError as exc:
-        raise WireError(f"corrupt header: {exc}") from None
     return DataChunk(
         number=number,
         source_key=(names[0], names[1]),
         payload=np.frombuffer(rest, dtype=dtype, count=size // dtype.itemsize)
         .reshape(shape),
-        alignment=alignment,
         continuity=code,
     )
 

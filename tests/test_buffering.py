@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tfstream.buffering import InFlightBuffer
-from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
+from tfstream.chunks import Continuity, DataChunk
 from tfstream.errors import UnknownKey
 
 A = ("a", "x")
@@ -16,8 +16,7 @@ C = ("c", "z")
 
 def chunk(key, n, continuity=Continuity.WITHPREVIOUS):
     return DataChunk(
-        number=n, source_key=key, payload=np.zeros(4),
-        alignment=ZERO_ALIGNMENT, continuity=continuity,
+        number=n, source_key=key, payload=np.zeros(4), continuity=continuity,
     )
 
 

@@ -64,12 +64,11 @@ def test_a_cut_chunk_file_reads_to_its_last_record_or_fails_clearly(
     def file_of(count):
         path = tmp_path / f"{count}.tfc"
         writer = ChunkFileWriter(path, ("ptn", "E_T"), 4000.0,
-                                 np.geomspace(100.0, 1500.0, 3))
+                                 np.geomspace(100.0, 1500.0, 3), ZERO_ALIGNMENT)
         for number, columns in enumerate([5, 2][:count]):
             writer.append(DataChunk(
                 number=number, source_key=("ptn", "E_T"),
                 payload=np.full((3, columns), float(number)),
-                alignment=ZERO_ALIGNMENT,
                 continuity=Continuity.WITHPREVIOUS))
         writer.close()
         return path.read_bytes()
@@ -100,10 +99,9 @@ def damaged_chunk_files(tmp_path):
         return b"TFCF" + struct.pack("<I", len(raw)) + raw
 
     good = tmp_path / "good.tfc"
-    writer = ChunkFileWriter(good, ("ptn", "E_T"), 4000.0, None)
+    writer = ChunkFileWriter(good, ("ptn", "E_T"), 4000.0, None, ZERO_ALIGNMENT)
     writer.append(DataChunk(
         number=0, source_key=("ptn", "E_T"), payload=np.zeros((3, 5)),
-        alignment=ZERO_ALIGNMENT,
         continuity=Continuity.WITHPREVIOUS))
     writer.close()
     data = good.read_bytes()

@@ -21,13 +21,13 @@ from conftest import (
     synth_tone_noise,
     write_wav,
 )
-from test_processors import as_merged, make_ptn_merged
+from test_processors import as_merged, designed_bank, make_ptn_merged
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity
 from tfstream.errors import ChunkTooShortForDepth
 from tfstream.graph import config_from_dict, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
-from tfstream.processors import GammaChirpFilterbank, PTNProcessor
+from tfstream.processors import PTNProcessor
 from tfstream.processors.filterbank import GEMM_ROWS
 from tfstream.processors.ptn import block_averages, blocks_per_tile, logistic
 from tfstream.processors.structure import (
@@ -46,10 +46,10 @@ OFFSETS = [0, 1, 3, 97, 1000]
 @pytest.mark.parametrize("channels, impulse_ms", [(64, 50.0), (8, 4.0)])
 def test_filterbank_columns_do_not_depend_on_the_call(channels, impulse_ms):
     """L = 400 taps x 2C = 128 and L = 32 x 2C = 16 at 8 kHz."""
-    fb = GammaChirpFilterbank("fb", {
+    fb = designed_bank({
         "channels": channels, "f_min": 100, "f_max": 1500,
-        "impulse_ms": impulse_ms, "sample_rate": 8000,
-    })
+        "impulse_ms": impulse_ms,
+    }, 8000)
     taps = fb.impulse_length
     key = ("src", "snd")
     x = np.random.default_rng(5).standard_normal(taps + 1000 + 3 * GEMM_ROWS)
@@ -70,10 +70,9 @@ def test_filterbank_columns_do_not_depend_on_the_call(channels, impulse_ms):
 
 
 def test_filterbank_matches_direct_convolution():
-    fb = GammaChirpFilterbank("fb", {
+    fb = designed_bank({
         "channels": 16, "f_min": 100, "f_max": 1500, "impulse_ms": 20,
-        "sample_rate": 8000,
-    })
+    }, 8000)
     taps = fb.impulse_length
     x = np.random.default_rng(6).standard_normal(3000)
     got = fb._energy(x, slice(taps, x.size))

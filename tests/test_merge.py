@@ -28,7 +28,7 @@ from tfstream.merge import (
     decide_continuity,
     merge_array,
 )
-from tfstream.alignment import DropCounts
+from tfstream.alignment import DropCounts, drop_counts
 
 W = Continuity.WITHPREVIOUS
 D = Continuity.DISCONTINUOUS
@@ -93,7 +93,8 @@ E = 20  # canonical chunk interval
 
 def producer_chunk(key, n, align, continuity):
     """Chunk n of a representation with cumulative counters `align`,
-    payload values = physical time positions."""
+    payload values = physical time positions.  The counters are the
+    key's, not the chunk's: a merge takes them from its MergeState."""
     p, d = align.p, align.d
     if continuity in (W, Continuity.LAST):
         lo, hi = n * E - p, (n + 1) * E - p
@@ -103,7 +104,6 @@ def producer_chunk(key, n, align, continuity):
         number=n,
         source_key=key,
         payload=np.arange(lo, hi, dtype=float),
-        alignment=align,
         continuity=continuity,
     )
 
@@ -113,6 +113,8 @@ B = ("b", "y")
 ALIGN_A = AlignmentParams(p=2, d=5)
 ALIGN_B = AlignmentParams(p=4, d=3)
 MERGED = AlignmentParams(p=4, d=5)  # component-wise max
+#: each key's drop counts at the consumer, as the plan derives them
+DROPS = {A: drop_counts(MERGED, ALIGN_A), B: drop_counts(MERGED, ALIGN_B)}
 
 
 def merged_range(n, continuity):
@@ -122,7 +124,7 @@ def merged_range(n, continuity):
 
 
 def test_regular_discontinuous_then_continuous_sequence():
-    state = MergeState()
+    state = MergeState(DROPS)
     chunk_set = {k: producer_chunk(k, 0, a, D)
                  for k, a in ((A, ALIGN_A), (B, ALIGN_B))}
     merged, state = complete_merge(state, chunk_set, 0)
@@ -145,7 +147,7 @@ def test_regular_discontinuous_then_continuous_sequence():
 
 
 def test_irregular_discontinuous_after_gap():
-    state = MergeState()
+    state = MergeState(DROPS)
     merged, state = complete_merge(
         state,
         {k: producer_chunk(k, 0, a, D) for k, a in ((A, ALIGN_A), (B, ALIGN_B))},
@@ -165,7 +167,7 @@ def test_irregular_discontinuous_after_gap():
 def test_continuous_merge_directly_after_discontinuous_one():
     # the tails collected during a discontinuous merge must feed the next
     # continuous merge; coverage stays gap-free across the pair
-    state = MergeState()
+    state = MergeState(DROPS)
     merged0, state = complete_merge(
         state,
         {k: producer_chunk(k, 0, a, D) for k, a in ((A, ALIGN_A), (B, ALIGN_B))},
@@ -189,7 +191,10 @@ def test_continuous_chunks_shorter_than_the_held_back_columns():
     merged values still run without a gap or a repeat."""
     align_a, align_b = AlignmentParams(p=0, d=0), AlignmentParams(p=5, d=0)
     bounds = [0, 20, 22, 24, 27, 40]
-    state, parts = MergeState(), {A: [], B: []}
+    merged_align = AlignmentParams(p=5, d=0)
+    state = MergeState({A: drop_counts(merged_align, align_a),
+                        B: drop_counts(merged_align, align_b)})
+    parts = {A: [], B: []}
     for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         continuity = D if n == 0 else W
         chunk_set = {
@@ -197,7 +202,7 @@ def test_continuous_chunks_shorter_than_the_held_back_columns():
                 number=n, source_key=key,
                 payload=np.arange(lo + (align.d if n == 0 else -align.p),
                                   hi - align.p, dtype=float),
-                alignment=align, continuity=continuity)
+                continuity=continuity)
             for key, align in ((A, align_a), (B, align_b))
         }
         merged, state = complete_merge(state, chunk_set, n)
@@ -210,7 +215,7 @@ def test_continuous_chunks_shorter_than_the_held_back_columns():
 
 
 def test_refined_continuity_codes_travel():
-    state = MergeState()
+    state = MergeState(DROPS)
     merged, state = complete_merge(
         state,
         {k: producer_chunk(k, 0, a, Continuity.CALIBRATION)
@@ -219,7 +224,7 @@ def test_refined_continuity_codes_travel():
     )
     assert merged.continuity is Continuity.CALIBRATION
 
-    state = MergeState()
+    state = MergeState(DROPS)
     merged, state = complete_merge(
         state,
         {k: producer_chunk(k, 0, a, Continuity.NEWFILE)
@@ -230,7 +235,7 @@ def test_refined_continuity_codes_travel():
 
 
 def test_last_marker_survives_merge():
-    state = MergeState()
+    state = MergeState(DROPS)
     _, state = complete_merge(
         state,
         {k: producer_chunk(k, 0, a, D) for k, a in ((A, ALIGN_A), (B, ALIGN_B))},
@@ -246,7 +251,7 @@ def test_last_marker_survives_merge():
 
 
 def test_complete_merge_rejects_wrong_numbers():
-    state = MergeState()
+    state = MergeState(DROPS)
     with pytest.raises(ProtocolError):
         complete_merge(
             state,
@@ -257,11 +262,10 @@ def test_complete_merge_rejects_wrong_numbers():
 
 
 def test_complete_merge_rejects_mismatched_extents():
-    state = MergeState()
+    state = MergeState(DROPS)
     good = producer_chunk(A, 0, ALIGN_A, D)
     bad = DataChunk(
-        number=0, source_key=B, payload=np.arange(7.0),
-        alignment=ALIGN_B, continuity=D,
+        number=0, source_key=B, payload=np.arange(7.0), continuity=D,
     )
     with pytest.raises(ShapeMismatch):
         complete_merge(state, {A: good, B: bad}, 0)
@@ -269,46 +273,38 @@ def test_complete_merge_rejects_mismatched_extents():
 
 def test_complete_merge_rejects_empty_set():
     with pytest.raises(InvalidInMerge):
-        complete_merge(MergeState(), {}, 0)
+        complete_merge(MergeState(DROPS), {}, 0)
 
 
 def test_merged_payloads_share_time_extent_2d():
     # 2-D payloads slice along the last axis only
-    state = MergeState()
+    state = MergeState(DROPS)
     chunk = DataChunk(
         number=0, source_key=A,
         payload=np.arange(3 * (E - ALIGN_A.d - ALIGN_A.p), dtype=float)
         .reshape(3, -1),
-        alignment=ALIGN_A, continuity=D,
+        continuity=D,
     )
     other = producer_chunk(B, 0, ALIGN_B, D)
-    merged, _ = complete_merge(MergeState(), {A: chunk, B: other}, 0)
+    merged, _ = complete_merge(MergeState(DROPS), {A: chunk, B: other}, 0)
     assert merged.payloads[A].shape[0] == 3
     assert merged.payloads[A].shape[-1] == merged.payloads[B].shape[-1]
 
 
-@pytest.mark.parametrize("continuity", [W, D])
-def test_a_warm_state_merges_changed_counters_as_a_fresh_one(continuity):
-    """Decisions are kept per distinct counters and codes, never per key:
-    a set whose counters changed is decided afresh, as a MergeState
-    without history would decide it."""
-    warm = MergeState()
-    for n, code in enumerate((D, W, W)):
-        _, warm = complete_merge(
-            warm,
-            {k: producer_chunk(k, n, a, code)
-             for k, a in ((A, ALIGN_A), (B, ALIGN_B))},
+def test_a_warm_state_merges_a_reordered_set_by_its_keys():
+    """Decisions are kept per codes in set order, drop counts per key:
+    a set whose keys come in another order than the sets before it
+    still slices each key by that key's own drops."""
+    state = MergeState(DROPS)
+    for n in range(4):
+        members = ((A, ALIGN_A), (B, ALIGN_B))
+        if n >= 2:
+            members = members[::-1]
+        merged, state = complete_merge(
+            state,
+            {k: producer_chunk(k, n, a, D if n == 0 else W) for k, a in members},
             n,
         )
-    changed = AlignmentParams(p=4, d=7)
-    chunk_set = {A: producer_chunk(A, 3, ALIGN_A, continuity),
-                 B: producer_chunk(B, 3, changed, continuity)}
-    fresh = MergeState(last_completed=warm.last_completed,
-                       carried_tails=warm.carried_tails)
-    got, _ = complete_merge(warm, chunk_set, 3)
-    want, _ = complete_merge(fresh, chunk_set, 3)
-    assert got.alignment == want.alignment == AlignmentParams(p=4, d=7)
-    assert got.continuity is want.continuity is continuity
-    assert got.scenarios == want.scenarios
-    for key in (A, B):
-        np.testing.assert_array_equal(got.payloads[key], want.payloads[key])
+        for key in (A, B):
+            np.testing.assert_array_equal(merged.payloads[key],
+                                          merged_range(n, merged.continuity))

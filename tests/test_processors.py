@@ -5,14 +5,15 @@ import pytest
 
 from conftest import (
     file_pipeline_config, mic_pipeline_config, synth_tone_noise, write_wav)
+from tfstream.alignment import DropCounts
 from tfstream.chunkfile import read_chunk_file
 from tfstream.chunks import AlignmentParams, Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.errors import (
+    ConfigError,
     EmptyResult,
     IoError,
     NonIntegerRate,
     SpecMismatch,
-    TooFewChannels,
     UnsupportedFormat,
 )
 from tfstream.graph import config_from_dict, validate_graph
@@ -45,15 +46,25 @@ def test_registry_contains_all_kinds():
         assert resolve_kind(kind).kind == kind
 
 
-def as_merged(processor_name, key, payload, continuity,
-              alignment=ZERO_ALIGNMENT):
+#: drop counts of a key whose counters are the merged ones
+NO_DROPS = DropCounts(0, 0, 0)
+
+
+def as_merged(processor_name, key, payload, continuity):
     """Wrap one array as the merged input set of a single-input processor."""
     chunk = DataChunk(
-        number=0, source_key=key, payload=payload,
-        alignment=alignment, continuity=continuity,
+        number=0, source_key=key, payload=payload, continuity=continuity,
     )
-    merged, _ = complete_merge(MergeState(), {key: chunk}, 0)
+    merged, _ = complete_merge(MergeState({key: NO_DROPS}), {key: chunk}, 0)
     return merged
+
+
+def designed_bank(params, rate):
+    """A filterbank designed at ``rate``, as graph validation prepares one
+    fed by a source."""
+    fb = GammaChirpFilterbank("fb", params)
+    fb.prepare(rate, ZERO_ALIGNMENT)
+    return fb
 
 
 # --- sources ------------------------------------------------------------
@@ -179,7 +190,7 @@ def test_design_lowpass_rejects_even_length():
 def test_resampler_rejects_non_integer_rate():
     r = Resampler("r", {"factor": 3})
     with pytest.raises(NonIntegerRate):
-        r.prepare(8000)
+        r.prepare(8000, ZERO_ALIGNMENT)
 
 
 def test_resampler_chunked_equals_unchunked():
@@ -194,12 +205,12 @@ def test_resampler_chunked_equals_unchunked():
 
     chunked = Resampler("r", {"factor": 2})
     parts = []
-    state = MergeState()
+    state = MergeState({key: NO_DROPS})
     for i, continuity in zip(range(4), [Continuity.DISCONTINUOUS] + 3 * [
             Continuity.WITHPREVIOUS]):
         chunk = DataChunk(
             number=i, source_key=key, payload=x[i * 1024:(i + 1) * 1024],
-            alignment=ZERO_ALIGNMENT, continuity=continuity,
+            continuity=continuity,
         )
         merged, state = complete_merge(state, {key: chunk}, i)
         parts.append(chunked.process(merged)["snd"].payload)
@@ -237,13 +248,11 @@ def test_resampler_declared_drop_is_honest():
 
     r2 = Resampler("r", {"factor": 2})
     r2.process(as_merged("r", key, past, Continuity.DISCONTINUOUS))
-    state = MergeState()
+    state = MergeState({key: NO_DROPS})
     chunk0 = DataChunk(number=0, source_key=key, payload=past,
-                       alignment=ZERO_ALIGNMENT,
                        continuity=Continuity.DISCONTINUOUS)
     _, state = complete_merge(state, {key: chunk0}, 0)
     chunk1 = DataChunk(number=1, source_key=key, payload=x,
-                       alignment=ZERO_ALIGNMENT,
                        continuity=Continuity.WITHPREVIOUS)
     merged, _ = complete_merge(state, {key: chunk1}, 1)
     with_history = r2.process(merged)["snd"].payload
@@ -270,22 +279,20 @@ def test_gammachirp_ir_unit_peak_gain():
 
 
 @pytest.mark.parametrize("params", [
+    # (bank parameters, design rate)
     # the shipped bank, 64 channels at 8 kHz after the resampler
-    {"channels": 64, "f_min": 100, "f_max": 1500, "impulse_ms": 50,
-     "sample_rate": 8000.0},
-    {"channels": 64, "f_min": 100, "f_max": 1500, "impulse_ms": 50,
-     "sample_rate": 4000.0, "chirp": -2.0},
+    ({"channels": 64, "f_min": 100, "f_max": 1500, "impulse_ms": 50}, 8000.0),
+    ({"channels": 64, "f_min": 100, "f_max": 1500, "impulse_ms": 50,
+      "chirp": -2.0}, 4000.0),
     # the benchmark's wire_faults bank: 8 channels, 4 ms responses
-    {"channels": 8, "f_min": 200, "f_max": 2000, "impulse_ms": 4,
-     "sample_rate": 8000.0},
-    {"channels": 16, "f_min": 100, "f_max": 8000, "impulse_ms": 20,
-     "sample_rate": 22050.0},
+    ({"channels": 8, "f_min": 200, "f_max": 2000, "impulse_ms": 4}, 8000.0),
+    ({"channels": 16, "f_min": 100, "f_max": 8000, "impulse_ms": 20}, 22050.0),
 ])
 def test_filterbank_designs_every_channel_as_the_scalar_response(params):
     """The bank is designed in one batch; each channel's taps equal the
     scalar gammachirp_ir of its centre frequency bit for bit."""
-    fb = GammaChirpFilterbank("fb", params)
-    rate = params["sample_rate"]
+    params, rate = params
+    fb = designed_bank(params, rate)
     bank = gammachirp_ir(fb.center_freqs, rate, fb.impulse_length,
                          fb.order, chirp=fb.chirp)
     for c, cf in enumerate(fb.center_freqs):
@@ -317,10 +324,9 @@ def test_file_writer_headers_hold_the_plan_rates_and_axes(
 
 
 def test_filterbank_white_noise_energy_matches_filter_norm():
-    fb = GammaChirpFilterbank("fb", {
+    fb = designed_bank({
         "channels": 16, "f_min": 300, "f_max": 1500, "impulse_ms": 25,
-        "sample_rate": 4000,
-    })
+    }, 4000)
     rng = np.random.default_rng(3)
     sigma = 0.2
     noise = sigma * rng.standard_normal(8 * 4000)
@@ -335,10 +341,9 @@ def test_filterbank_white_noise_energy_matches_filter_norm():
 
 
 def test_filterbank_tone_peaks_at_matching_channel():
-    fb = GammaChirpFilterbank("fb", {
+    fb = designed_bank({
         "channels": 32, "f_min": 100, "f_max": 1500, "impulse_ms": 50,
-        "sample_rate": 4000,
-    })
+    }, 4000)
     t = np.arange(4000) / 4000.0
     tone = np.sin(2 * np.pi * 440.0 * t)
     out = fb.process(
@@ -351,21 +356,35 @@ def test_filterbank_tone_peaks_at_matching_channel():
 
 def test_filterbank_rejects_f_max_at_nyquist():
     with pytest.raises(SpecMismatch):
-        GammaChirpFilterbank("fb", {"channels": 8, "f_min": 100,
-                                    "f_max": 2000, "sample_rate": 4000})
+        designed_bank({"channels": 8, "f_min": 100, "f_max": 2000}, 4000)
 
 
-def test_filterbank_needs_enough_channels():
-    with pytest.raises(TooFewChannels):
-        GammaChirpFilterbank("fb", {"channels": 2, "f_min": 100,
-                                    "f_max": 1500})
+def mic_pipeline_with_cochlea(out_dir, **params):
+    raw = mic_pipeline_config(out_dir)
+    cochlea = next(p for p in raw["processors"] if p["name"] == "cochlea")
+    cochlea["params"].update(params)
+    return config_from_dict(raw)
+
+
+def test_filterbank_needs_enough_channels(tmp_path):
+    config = mic_pipeline_with_cochlea(tmp_path, channels=3)
+    with pytest.raises(ConfigError, match="processor 'cochlea': filterbank "
+                                          "needs at least 4 channels"):
+        validate_graph(config)
+
+
+def test_filterbank_refuses_a_pinned_sample_rate(tmp_path):
+    """The bank is designed at its input key's rate; a config that pins
+    another one is refused, never silently redesigned."""
+    config = mic_pipeline_with_cochlea(tmp_path, sample_rate=8000)
+    with pytest.raises(ConfigError, match="processor 'cochlea': sample_rate "
+                                          "is not a filterbank parameter"):
+        validate_graph(config)
 
 
 def test_filterbank_chunked_equals_unchunked():
-    fb_whole = GammaChirpFilterbank("fb", {
-        "channels": 12, "f_min": 200, "f_max": 1500, "impulse_ms": 25,
-        "sample_rate": 4000,
-    })
+    params = {"channels": 12, "f_min": 200, "f_max": 1500, "impulse_ms": 25}
+    fb_whole = designed_bank(params, 4000)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(3000)
     key = ("src", "snd")
@@ -373,18 +392,14 @@ def test_filterbank_chunked_equals_unchunked():
         as_merged("fb", key, x, Continuity.DISCONTINUOUS)
     )["E"].payload
 
-    fb = GammaChirpFilterbank("fb", {
-        "channels": 12, "f_min": 200, "f_max": 1500, "impulse_ms": 25,
-        "sample_rate": 4000,
-    })
-    state = MergeState()
+    fb = designed_bank(params, 4000)
+    state = MergeState({key: NO_DROPS})
     parts = []
     bounds = [(0, 1000), (1000, 2000), (2000, 3000)]
     for i, (lo, hi) in enumerate(bounds):
         continuity = (Continuity.DISCONTINUOUS if i == 0
                       else Continuity.WITHPREVIOUS)
         chunk = DataChunk(number=i, source_key=key, payload=x[lo:hi],
-                          alignment=ZERO_ALIGNMENT,
                           continuity=continuity)
         merged, state = complete_merge(state, {key: chunk}, i)
         parts.append(fb.process(merged)["E"].payload)
@@ -435,15 +450,19 @@ def test_vertical_score_constant_input_is_one():
 
 
 def test_structure_extractor_marks_scale_margins():
+    """T is NaN in the merged input's invalid rows (l = 1, s = 3, as
+    prepare fixed them) plus w_s = 2 at each edge."""
+    l, s = 1, 3
     se = StructureExtractor("se", {"w_t": 10, "w_s": 2})
+    se.prepare(8000.0, AlignmentParams(p=5, d=5, l=l, s=s))
     rng = np.random.default_rng(8)
     energy = rng.exponential(size=(16, 300))
     merged = as_merged("se", ("fb", "E"), energy,
                        Continuity.DISCONTINUOUS)
     out = se.process(merged)["T"].payload
-    assert np.isnan(out[:2]).all()
-    assert np.isnan(out[-2:]).all()
-    assert not np.isnan(out[2:-2]).any()
+    assert np.isnan(out[: l + 2]).all()
+    assert np.isnan(out[16 - s - 2 :]).all()
+    assert not np.isnan(out[l + 2 : 16 - s - 2]).any()
 
 
 def test_structure_extractor_alignment_declaration():
@@ -491,12 +510,11 @@ def test_block_average_nan_aware():
 
 
 def make_ptn_merged(energy, tract, continuity, number=0, state=None):
-    state = state if state is not None else MergeState()
+    if state is None:
+        state = MergeState({("fb", "E"): NO_DROPS, ("se", "T"): NO_DROPS})
     e = DataChunk(number=number, source_key=("fb", "E"), payload=energy,
-                  alignment=ZERO_ALIGNMENT,
                   continuity=continuity)
     t = DataChunk(number=number, source_key=("se", "T"), payload=tract,
-                  alignment=ZERO_ALIGNMENT,
                   continuity=continuity)
     return complete_merge(state, {("fb", "E"): e, ("se", "T"): t}, number)
 
@@ -528,7 +546,7 @@ def test_ptn_block_carry_across_continuous_chunks():
     ref = whole.process(merged)["E_T"].payload
 
     split = PTNProcessor("p", params)
-    state = MergeState()
+    state = None
     parts = []
     for i, (lo, hi) in enumerate([(0, 35), (35, 75)]):
         continuity = (Continuity.DISCONTINUOUS if i == 0

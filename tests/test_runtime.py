@@ -1,5 +1,6 @@
 """Dispatch-loop runtime: end-to-end runs, transports, faults, reporting."""
 
+import argparse
 import dataclasses
 import gc
 import socket
@@ -7,6 +8,7 @@ import struct
 import threading
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from conftest import (
     file_pipeline_config, mic_pipeline_config, synth_tone_noise, write_wav)
 from tfstream import runtime
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
-from tfstream.chunks import Continuity, DataChunk, MAX_COUNTER, ZERO_ALIGNMENT
+from tfstream.chunks import Continuity, DataChunk
+from tfstream.cli import _override
 from tfstream.errors import TFStreamError
-from tfstream.graph import Edge, config_from_dict, validate_graph
+from tfstream.graph import Edge, config_from_dict, load_config, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
 from tfstream.processors import Processor, SinkProcessor, StructureExtractor
 from tfstream.runtime import _TcpLink, run_plan
@@ -99,6 +102,30 @@ def test_runs_are_deterministic(tone_wav, tmp_path):
         fa = dirs[0] / f"{producer}.{feature}.tfc"
         fb = dirs[1] / f"{producer}.{feature}.tfc"
         assert fa.read_bytes() == fb.read_bytes()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["mic_pipeline.yaml", "file_pipeline.yaml"])
+def test_every_record_holds_its_keys_planned_counters(tmp_path, name):
+    """Chunks do not carry counters: a key's are the plan's, composed at
+    validation.  Every record written on the shipped pipelines holds
+    exactly its key's ``plan.cumulative``, on the mic pipeline behind its
+    TCP edge, a dropped chunk and an overflow, and on the file pipeline
+    across its calibration chunk and both rates."""
+    wav = write_wav(tmp_path / "in.wav", 16000, synth_tone_noise(16000, 2.0))
+    args = argparse.Namespace(input=str(wav), output=str(tmp_path / "out"),
+                              seed=None)
+    plan = validate_graph(_override(load_config(CONFIGS / name), args))
+    report = run_plan(plan)
+    if name == "mic_pipeline.yaml":
+        assert "IrregularDiscontinuous" in report.scenario_names("ptn")
+    assert sorted(report.written) == sorted(plan.in_keys["out"])
+    for key in report.written:
+        _, records = read_chunk_file(tmp_path / "out" / f"{key[0]}.{key[1]}.tfc")
+        assert records
+        assert {r["alignment"] for r in records} == {plan.cumulative[key]}, key
 
 
 def test_mic_pipeline_scenarios_without_faults(tmp_path):
@@ -220,7 +247,7 @@ def test_a_finished_plan_is_freed_without_the_cycle_collector(tmp_path):
 
 # frame prefix, the two names, then the fixed fields before the first
 # (channel) extent of the shape
-SHAPE_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Qi4IBB")
+SHAPE_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<QiBB")
 HEADER_LEN_OFFSET = 6
 SE_T_PTN = Edge("se", "T", "ptn", transport="tcp::0", wire_dtype="<f8")
 
@@ -230,7 +257,6 @@ def se_frames(channels, columns, count=6):
     return [
         encode(DataChunk(number=n, source_key=("se", "T"),
                          payload=np.full((channels, columns), float(n)),
-                         alignment=ZERO_ALIGNMENT,
                          continuity=Continuity.WITHPREVIOUS), dtype="<f8")
         for n in range(count)
     ]
@@ -273,9 +299,8 @@ def test_damaged_frame_costs_one_wire_error(offset, bit):
         assert transfer(pieces) == ([0, 2, 3, 4, 5], ["se.T->ptn"])
 
 
-# the continuity code, and the first counter (p) after it
+# the continuity code
 CONTINUITY_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Q")
-P_OFFSET = CONTINUITY_OFFSET + struct.calcsize("<i")
 
 
 def rewrite(frame, fmt, offset, value):
@@ -288,14 +313,13 @@ def rewrite(frame, fmt, offset, value):
 
 
 @pytest.mark.parametrize("fmt, offset, value", [
-    ("<I", P_OFFSET, MAX_COUNTER + 1),
     ("<i", CONTINUITY_OFFSET, int(Continuity.INVALID)),
-], ids=["counter-above-max", "continuity-invalid"])
+], ids=["continuity-invalid"])
 def test_intact_frame_with_an_unusable_field_costs_one_wire_error(
         fmt, offset, value):
-    """A frame whose CRC holds but whose counter exceeds MAX_COUNTER, or
-    whose continuity is INVALID, which no publish sends, is lost like a
-    damaged one: one wire error, and the next frame is delivered."""
+    """A frame whose CRC holds but whose continuity is INVALID, which no
+    publish sends, is lost like a damaged one: one wire error, and the
+    next frame is delivered."""
     frames = se_frames(4, 10, count=3)
     frames[1] = rewrite(frames[1], fmt, offset, value)
     for pieces in ([b"".join(frames)], frames):

@@ -5,7 +5,7 @@ from io import BytesIO
 import numpy as np
 import pytest
 
-from tfstream.chunks import AlignmentParams, Continuity, DataChunk
+from tfstream.chunks import Continuity, DataChunk
 from tfstream.errors import ChecksumError, VersionError, WireError
 from tfstream.graph import Edge
 from tfstream.runtime import _TcpLink
@@ -33,7 +33,6 @@ def random_chunk(rng):
         number=int(rng.integers(0, 2**40)),
         source_key=(f"p{rng.integers(10)}", f"f{rng.integers(10)}"),
         payload=payload,
-        alignment=AlignmentParams(*(int(v) for v in rng.integers(0, 500, 4))),
         continuity=CODES[int(rng.integers(len(CODES)))],
     )
 
@@ -41,7 +40,6 @@ def random_chunk(rng):
 def assert_chunks_equal(a, b):
     assert a.number == b.number
     assert a.source_key == b.source_key
-    assert a.alignment == b.alignment
     assert a.continuity == b.continuity
     np.testing.assert_array_equal(a.payload, b.payload)
 
@@ -59,8 +57,8 @@ def test_round_trip_float32_quantizes_payload_only():
     np.testing.assert_array_equal(
         out.payload, chunk.payload.astype("<f4").astype("<f8")
     )
-    assert out.alignment == chunk.alignment
     assert out.number == chunk.number
+    assert out.continuity == chunk.continuity
 
 
 def test_many_randomized_round_trips():
@@ -83,11 +81,12 @@ def test_every_single_byte_corruption_is_detected():
 
 
 def test_version_gate():
-    """Version 1 frames, which carried rate and axis, are refused whole,
-    as are frames of a later version."""
+    """Version 1 frames, which carried rate and axis, and version 2
+    frames, which carried the counters, are refused whole, as are frames
+    of a later version."""
     rng = np.random.default_rng(4)
     frame = bytearray(encode(random_chunk(rng)))
-    for version in (1, VERSION + 1):
+    for version in (1, 2, VERSION + 1):
         frame[4:6] = version.to_bytes(2, "little")
         with pytest.raises(VersionError):
             decode(bytes(frame))
@@ -179,7 +178,7 @@ def test_oversized_header_length_is_rejected_before_reading_it():
         decode_stream(stream)
     assert stream.tell() == 10
     named = DataChunk(number=0, source_key=("p" * 65535, "f"),
-                      payload=np.zeros((2, 1)), alignment=AlignmentParams(),
+                      payload=np.zeros((2, 1)),
                       continuity=Continuity.DISCONTINUOUS)
     with pytest.raises(WireError, match="exceeds"):
         encode(named)
@@ -187,4 +186,4 @@ def test_oversized_header_length_is_rejected_before_reading_it():
 
 def test_magic_constant_stable():
     assert MAGIC == b"TFSB"
-    assert VERSION == 2
+    assert VERSION == 3
