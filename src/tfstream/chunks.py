@@ -22,6 +22,9 @@ MAX_COUNTER = 2**31 - 1
 
 SourceKey = Tuple[str, str]
 
+#: Payload layouts of wire frames and written chunk files: little-endian floats
+PAYLOAD_DTYPES = ("<f4", "<f8")
+
 
 class Continuity(IntEnum):
     """Per-chunk code declaring the relation to the predecessor chunk.

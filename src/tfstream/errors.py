@@ -95,7 +95,8 @@ class SpecMismatch(TFStreamError):
 
 
 class ShapeMismatch(TFStreamError):
-    """Merged representations disagree in shape; indicates a framework bug."""
+    """Merged arrays disagree in time extent (raised by the merge only:
+    validation checks each transform's inputs); a framework bug."""
 
 
 # --- wire ----------------------------------------------------------------

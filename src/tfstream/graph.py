@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .alignment import DropCounts, compose, drop_counts, merge_params
-from .chunks import AlignmentParams, SourceKey, ZERO_ALIGNMENT
+from .chunks import PAYLOAD_DTYPES, AlignmentParams, SourceKey, ZERO_ALIGNMENT
 from .errors import ChunkTooShortForDepth, ConfigError, CycleError
 from .faults import FaultSchedule, parse_fault_events
 from .processors import SinkProcessor, SourceProcessor, resolve_kind
@@ -143,7 +143,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                 f"edge {source} -> {edge.consumer}: transport must be "
                 f"'local' or 'tcp:<host>:<port>', got {edge.transport!r}"
             )
-        if edge.wire_dtype not in ("<f4", "<f8"):
+        if edge.wire_dtype not in PAYLOAD_DTYPES:
             raise ConfigError(
                 f"edge {source} -> {edge.consumer}: wire_dtype must be "
                 f"'<f4' or '<f8', got {edge.wire_dtype!r}"
@@ -268,6 +268,18 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                             {key: freqs[key] for key in keys},
                             {key: cumulative[key] for key in keys})
             continue
+        # a transform's input contract: the features it merges, one key
+        # each (one key of any feature when it names none), and whether
+        # they are 2-D (have a frequency axis)
+        features = sorted(feature for _, feature in keys)
+        if (features != (sorted(inst.input_features) or features[:1])
+                or any((freqs[key] is None) == inst.takes_2d for key in keys)):
+            raise ConfigError(
+                f"processor {name!r} takes one key"
+                + (" each of features " + " and ".join(inst.input_features)
+                   if inst.input_features else "")
+                + (" with" if inst.takes_2d else " without")
+                + f" a frequency axis, got {', '.join('.'.join(k) for k in keys)}")
         # a sink takes keys of any rates; a transform's share one
         in_rates = {rates[key] for key in keys}
         if len(in_rates) != 1:
@@ -289,12 +301,12 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                 f"{merged.d + merged.p} does not fit the chunk length "
                 f"{int(e_in)}; minimum is {merged.d + merged.p + 1}"
             )
-        axes = {key: freqs[key] for key in keys if freqs[key] is not None}
-        in_freqs = next(iter(axes.values()), None)
-        if any(not np.array_equal(axis, in_freqs) for axis in axes.values()):
+        in_freqs = freqs[keys[0]]
+        if in_freqs is not None and any(
+                not np.array_equal(freqs[key], in_freqs) for key in keys):
             raise ConfigError(
                 f"processor {name!r} receives different frequency axes on "
-                + ", ".join(".".join(key) for key in axes)
+                + ", ".join(".".join(key) for key in keys)
             )
         rate_out = inst.prepare(rate_in, merged)
         merged_out = inst.convert_alignment(merged)

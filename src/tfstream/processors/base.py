@@ -47,6 +47,11 @@ class Processor:
     """Base for transform processors (one merged input set, n features)."""
 
     kind: ClassVar[str] = ""
+    #: Input contract, checked once at validation: the features merged,
+    #: one key each (empty: one key of any feature), and whether each key
+    #: has a frequency axis (2-D) or not (a time series).
+    input_features: ClassVar[Tuple[str, ...]] = ()
+    takes_2d: ClassVar[bool] = False
     #: True when processing needs (theta, beta); the graph validator then
     #: requires explicit values or an upstream calibration source.
     needs_threshold: ClassVar[bool] = False
@@ -83,8 +88,8 @@ class Processor:
     def output_freqs(
         self, feature: str, in_freqs: Optional[np.ndarray]
     ) -> Optional[np.ndarray]:
-        """Frequency axis of a published feature, given the one its 2-D
-        inputs share (None for a key without one, such as a 1-D series)."""
+        """Frequency axis of a published feature, given the one its
+        inputs share (None for time series)."""
         return in_freqs
 
     def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
-from ..errors import ShapeMismatch, SpecMismatch
+from ..errors import SpecMismatch
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -168,11 +168,7 @@ class GammaChirpFilterbank(Processor):
         return energy
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
-        if len(merged.payloads) != 1:
-            raise ShapeMismatch("filterbank expects exactly one input")
-        x = next(iter(merged.payloads.values()))
-        if x.ndim != 1:
-            raise ShapeMismatch("filterbank expects a 1-D time series")
+        (x,) = merged.payloads.values()
         continuous = is_withprevious_subtype(merged.continuity)
         buf, out = self._window.feed(continuous, x)
         energy = self._energy(buf, out)

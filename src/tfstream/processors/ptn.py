@@ -28,7 +28,7 @@ from ..chunks import (
     as_continuity,
     is_withprevious_subtype,
 )
-from ..errors import ConfigError, ShapeMismatch
+from ..errors import ConfigError
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, register
 from .structure import tile_columns
@@ -115,6 +115,8 @@ class PTNProcessor(Processor):
     """
 
     kind = "ptn"
+    input_features = ("E", "T")
+    takes_2d = True
     #: gating cannot run without (theta, beta); the graph validator
     #: requires either explicit values or an upstream calibration source
     needs_threshold = True
@@ -176,10 +178,8 @@ class PTNProcessor(Processor):
         zero = AlignmentParams()
         return {"E_T": zero, "E_T_valid": zero, "E_blocks": zero}
 
-    def output_freqs(
-        self, feature: str, in_freqs: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        return None if in_freqs is None else group_means(in_freqs, self.block_df)
+    def output_freqs(self, feature: str, in_freqs: np.ndarray) -> np.ndarray:
+        return group_means(in_freqs, self.block_df)
 
     def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
         return in_rate / self.block_dt
@@ -220,21 +220,6 @@ class PTNProcessor(Processor):
         spread = q_beta - q_theta
         fill = max(float(np.nanmean(spread)), 1e-9)
         self.beta = np.where(np.isnan(spread), fill, np.maximum(spread, 1e-9))
-
-    def _pick_inputs(self, merged: MergedChunk) -> Tuple[np.ndarray, np.ndarray]:
-        """The merged arrays of the features E and T."""
-        energy = tract = None
-        for (_, feature), payload in merged.payloads.items():
-            if feature == "E":
-                energy = payload
-            elif feature == "T":
-                tract = payload
-        if energy is None or tract is None:
-            raise ConfigError(
-                f"ptn needs inputs with features 'E' and 'T', "
-                f"got {sorted(merged.payloads)}"
-            )
-        return energy, tract
 
     def _gate(self, energy: np.ndarray, tract: np.ndarray, out: np.ndarray) -> None:
         """out = energy * logistic((tract - theta) / beta), a tile of
@@ -293,12 +278,8 @@ class PTNProcessor(Processor):
         return cells
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
-        energy, tract = self._pick_inputs(merged)
-        if energy.shape != tract.shape:
-            raise ShapeMismatch(
-                f"E {energy.shape} and T {tract.shape} disagree; "
-                f"the merge engine should have aligned them"
-            )
+        inputs = {feature: arr for (_, feature), arr in merged.payloads.items()}
+        energy, tract = inputs["E"], inputs["T"]
 
         if as_continuity(merged.continuity) is Continuity.CALIBRATION:
             # Estimate the sigmoid parameters from the noise tract

@@ -15,7 +15,7 @@ from typing import Dict
 import numpy as np
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
-from ..errors import EmptyResult, NonIntegerRate, ShapeMismatch
+from ..errors import EmptyResult, NonIntegerRate
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -76,11 +76,7 @@ class Resampler(Processor):
         self._count = 0
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
-        if len(merged.payloads) != 1:
-            raise ShapeMismatch("resampler expects exactly one input")
-        x = next(iter(merged.payloads.values()))
-        if x.ndim != 1:
-            raise ShapeMismatch("resampler expects a 1-D time series")
+        (x,) = merged.payloads.values()
         R, F = self.factor, self.fir_length
         continuous = (
             is_withprevious_subtype(merged.continuity)

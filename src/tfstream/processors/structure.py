@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..chunks import AlignmentParams, is_withprevious_subtype
-from ..errors import ConfigError, ShapeMismatch
+from ..errors import ConfigError
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -190,6 +190,7 @@ class StructureExtractor(Processor):
     """Publishes the tract feature T with alignment (w_t, w_t, w_s, w_s)."""
 
     kind = "structure_extractor"
+    takes_2d = True
 
     def __init__(self, name: str, params: dict):
         super().__init__(name, params)
@@ -213,16 +214,13 @@ class StructureExtractor(Processor):
             "T": AlignmentParams(p=self.w_t, d=self.w_t, l=self.w_s, s=self.w_s)
         }
 
-    def output_freqs(
-        self, feature: str, in_freqs: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
+    def output_freqs(self, feature: str, in_freqs: np.ndarray) -> np.ndarray:
         """The input axis; ConfigError when it has fewer than
-        2 w_s + 1 channels (a 1-D input has one)."""
-        channels = 1 if in_freqs is None else len(in_freqs)
-        if channels < 2 * self.w_s + 1:
+        2 w_s + 1 channels."""
+        if len(in_freqs) < 2 * self.w_s + 1:
             raise ConfigError(
                 f"processor {self.name!r}: structure extraction needs "
-                f">= {2 * self.w_s + 1} channels, got {channels}"
+                f">= {2 * self.w_s + 1} channels, got {len(in_freqs)}"
             )
         return in_freqs
 
@@ -230,11 +228,7 @@ class StructureExtractor(Processor):
         self._window.reset()
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
-        if len(merged.payloads) != 1:
-            raise ShapeMismatch("structure extractor expects exactly one input")
-        energy = next(iter(merged.payloads.values()))
-        if energy.ndim != 2:
-            raise ShapeMismatch("structure extractor expects a 2-D representation")
+        (energy,) = merged.payloads.values()
         continuous = is_withprevious_subtype(merged.continuity)
         # d = p = w_t, so the output columns are always [w_t, T - w_t)
         buf, _ = self._window.feed(continuous, energy)

@@ -6,7 +6,8 @@ from pathlib import Path
 from typing import Dict
 
 from ..chunkfile import ChunkFileWriter
-from ..chunks import Continuity, DataChunk, SourceKey, as_continuity
+from ..chunks import (
+    PAYLOAD_DTYPES, Continuity, DataChunk, SourceKey, as_continuity)
 from .base import SinkProcessor, register
 
 
@@ -25,6 +26,8 @@ class FileWriter(SinkProcessor):
         super().__init__(name, params)
         self.directory = Path(params["directory"])
         self.dtype = params.get("dtype", "<f8")
+        if self.dtype not in PAYLOAD_DTYPES:
+            raise ValueError(f"dtype must be '<f4' or '<f8', got {self.dtype!r}")
         self._writers: Dict[SourceKey, ChunkFileWriter] = {}
 
     def path_for(self, key: SourceKey) -> Path:

@@ -96,3 +96,39 @@ def mic_pipeline_config(out_dir, num_chunks=8, chunk_size=1024, faults=None,
         ],
         "faults": faults or [],
     }
+
+
+#: Wirings outside a transform's input contract, and the transform that
+#: refuses them; see ``miswired_config``.
+MISWIRINGS = [
+    ("energy_into_resampler", "r2"),
+    ("filterbank_fed_two_keys", "cochlea"),
+    ("ptn_without_tract", "ptn"),
+    ("ptn_fed_two_tracts", "ptn"),
+]
+
+
+def miswired_config(case, out_dir):
+    """The live pipeline with one transform wired outside its input
+    contract: a resampler fed filterbank energy, a filterbank fed two
+    series at one rate, a ptn without a tract, or a ptn fed two."""
+    raw = mic_pipeline_config(out_dir)
+    processors, edges = raw["processors"], raw["edges"]
+    if case == "energy_into_resampler":
+        processors.append(
+            {"name": "r2", "kind": "resampler", "params": {"factor": 2}})
+        edges += [{"from": "cochlea.E", "to": "r2"},
+                  {"from": "r2.snd", "to": "out"}]
+    elif case == "filterbank_fed_two_keys":
+        processors.append(
+            {"name": "r2", "kind": "resampler", "params": {"factor": 2}})
+        edges += [{"from": "mic.snd", "to": "r2"},
+                  {"from": "r2.snd", "to": "cochlea"}]
+    elif case == "ptn_without_tract":
+        edges.remove({"from": "se.T", "to": "ptn"})
+    else:
+        processors.append({"name": "se2", "kind": "structure_extractor",
+                           "params": {"w_t": 40, "w_s": 3}})
+        edges += [{"from": "cochlea.E", "to": "se2"},
+                  {"from": "se2.T", "to": "ptn"}]
+    return raw

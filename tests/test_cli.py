@@ -8,9 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from conftest import synth_tone_noise, write_wav
-from tfstream.chunkfile import RECORD_HEAD, ChunkFileWriter, read_chunk_file
+from conftest import miswired_config, synth_tone_noise, write_wav
+from tfstream.chunkfile import (
+    RECORD_HEAD,
+    ChunkFileWriter,
+    concatenate_payloads,
+    read_chunk_file,
+)
 from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.cli import main
 from tfstream.errors import IoError
@@ -30,6 +36,15 @@ def test_validate_file_pipeline(tmp_path, capsys):
 def test_validate_mic_pipeline(capsys):
     assert main(["validate", "--config", MIC]) == 0
     assert "configuration valid" in capsys.readouterr().out
+
+
+def test_validate_rejects_a_transform_wired_outside_its_contract(
+        tmp_path, capsys):
+    config = tmp_path / "pipeline.yaml"
+    config.write_text(yaml.safe_dump(
+        miswired_config("ptn_fed_two_tracts", str(tmp_path / "out"))))
+    assert main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: processor 'ptn' takes")
 
 
 def test_run_with_stats_writes_files_and_one_line_per_merging_processor(
@@ -150,3 +165,29 @@ def test_a_damaged_chunk_file_fails_clearly(tmp_path, capsys):
         assert main(["export", "--chunkfile", str(path),
                      "--csv", str(tmp_path / "x.csv")]) == 1, case
         assert capsys.readouterr().err.startswith("error: "), case
+
+
+@pytest.mark.parametrize("shapes, rows", [([(3, 5), (3, 2)], 3),
+                                          ([(4,), (6,)], 1)],
+                         ids=["2-D", "1-D"])
+def test_export_writes_one_row_per_channel(tmp_path, capsys, shapes, rows):
+    """``export`` writes one CSV row per channel, the records joined along
+    time, and a 1-D file as one row; every value, NaN included, reads
+    back exactly."""
+    rng = np.random.default_rng(3)
+    path, csv = tmp_path / "k.f.tfc", tmp_path / "k.f.csv"
+    axis = np.geomspace(100.0, 1500.0, rows) if rows > 1 else None
+    writer = ChunkFileWriter(path, ("k", "f"), 40.0, axis, ZERO_ALIGNMENT)
+    for number, shape in enumerate(shapes):
+        payload = rng.standard_normal(shape)
+        payload[..., number] = np.nan
+        writer.append(DataChunk(number=number, source_key=("k", "f"),
+                                payload=payload,
+                                continuity=Continuity.WITHPREVIOUS))
+    writer.close()
+    assert main(["export", "--chunkfile", str(path), "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out == f"wrote {csv}\n"
+    got = np.loadtxt(csv, delimiter=",", ndmin=2)
+    assert got.shape == (rows, sum(shape[-1] for shape in shapes))
+    data = concatenate_payloads(read_chunk_file(path)[1])
+    np.testing.assert_array_equal(got, data.reshape(rows, -1))

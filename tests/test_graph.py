@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import file_pipeline_config, mic_pipeline_config, write_wav
+from conftest import (
+    MISWIRINGS,
+    file_pipeline_config,
+    mic_pipeline_config,
+    miswired_config,
+    write_wav,
+)
 from tfstream.chunks import AlignmentParams
 from tfstream.errors import (
     ChunkTooShortForDepth,
@@ -148,6 +154,19 @@ def test_transform_fed_two_frequency_axes_is_rejected(tmp_path):
     build(raw)
 
 
+@pytest.mark.parametrize("case, processor", MISWIRINGS)
+def test_wiring_outside_a_transforms_input_contract_is_rejected(
+        tmp_path, case, processor):
+    """Each transform declares the features it merges and whether they
+    are 2-D, and validation checks that once: these wirings failed at the
+    first chunk or mid-run, or (a ptn fed two tracts) kept whichever
+    tract came last in hash order, so the output hung on the hash seed."""
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"processor '{processor}' takes"):
+        build(miswired_config(case, out))
+    assert not out.exists()
+
+
 def test_minimum_chunk_length_is_honest(tone_wav, tmp_path):
     plan = build(file_pipeline_config(tone_wav, tmp_path / "out"))
     need = plan.minimum_chunk_length()
@@ -272,6 +291,21 @@ def test_unusable_wire_dtype_rejected(tone_wav, tmp_path, dtype):
     raw["edges"][4].update(transport="tcp::0", wire_dtype=dtype)
     with pytest.raises(ConfigError, match="wire_dtype"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("dtype", ["foo", "int16", "<i2", ">f8", "<f2", ""])
+def test_unusable_writer_dtype_rejected(tmp_path, dtype):
+    """A chunk file holds little-endian floats, as a wire frame does: any
+    other dtype is refused when the writer is built, before a chunk is
+    written, not at the first write (or, for integers, with NaN cast to
+    arbitrary values)."""
+    raw = mic_pipeline_config(tmp_path / "out")
+    raw["processors"][5]["params"]["dtype"] = dtype
+    with pytest.raises(ConfigError, match="'out': dtype"):
+        build(raw)
+    assert not (tmp_path / "out").exists()
+    raw["processors"][5]["params"]["dtype"] = "<f4"
+    build(raw)
 
 
 def test_threshold_needed_without_calibration(tone_wav, tmp_path):
