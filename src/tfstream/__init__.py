@@ -6,7 +6,10 @@ dropped after discontinuity, invalid large/small-scale channels),
 composed once when the graph is validated, let every consumer re-align
 multiple incoming representations exactly, drop what a discontinuity
 invalidated, and keep chunked results equal to the whole-signal
-computation.
+computation.  Chunks, and the wire frames of ``encode`` and ``decode``,
+carry only what changes per chunk (number, continuity and payload);
+a key's rate, frequency axis (and so its channel count) and counters,
+and an edge's wire dtype, come from the plan.
 """
 
 from .alignment import DropCounts, compose, drop_counts, merge_params

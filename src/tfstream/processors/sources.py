@@ -21,10 +21,13 @@ def load_wav(path: Path) -> tuple[int, np.ndarray]:
     """Read a PCM WAV as float64 in [-1, 1]; first channel if multi-channel."""
     try:
         rate, data = wavfile.read(str(path))
-    except FileNotFoundError:
-        raise IoError(f"cannot read {path}") from None
-    except ValueError as exc:
-        raise UnsupportedFormat(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except Exception as exc:  # noqa: BLE001 - a malformed file
+        # scipy reports a malformed header as ValueError, struct.error,
+        # and on some files as ZeroDivisionError or UnboundLocalError
+        raise UnsupportedFormat(
+            f"{path}: not a readable WAV file: {exc}") from None
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.float32:

@@ -31,7 +31,7 @@ from .chunks import (
     as_continuity,
     check_publishable,
 )
-from .errors import EmptyResult, TFStreamError, WireError
+from .errors import EmptyResult, IoError, TFStreamError, WireError
 from .graph import Edge, GraphPlan
 from .merge import MergeState, complete_merge
 from .processors import Processor, SinkProcessor, SourceProcessor
@@ -125,27 +125,34 @@ class _TcpLink:
     same bytes back from the other end and decodes them in the caller's
     thread, so a link holds no bytes between sends and needs no thread.
 
-    ``lead`` is the payload shape before the time axis that the plan
-    gives the edge's key: ``(channels,)`` for a key with a frequency
-    axis, ``()`` for one without.  A decoded frame of another shape is
-    lost like a damaged one.  None delivers frames of any shape.
+    A frame carries no key, dtype or shape but its time extent: the link
+    decodes every frame as its edge's key and ``wire_dtype``, with
+    ``lead``, the payload shape before the time axis that the plan gives
+    that key: ``(channels,)`` for a key with a frequency axis, ``()``
+    for one without.  A socket that cannot be opened raises ``IoError``
+    naming the edge and the address.
     """
 
     def __init__(self, edge: Edge, deliver: Callable, on_wire_error: Callable,
-                 lead: Optional[Tuple[int, ...]] = None):
+                 lead: Tuple[int, ...]):
         self.name = f"{edge.producer}.{edge.feature}->{edge.consumer}"
         self._deliver = deliver
         self._on_wire_error = on_wire_error
-        self._lead = lead
         self._wire_dtype = np.dtype(edge.wire_dtype)
+        self._layout = (edge.source_key, lead, self._wire_dtype)
         _, host, port = edge.transport.split(":")
-        with socket.create_server((host or "127.0.0.1", int(port))) as listener:
-            self._tx = socket.create_connection(listener.getsockname())
-            try:
-                self._rx, _ = listener.accept()
-            except BaseException:
-                self._tx.close()
-                raise
+        address = (host or "127.0.0.1", int(port))
+        try:
+            with socket.create_server(address) as listener:
+                self._tx = socket.create_connection(listener.getsockname())
+                try:
+                    self._rx, _ = listener.accept()
+                except BaseException:
+                    self._tx.close()
+                    raise
+        except OSError as exc:
+            raise IoError(f"edge {self.name}: cannot open "
+                          f"{address[0]}:{address[1]}: {exc}") from exc
         self._tx.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._tx.setblocking(False)
         self._buffer = bytearray()
@@ -178,19 +185,16 @@ class _TcpLink:
         self._decode(bytes(into[:size]))
 
     def _decode(self, data: bytes) -> None:
-        """Deliver every intact frame in ``data``.  A damaged frame, or
-        an intact one whose shape disagrees with the plan, is lost whole
-        and counted once: the scan resumes at the next magic after its
-        first byte, so a damaged length that overran into the next frame
-        costs that frame nothing."""
+        """Deliver every intact frame in ``data``.  A damaged frame is
+        lost whole and counted once: the scan resumes at the next magic
+        after its first byte, so a damaged extent that overran into the
+        next frame costs that frame nothing."""
         stream = BytesIO(data)
-        lead = self._lead
+        layout = self._layout
         start = 0
         while start < len(data):
             try:
-                chunk = decode_stream(stream)
-                if lead is not None and chunk.payload.shape[:-1] != lead:
-                    raise WireError("frame shape disagrees with the plan")
+                chunk = decode_stream(stream, *layout)
             except WireError:
                 self._on_wire_error(self.name)
                 start = data.find(MAGIC, start + 1)

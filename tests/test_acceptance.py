@@ -23,7 +23,7 @@ from tfstream.wire import decode, decode_stream, encode
 
 from io import BytesIO
 
-from test_wire import assert_chunks_equal, random_chunk
+from test_wire import assert_chunks_equal, layout, random_chunk
 
 
 @pytest.fixture(scope="module")
@@ -156,28 +156,30 @@ def test_wire_codec_bulk_round_trip():
     rng = np.random.default_rng(100)
     for _ in range(10_000):
         chunk = random_chunk(rng)
-        assert_chunks_equal(decode(encode(chunk, dtype="<f8")), chunk)
+        assert_chunks_equal(decode(encode(chunk, dtype="<f8"), *layout(chunk)),
+                            chunk)
 
 
 def test_wire_codec_detects_every_single_byte_corruption():
     rng = np.random.default_rng(101)
-    frame = bytearray(encode(random_chunk(rng), dtype="<f8"))
+    chunk = random_chunk(rng)
+    frame = bytearray(encode(chunk, dtype="<f8"))
     for pos in range(len(frame)):
         for flip in (0x01, 0x80, 0xFF):
             corrupted = bytearray(frame)
             corrupted[pos] ^= flip
             with pytest.raises(WireError):
-                decode(bytes(corrupted))
+                decode(bytes(corrupted), *layout(chunk))
 
 
 def test_wire_codec_never_reorders_survivors():
     rng = np.random.default_rng(102)
-    chunks = [random_chunk(rng) for _ in range(200)]
+    chunks = [random_chunk(rng, ("se", "T"), (5,)) for _ in range(200)]
     kept = [c for c in chunks if rng.random() > 0.3]
     stream = BytesIO(b"".join(encode(c, dtype="<f8") for c in kept))
     decoded = []
     while stream.tell() < len(stream.getvalue()):
-        decoded.append(decode_stream(stream))
+        decoded.append(decode_stream(stream, *layout(chunks[0])))
     assert len(decoded) == len(kept)
     for got, expected in zip(decoded, kept):
         assert_chunks_equal(got, expected)

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import socket
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +24,12 @@ from tfstream.chunkfile import (
 from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.cli import main
 from tfstream.errors import IoError
+from tfstream.graph import load_config, validate_graph
+from tfstream.runtime import run_plan
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MIC = str(CONFIGS / "mic_pipeline.yaml")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_validate_file_pipeline(tmp_path, capsys):
@@ -191,3 +198,62 @@ def test_export_writes_one_row_per_channel(tmp_path, capsys, shapes, rows):
     assert got.shape == (rows, sum(shape[-1] for shape in shapes))
     data = concatenate_payloads(read_chunk_file(path)[1])
     np.testing.assert_array_equal(got, data.reshape(rows, -1))
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    (b"RIFF", "not a readable WAV file"),
+], ids=["directory", "four-byte-riff"])
+def test_an_unreadable_wav_input_is_one_error_line(tmp_path, capsys,
+                                                   content, message):
+    """An ``--input`` that names a directory, or a file that holds only
+    ``RIFF``, exits with 1 and an error line instead of a traceback."""
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "in.wav"
+        path.write_bytes(content)
+    code = main(["validate", "--config", str(CONFIGS / "file_pipeline.yaml"),
+                 "--input", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def tfstream_subprocess(*args):
+    """``tfstream`` in a new interpreter in development mode, with an
+    unclosed resource an error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "tfstream.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("host", ["127.0.0.1", "192.0.2.1"],
+                         ids=["port-in-use", "non-local-host"])
+def test_a_tcp_edge_that_cannot_open_fails_with_one_error_line(tmp_path, host):
+    """The mic config's TCP edge on a port another socket holds, or on an
+    address of no local interface: ``run_plan`` raises IoError naming the
+    edge and the address, and ``tfstream run`` exits with 1 and one error
+    line, no traceback and no unclosed socket."""
+    raw = yaml.safe_load(Path(MIC).read_text())
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1] if host == "127.0.0.1" else 0
+        for edge in raw["edges"]:
+            if edge["from"] == "se.T":
+                edge["transport"] = f"tcp:{host}:{port}"
+        config = tmp_path / "pipeline.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        plan = validate_graph(load_config(str(config)))
+        with pytest.raises(IoError,
+                           match=rf"se\.T->ptn: cannot open {host}:{port}"):
+            run_plan(plan)
+        result = tfstream_subprocess("run", "--config", str(config),
+                                     "--output", str(tmp_path / "out"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: edge se.T->ptn: cannot open")
+    assert "Traceback" not in result.stderr
+    assert "ResourceWarning" not in result.stderr
+    assert not (tmp_path / "out").exists()

@@ -19,7 +19,7 @@ from tfstream import runtime
 from tfstream.chunkfile import concatenate_payloads, read_chunk_file
 from tfstream.chunks import Continuity, DataChunk
 from tfstream.cli import _override
-from tfstream.errors import TFStreamError
+from tfstream.errors import IoError, TFStreamError
 from tfstream.graph import Edge, config_from_dict, load_config, validate_graph
 from tfstream.oracle import compare_streamed, run_unchunked
 from tfstream.processors import Processor, SinkProcessor, StructureExtractor
@@ -245,10 +245,9 @@ def test_a_finished_plan_is_freed_without_the_cycle_collector(tmp_path):
         gc.enable()
 
 
-# frame prefix, the two names, then the fixed fields before the first
-# (channel) extent of the shape
-SHAPE_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<QiBB")
-HEADER_LEN_OFFSET = 6
+# magic, version, number and continuity, then the time extent
+CONTINUITY_OFFSET = 4 + 2 + 8
+TIME_OFFSET = CONTINUITY_OFFSET + 4
 SE_T_PTN = Edge("se", "T", "ptn", transport="tcp::0", wire_dtype="<f8")
 
 
@@ -268,11 +267,12 @@ def flip(data, offset, bit):
     return bytes(damaged)
 
 
-def transfer(pieces):
+def transfer(pieces, channels):
     """The chunk numbers delivered and the wire errors counted when
-    ``pieces`` pass through one TCP link, one transfer each."""
+    ``pieces`` pass through one TCP link of ``se.T`` frames with
+    ``channels`` rows, one transfer each."""
     delivered, errors = [], []
-    link = _TcpLink(SE_T_PTN, delivered.append, errors.append)
+    link = _TcpLink(SE_T_PTN, delivered.append, errors.append, (channels,))
     try:
         for piece in pieces:
             link.transfer(piece)
@@ -281,49 +281,71 @@ def transfer(pieces):
     return [c.number for c in delivered], errors
 
 
-@pytest.mark.parametrize("offset, bit", [
-    (SHAPE_OFFSET, 0),         # 65 channels: the payload overruns
-    (HEADER_LEN_OFFSET, 0),
-    (HEADER_LEN_OFFSET, 3),
-    (HEADER_LEN_OFFSET, 12),   # the reader overruns into frame 2
-    (HEADER_LEN_OFFSET, 30),   # far above any real header
-], ids=["channels-0", "header_len-0", "header_len-3", "header_len-12",
-        "header_len-30"])
-def test_damaged_frame_costs_one_wire_error(offset, bit):
-    """The link skips a damaged frame whole and counts it once, whether
-    the frames pass through it as one piece or one at a time."""
+@pytest.mark.parametrize("bit", [
+    0,    # 101 columns: the reader overruns into frame 2
+    2,    # 96 columns: the CRC is read from the payload
+    3,
+    12,   # more columns than all the frames hold
+    30,   # far above any real extent
+], ids=["time-0", "time-2", "time-3", "time-12", "time-30"])
+def test_damaged_frame_costs_one_wire_error(bit):
+    """The link skips a frame with a damaged time extent whole and
+    counts it once, whether the frames pass through it as one piece or
+    one at a time."""
     frames = se_frames(64, 100)
-    assert struct.unpack_from("<I", frames[1], SHAPE_OFFSET) == (64,)
-    frames[1] = flip(frames[1], offset, bit)
+    assert struct.unpack_from("<I", frames[1], TIME_OFFSET) == (100,)
+    frames[1] = flip(frames[1], TIME_OFFSET, bit)
     for pieces in ([b"".join(frames)], frames):
-        assert transfer(pieces) == ([0, 2, 3, 4, 5], ["se.T->ptn"])
-
-
-# the continuity code
-CONTINUITY_OFFSET = 10 + 2 + len("se") + 2 + len("T") + struct.calcsize("<Q")
+        assert transfer(pieces, 64) == ([0, 2, 3, 4, 5], ["se.T->ptn"])
 
 
 def rewrite(frame, fmt, offset, value):
     """``frame`` with the field at ``offset`` set to ``value`` and its CRC
-    recomputed over header and payload, so only that value is wrong."""
+    recomputed over the fields after the version and the payload, so only
+    that value is wrong."""
     data = bytearray(frame)
     struct.pack_into(fmt, data, offset, value)
-    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[10:-4]))
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[6:-4]))
     return bytes(data)
 
 
 @pytest.mark.parametrize("fmt, offset, value", [
     ("<i", CONTINUITY_OFFSET, int(Continuity.INVALID)),
-], ids=["continuity-invalid"])
+    ("<i", CONTINUITY_OFFSET, 7),
+], ids=["continuity-invalid", "continuity-unknown"])
 def test_intact_frame_with_an_unusable_field_costs_one_wire_error(
         fmt, offset, value):
     """A frame whose CRC holds but whose continuity is INVALID, which no
-    publish sends, is lost like a damaged one: one wire error, and the
-    next frame is delivered."""
+    publish sends, or no code at all, is lost like a damaged one: one
+    wire error, and the next frame is delivered."""
     frames = se_frames(4, 10, count=3)
     frames[1] = rewrite(frames[1], fmt, offset, value)
     for pieces in ([b"".join(frames)], frames):
-        assert transfer(pieces) == ([0, 2], ["se.T->ptn"])
+        assert transfer(pieces, 4) == ([0, 2], ["se.T->ptn"])
+
+
+def version_3_frame(chunk):
+    """``chunk`` framed as version 3 did: a length-prefixed header of
+    names, number, continuity, dtype tag, ndim and extents."""
+    header = b"".join(struct.pack("<H", len(name)) + name.encode()
+                      for name in chunk.source_key)
+    shape = chunk.payload.shape
+    header += struct.pack(f"<QiBB{len(shape)}I", chunk.number,
+                          int(chunk.continuity), 1, len(shape), *shape)
+    payload = np.ascontiguousarray(chunk.payload, "<f8").tobytes()
+    return b"".join((b"TFSB", struct.pack("<HI", 3, len(header)), header,
+                     payload, struct.pack("<I", zlib.crc32(header + payload))))
+
+
+def test_version_3_frame_costs_one_wire_error():
+    """A frame of the previous version between two current ones is one
+    wire error; the frames around it are delivered."""
+    frames = se_frames(4, 10, count=3)
+    frames[1] = version_3_frame(DataChunk(
+        number=1, source_key=("se", "T"), payload=np.ones((4, 10)),
+        continuity=Continuity.WITHPREVIOUS))
+    for pieces in ([b"".join(frames)], frames):
+        assert transfer(pieces, 4) == ([0, 2], ["se.T->ptn"])
 
 
 @pytest.mark.parametrize("prefix, suffix", [
@@ -336,14 +358,14 @@ def test_rescan_skips_junk_to_the_next_magic(prefix, suffix):
     frames = se_frames(4, 10)
     for pieces in ([prefix + b"".join(frames) + suffix],
                    [prefix, *frames, suffix]):
-        assert transfer(pieces) == ([0, 1, 2, 3, 4, 5], ["se.T->ptn"])
+        assert transfer(pieces, 4) == ([0, 1, 2, 3, 4, 5], ["se.T->ptn"])
 
 
 def test_every_single_bit_flip_costs_exactly_its_frame():
     frames = se_frames(4, 10)
     whole, start = b"".join(frames), len(frames[0])
     delivered, errors = [], []
-    link = _TcpLink(SE_T_PTN, delivered.append, errors.append)
+    link = _TcpLink(SE_T_PTN, delivered.append, errors.append, (4,))
     try:
         for bit in range(8 * len(frames[1])):
             link.transfer(flip(whole, start, bit))
@@ -361,7 +383,7 @@ def test_a_delivered_chunk_keeps_its_values_after_the_next_transfer():
     link leaves it as it was delivered."""
     first, second = se_frames(4, 10, count=2)
     delivered = []
-    link = _TcpLink(SE_T_PTN, delivered.append, [].append)
+    link = _TcpLink(SE_T_PTN, delivered.append, [].append, (4,))
     try:
         link.transfer(first)
         kept = delivered[0].payload
@@ -376,7 +398,7 @@ def test_a_delivered_chunk_keeps_its_values_after_the_next_transfer():
 
 def test_frame_larger_than_the_socket_buffers_goes_through():
     frame = se_frames(64, 20_000, count=1)[0]     # about 10 MB
-    assert transfer([frame]) == ([0], [])
+    assert transfer([frame], 64) == ([0], [])
 
 
 def mic_run_over_tcp(out_dir, faults=None, damage=None):
@@ -401,16 +423,16 @@ def mic_run_over_tcp(out_dir, faults=None, damage=None):
 
 
 def test_frame_declaring_a_huge_shape_costs_only_its_chunk(tmp_path):
-    """Bit 28 of the channel extent makes one frame declare 2**28 + 64
-    channels.  The run still ends with one wire error; it writes what the
-    fault-free run writes before the lost chunk, and exactly what dropping
-    that chunk on that edge writes."""
+    """Bit 28 of the time extent makes one frame declare 2**28 more
+    columns than it holds.  The run still ends with one wire error; it
+    writes what the fault-free run writes before the lost chunk, and
+    exactly what dropping that chunk on that edge writes."""
     lost = 7
 
     def damage(chunk, dtype):
         frame = encode(chunk, dtype)
         if chunk.source_key == ("se", "T") and chunk.number == lost:
-            frame = flip(frame, SHAPE_OFFSET, 28)
+            frame = flip(frame, TIME_OFFSET, 28)
         return frame
 
     damaged = mic_run_over_tcp(tmp_path / "damaged", damage=damage)
@@ -619,7 +641,7 @@ def test_transport_failing_at_set_up_closes_the_links_made(tmp_path,
             elif edge["from"] == "se.T":
                 edge["transport"] = f"tcp:127.0.0.1:{held.getsockname()[1]}"
         plan = validate_graph(config_from_dict(raw))
-        with pytest.raises(OSError):
+        with pytest.raises(IoError, match="se.T->ptn"):
             run_plan(plan)
     assert len(made) == 1
     sockets = [v for v in vars(made[0]).values() if isinstance(v, socket.socket)]

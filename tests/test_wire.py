@@ -9,32 +9,32 @@ from tfstream.chunks import Continuity, DataChunk
 from tfstream.errors import ChecksumError, VersionError, WireError
 from tfstream.graph import Edge
 from tfstream.runtime import _TcpLink
-from tfstream.wire import (
-    MAGIC,
-    MAX_HEADER_LEN,
-    VERSION,
-    decode,
-    decode_stream,
-    encode,
-)
+from tfstream.wire import MAGIC, VERSION, decode, decode_stream, encode
 
 #: every code a publish sends: decoding rejects INVALID (-1)
 CODES = [c for c in Continuity if c is not Continuity.INVALID]
 
 
-def random_chunk(rng):
-    ndim = int(rng.integers(1, 3))
-    if ndim == 1:
-        shape = (int(rng.integers(1, 40)),)
-    else:
-        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 40)))
-    payload = rng.standard_normal(shape).astype("<f4").astype("<f8")
+def random_chunk(rng, key=None, lead=None):
+    """A chunk of random number, continuity, time extent and values; of
+    ``key`` and ``lead`` shape when given, else of random ones."""
+    if lead is None:
+        ndim = int(rng.integers(1, 3))
+        lead = () if ndim == 1 else (int(rng.integers(1, 12)),)
+    payload = rng.standard_normal(
+        (*lead, int(rng.integers(1, 40)))).astype("<f4").astype("<f8")
     return DataChunk(
         number=int(rng.integers(0, 2**40)),
-        source_key=(f"p{rng.integers(10)}", f"f{rng.integers(10)}"),
+        source_key=key or (f"p{rng.integers(10)}", f"f{rng.integers(10)}"),
         payload=payload,
         continuity=CODES[int(rng.integers(len(CODES)))],
     )
+
+
+def layout(chunk, dtype="<f8"):
+    """What a decoder takes from the plan to decode ``chunk``'s frame:
+    key, lead shape and dtype."""
+    return chunk.source_key, chunk.payload.shape[:-1], dtype
 
 
 def assert_chunks_equal(a, b):
@@ -47,13 +47,14 @@ def assert_chunks_equal(a, b):
 def test_round_trip_float64_is_bit_exact():
     rng = np.random.default_rng(0)
     chunk = random_chunk(rng)
-    assert_chunks_equal(decode(encode(chunk, dtype="<f8")), chunk)
+    assert_chunks_equal(decode(encode(chunk, dtype="<f8"), *layout(chunk)),
+                        chunk)
 
 
 def test_round_trip_float32_quantizes_payload_only():
     rng = np.random.default_rng(1)
     chunk = random_chunk(rng)
-    out = decode(encode(chunk, dtype="<f4"))
+    out = decode(encode(chunk, dtype="<f4"), *layout(chunk, "<f4"))
     np.testing.assert_array_equal(
         out.payload, chunk.payload.astype("<f4").astype("<f8")
     )
@@ -65,7 +66,8 @@ def test_many_randomized_round_trips():
     rng = np.random.default_rng(2)
     for _ in range(500):
         chunk = random_chunk(rng)
-        assert_chunks_equal(decode(encode(chunk, dtype="<f8")), chunk)
+        assert_chunks_equal(decode(encode(chunk, dtype="<f8"), *layout(chunk)),
+                            chunk)
 
 
 def test_every_single_byte_corruption_is_detected():
@@ -77,34 +79,38 @@ def test_every_single_byte_corruption_is_detected():
             corrupted = bytearray(frame)
             corrupted[pos] ^= flip
             with pytest.raises(WireError):
-                decode(bytes(corrupted))
+                decode(bytes(corrupted), *layout(chunk))
 
 
 def test_version_gate():
-    """Version 1 frames, which carried rate and axis, and version 2
-    frames, which carried the counters, are refused whole, as are frames
-    of a later version."""
+    """Version 1 frames, which carried rate and axis, version 2 frames,
+    which carried the counters, and version 3 frames, which carried names,
+    dtype and shape, are refused whole, as are frames of a later
+    version."""
     rng = np.random.default_rng(4)
-    frame = bytearray(encode(random_chunk(rng)))
-    for version in (1, 2, VERSION + 1):
+    chunk = random_chunk(rng)
+    frame = bytearray(encode(chunk))
+    for version in (1, 2, 3, VERSION + 1):
         frame[4:6] = version.to_bytes(2, "little")
         with pytest.raises(VersionError):
-            decode(bytes(frame))
+            decode(bytes(frame), *layout(chunk, "<f4"))
 
 
 def test_bad_magic():
     rng = np.random.default_rng(5)
-    frame = b"XXXX" + encode(random_chunk(rng))[4:]
+    chunk = random_chunk(rng)
+    frame = b"XXXX" + encode(chunk)[4:]
     with pytest.raises(WireError):
-        decode(frame)
+        decode(frame, *layout(chunk, "<f4"))
 
 
 def test_truncated_frame():
     rng = np.random.default_rng(6)
-    frame = encode(random_chunk(rng))
-    for cut in (3, 9, len(frame) // 2, len(frame) - 1):
+    chunk = random_chunk(rng)
+    frame = encode(chunk)
+    for cut in (3, 9, 21, len(frame) // 2, len(frame) - 1):
         with pytest.raises(WireError):
-            decode(frame[:cut])
+            decode(frame[:cut], *layout(chunk, "<f4"))
 
 
 def test_flipped_payload_byte_is_checksum_error():
@@ -114,14 +120,15 @@ def test_flipped_payload_byte_is_checksum_error():
     # a byte well inside the payload region
     frame[-12] ^= 0x10
     with pytest.raises(ChecksumError):
-        decode(bytes(frame))
+        decode(bytes(frame), *layout(chunk))
 
 
 def test_trailing_bytes_rejected():
     rng = np.random.default_rng(8)
-    frame = encode(random_chunk(rng)) + b"\x00"
+    chunk = random_chunk(rng)
+    frame = encode(chunk) + b"\x00"
     with pytest.raises(WireError):
-        decode(frame)
+        decode(frame, *layout(chunk, "<f4"))
 
 
 def test_stream_of_frames_decodes_in_order():
@@ -129,7 +136,7 @@ def test_stream_of_frames_decodes_in_order():
     chunks = [random_chunk(rng) for _ in range(20)]
     stream = BytesIO(b"".join(encode(c, dtype="<f8") for c in chunks))
     for original in chunks:
-        assert_chunks_equal(decode_stream(stream), original)
+        assert_chunks_equal(decode_stream(stream, *layout(original)), original)
     assert stream.read() == b""
 
 
@@ -152,11 +159,11 @@ def test_skip_to_magic_finds_a_magic_split_across_reads(step):
     """A TCP link reassembles bytes that arrive a few at a time, then
     skips junk holding false starts of the magic to the intact frames."""
     rng = np.random.default_rng(10)
-    chunks = [random_chunk(rng) for _ in range(4)]
+    chunks = [random_chunk(rng, ("p", "f"), (3,)) for _ in range(4)]
     data = b"xxTF" + b"TFS" + b"".join(encode(c, dtype="<f8") for c in chunks)
     delivered, errors = [], []
     link = _TcpLink(Edge("p", "f", "c", transport="tcp::0", wire_dtype="<f8"),
-                    delivered.append, errors.append)
+                    delivered.append, errors.append, (3,))
     link._rx = Trickle(link._rx, step)
     try:
         link.transfer(data)
@@ -168,22 +175,23 @@ def test_skip_to_magic_finds_a_magic_split_across_reads(step):
         assert_chunks_equal(got, original)
 
 
-def test_oversized_header_length_is_rejected_before_reading_it():
-    """A damaged header length must not make the reader wait for bytes
-    that may never come."""
-    frame = bytearray(encode(random_chunk(np.random.default_rng(4))))
-    frame[6:10] = (MAX_HEADER_LEN + 1).to_bytes(4, "little")
-    stream = BytesIO(bytes(frame))
-    with pytest.raises(WireError, match="header length"):
-        decode_stream(stream)
-    assert stream.tell() == 10
-    named = DataChunk(number=0, source_key=("p" * 65535, "f"),
-                      payload=np.zeros((2, 1)),
-                      continuity=Continuity.DISCONTINUOUS)
-    with pytest.raises(WireError, match="exceeds"):
-        encode(named)
+@pytest.mark.parametrize("key, lead", [
+    (("se", "T"), (64,)),
+    (("cochlea", "E"), (64,)),
+    (("resampler", "snd"), ()),
+    (("p" * 300, "f" * 300), (8,)),
+], ids=["se.T", "cochlea.E", "resampler.snd", "long-names"])
+def test_frame_overhead_is_26_bytes_whatever_the_key(key, lead):
+    """Magic, version, number, continuity, time extent and CRC: a frame
+    carries no name, dtype or shape of its key, which the plan holds."""
+    chunk = DataChunk(number=7, source_key=key, payload=np.ones((*lead, 128)),
+                      continuity=Continuity.WITHPREVIOUS)
+    for dtype in ("<f4", "<f8"):
+        frame = encode(chunk, dtype)
+        assert len(frame) - chunk.payload.size * np.dtype(dtype).itemsize == 26
+        assert_chunks_equal(decode(frame, *layout(chunk, dtype)), chunk)
 
 
 def test_magic_constant_stable():
     assert MAGIC == b"TFSB"
-    assert VERSION == 3
+    assert VERSION == 4
