@@ -22,9 +22,6 @@ from .chunks import (
     SourceKey,
     ZERO_ALIGNMENT,
     check_publishable,
-    is_discontinuous_subtype,
-    is_withprevious_subtype,
-    validate_chunk,
 )
 from .errors import TFStreamError
 from .graph import (
@@ -36,7 +33,7 @@ from .graph import (
     load_config,
     validate_graph,
 )
-from .merge import MergedChunk, MergeState, complete_merge, decide_continuity
+from .merge import MergedChunk, MergeState, complete_merge, decide
 from .oracle import compare_streamed, run_unchunked
 from .runtime import MergeLogEntry, RunReport, Streamboard, run_plan
 from .wire import decode, decode_stream, encode
@@ -68,17 +65,14 @@ __all__ = [
     "compose",
     "complete_merge",
     "config_from_dict",
-    "decide_continuity",
+    "decide",
     "decode",
     "decode_stream",
     "drop_counts",
     "encode",
-    "is_discontinuous_subtype",
-    "is_withprevious_subtype",
     "load_config",
     "merge_params",
     "run_plan",
     "run_unchunked",
-    "validate_chunk",
     "validate_graph",
 ]

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chunks import MAX_COUNTER, AlignmentParams
-from .errors import CounterOverflow, EmptyInput, InconsistentParams
+from .chunks import AlignmentParams
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,26 +30,22 @@ class DropCounts:
     d_l: int
 
 
-def _checked(value: int, name: str) -> int:
-    if value > MAX_COUNTER:
-        raise CounterOverflow(f"alignment counter {name} overflows: {value}")
-    return value
-
-
 def compose(merged: AlignmentParams, feature: AlignmentParams) -> AlignmentParams:
-    """Cumulative counters of an outgoing chunk: component-wise sum."""
+    """Cumulative counters of an outgoing chunk: component-wise sum.
+
+    ``AlignmentParams`` caps every counter, so a sum past the cap raises
+    ``MetadataError`` at validation."""
     return AlignmentParams(
-        p=_checked(merged.p + feature.p, "p"),
-        d=_checked(merged.d + feature.d, "d"),
-        l=_checked(merged.l + feature.l, "l"),
-        s=_checked(merged.s + feature.s, "s"),
+        p=merged.p + feature.p,
+        d=merged.d + feature.d,
+        l=merged.l + feature.l,
+        s=merged.s + feature.s,
     )
 
 
 def merge_params(inputs: Sequence[AlignmentParams]) -> AlignmentParams:
-    """Counters of a merged chunk: component-wise maximum over the set."""
-    if not inputs:
-        raise EmptyInput("merge_params needs at least one input")
+    """Counters of a merged chunk: component-wise maximum over the set,
+    which validation guarantees holds at least one key."""
     return AlignmentParams(
         p=max(a.p for a in inputs),
         d=max(a.d for a in inputs),
@@ -62,16 +57,12 @@ def merge_params(inputs: Sequence[AlignmentParams]) -> AlignmentParams:
 def drop_counts(merged: AlignmentParams, chunk: AlignmentParams) -> DropCounts:
     """Slice bounds for one incoming chunk given the merged counters.
 
-    Requires that merged dominates chunk in p and d, which holds whenever
-    merged was produced by merge_params over a set containing chunk.
+    Requires that merged dominates chunk in p and d, which holds because
+    validation produces merged by merge_params over a set containing
+    chunk.
     """
-    if merged.p < chunk.p or merged.d < chunk.d:
-        raise InconsistentParams(
-            f"merged params {merged.as_tuple()} do not dominate "
-            f"chunk params {chunk.as_tuple()}"
-        )
     return DropCounts(
         d_H=merged.p - chunk.p,
         d_L=merged.d - chunk.d,
-        d_l=_checked(merged.d + chunk.p, "d_l"),
+        d_l=merged.d + chunk.p,
     )

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
 from .chunks import DataChunk, SourceKey
-from .errors import UnknownKey
 
 
 @dataclass
@@ -50,11 +49,10 @@ class InFlightBuffer:
         if this arrival finished it.
 
         Stale chunks (older than expected_next, typically late survivors
-        of a fast-forward) are counted and dropped, never an error.
+        of a fast-forward) are counted and dropped, never an error.  The
+        chunk's key is one of the configured ones: the runtime wires
+        each consumer's receiver from the plan's edges.
         """
-        key = chunk.source_key
-        if key != self.lone_key and key not in self.queues:
-            raise UnknownKey(f"chunk for unconfigured source key {key}")
         if chunk.number < self.expected_next:
             self.counters.stale += 1
             return None
@@ -63,8 +61,8 @@ class InFlightBuffer:
             # is empty between arrivals and nothing is fast-forwarded
             self.expected_next = chunk.number + 1
             self.counters.completed += 1
-            return {key: chunk}
-        self.queues[key][chunk.number] = chunk
+            return {self.lone_key: chunk}
+        self.queues[chunk.source_key][chunk.number] = chunk
 
         # FIFO per edge: the head of a non-empty queue is the smallest
         # number that key will ever deliver.  Any set older than the

@@ -1,10 +1,15 @@
-"""Chunk model: alignment counters, continuity flags and the DataChunk.
+"""Chunk model: alignment counters, continuity codes and the DataChunk.
 
 Every representation travelling through the pipeline is wrapped in a
 DataChunk: a numbered, flagged array (channels x time, or plain time).
-The four alignment counters that make re-alignment possible belong to
-the chunk's key, not to the chunk: graph validation composes them once
-per key (``GraphPlan.cumulative``).
+Inside the program a chunk's continuity is always a ``Continuity``
+member: sources and ``Processor.step`` build members, the publish
+boundary (``check_publishable``) refuses anything else, and outside
+bytes become members only where they are read (``as_continuity``, called
+by the wire decoder and the chunk-file reader).  The four alignment
+counters that make re-alignment possible belong to the chunk's key, not
+to the chunk: graph validation composes them once per key
+(``GraphPlan.cumulative``).
 """
 
 from __future__ import annotations
@@ -40,32 +45,23 @@ class Continuity(IntEnum):
     WITHPREVIOUS = 10
     LAST = 11
 
+    @property
+    def continuous(self) -> bool:
+        """True for the codes continuous with the predecessor (10, 11);
+        every other valid code (0, 1, 2) declares a break."""
+        return self >= Continuity.WITHPREVIOUS
 
-_DISCONTINUOUS_SUBTYPES = frozenset(
-    {Continuity.DISCONTINUOUS, Continuity.NEWFILE, Continuity.CALIBRATION}
-)
-_WITHPREVIOUS_SUBTYPES = frozenset({Continuity.WITHPREVIOUS, Continuity.LAST})
+
 _MEMBERS = {code: code for code in Continuity}
 
 
 def as_continuity(code) -> Continuity:
-    """The member for a member or its number, found without the enum's
-    own conversion; any other value goes through ``Continuity(code)``,
-    which raises ValueError for an unknown code."""
+    """The member for a code read from outside bytes, found without the
+    enum's own conversion; an unknown code raises ValueError."""
     try:
         return _MEMBERS[code]
     except (KeyError, TypeError):
         return Continuity(code)
-
-
-def is_discontinuous_subtype(code: Continuity) -> bool:
-    """True for codes that declare a break with the predecessor (0, 1, 2)."""
-    return as_continuity(code) in _DISCONTINUOUS_SUBTYPES
-
-
-def is_withprevious_subtype(code: Continuity) -> bool:
-    """True for codes continuous with the predecessor (10, 11)."""
-    return as_continuity(code) in _WITHPREVIOUS_SUBTYPES
 
 
 class MergeScenario(Enum):
@@ -136,31 +132,27 @@ class DataChunk:
         return self.payload.shape[-1]
 
 
-def validate_chunk(chunk: DataChunk) -> DataChunk:
-    """Check all DataChunk invariants; return the chunk unchanged.
+def check_publishable(chunk: DataChunk) -> DataChunk:
+    """Check a chunk at the publish boundary; return it unchanged.
 
-    Idempotent: validating an already valid chunk is a no-op.  A key's
-    sample rate, frequency axis (and so its channel count) and alignment
-    counters are properties of the plan, checked once by graph
-    validation, not per chunk; so is whether the counters fit the
-    canonical chunk interval (d + p < length at every merge point).
+    Its continuity must be a ``Continuity`` member other than INVALID
+    (a plain int is refused too), its payload 1-D or 2-D with at least
+    one time column, and its number non-negative.  A key's sample rate,
+    frequency axis (and so its channel count) and alignment counters are
+    properties of the plan, checked once by graph validation, not per
+    chunk; so is whether the counters fit the canonical chunk interval
+    (d + p < length at every merge point).
     """
+    code = chunk.continuity
+    if not isinstance(code, Continuity):
+        raise MetadataError(f"continuity must be a Continuity member, got {code!r}")
+    if code is Continuity.INVALID:
+        raise MetadataError("invalid chunks (code -1) are never published")
     shape = chunk.payload.shape
     if len(shape) not in (1, 2):
         raise ShapeError(f"payload must be 1-D or 2-D, got ndim={len(shape)}")
     if shape[-1] < 1:
         raise ShapeError("payload time-length must be >= 1")
-    try:
-        as_continuity(chunk.continuity)
-    except ValueError:
-        raise MetadataError(f"unknown continuity code {chunk.continuity!r}") from None
     if chunk.number < 0:
         raise MetadataError(f"chunk number is negative: {chunk.number}")
     return chunk
-
-
-def check_publishable(chunk: DataChunk) -> DataChunk:
-    """Reject invalid chunks at a publish boundary; they stay unpublished."""
-    if as_continuity(chunk.continuity) is Continuity.INVALID:
-        raise MetadataError("invalid chunks (code -1) are never published")
-    return validate_chunk(chunk)

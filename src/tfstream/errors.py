@@ -1,8 +1,9 @@
 """Exception hierarchy for the streaming framework.
 
 Errors fall in two families: configuration/framework errors that abort a
-run (bad graph, corrupted merge state) and per-chunk data problems that
-the continuity protocol absorbs (losses, stale arrivals).
+run (bad graph, merged arrays of unequal extent) and per-chunk data
+problems that the continuity protocol absorbs (losses, stale arrivals,
+sets too short after a break).
 """
 
 
@@ -17,45 +18,17 @@ class ShapeError(TFStreamError):
 
 
 class MetadataError(TFStreamError):
-    """Unknown continuity code or negative alignment counter."""
-
-
-# --- alignment algebra ---------------------------------------------------
-
-class EmptyInput(TFStreamError):
-    """merge_params called with no inputs."""
-
-
-class CounterOverflow(TFStreamError):
-    """Alignment counter exceeded the configured maximum."""
-
-
-class InconsistentParams(TFStreamError):
-    """Merged params do not dominate chunk params; indicates a framework bug."""
+    """A continuity that is not a publishable ``Continuity`` member, a
+    negative chunk number, or a negative, non-integer or capped-out
+    alignment counter."""
 
 
 # --- merge engine --------------------------------------------------------
 
-class ProtocolError(TFStreamError):
-    """Impossible continuity combination reached; indicates corrupted state."""
-
-
-class InvalidInMerge(TFStreamError):
-    """An invalid chunk (code -1) entered the merge process."""
-
-
-class MissingTail(TFStreamError):
-    """Regular continuous merge without a carried tail of the right length."""
-
-
 class EmptyResult(TFStreamError):
-    """Merge would produce a zero-length chunk; chunk size too small."""
-
-
-# --- composite manager ---------------------------------------------------
-
-class UnknownKey(TFStreamError):
-    """Chunk delivered for a source key the consumer is not configured for."""
+    """A merge or a transform's window would produce a zero-length chunk
+    (a short chunk after a break); the runtime drops that set and counts
+    it as ``too_short``."""
 
 
 # --- graph / config ------------------------------------------------------
@@ -84,14 +57,6 @@ class UnsupportedFormat(TFStreamError):
 
 class IoError(TFStreamError):
     """File could not be read or written."""
-
-
-class NonIntegerRate(TFStreamError):
-    """Resampling factor does not divide the input sample rate."""
-
-
-class SpecMismatch(TFStreamError):
-    """Filterbank design does not fit its sample rate, or is not made yet."""
 
 
 class ShapeMismatch(TFStreamError):

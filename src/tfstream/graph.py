@@ -308,7 +308,10 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                 f"processor {name!r} receives different frequency axes on "
                 + ", ".join(".".join(key) for key in keys)
             )
-        rate_out = inst.prepare(rate_in, merged)
+        try:
+            rate_out = inst.prepare(rate_in, merged)
+        except ValueError as exc:
+            raise ConfigError(f"processor {name!r}: {exc}") from exc
         merged_out = inst.convert_alignment(merged)
         for feature, align in inst.feature_alignment().items():
             key = (name, feature)

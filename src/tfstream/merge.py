@@ -1,35 +1,33 @@
-"""Merge engine: continuity decision, scenario classification, array merge.
+"""Merge engine: the fusion rule and the array merge.
 
-One MergeState lives per consuming processor.  For every completed set of
-same-numbered chunks the engine decides the merged continuity, slices each
-incoming array according to its scenario, and carries forward the column
-tails needed by the next continuous merge.
+One MergeState lives per consuming processor.  For every completed set
+of same-numbered chunks, ``decide`` states the fusion rule: from the
+members' continuity codes and whether the set directly follows the last
+completed one, it gives the merged continuity and each member's merge
+scenario.  ``merge_array`` then slices each incoming array according to
+its scenario and carries forward the column tails needed by the next
+continuous merge.
+
+A merge trusts what validation and the two boundaries guarantee: every
+member's code is a valid ``Continuity`` member (the publish check
+refuses INVALID and plain ints; the wire decoder turns codes into
+members and refuses INVALID), the buffer completes sets of one number
+only, a set has at least one member, and each key's drop counts come
+from counters that the merged ones dominate.  The one runtime tripwire
+of the alignment algebra is ``ShapeMismatch``: merged arrays that
+disagree in time extent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .alignment import DropCounts
-from .chunks import (
-    Continuity,
-    DataChunk,
-    MergeScenario,
-    SourceKey,
-    as_continuity,
-    is_discontinuous_subtype,
-    is_withprevious_subtype,
-)
-from .errors import (
-    EmptyResult,
-    InvalidInMerge,
-    MissingTail,
-    ProtocolError,
-    ShapeMismatch,
-)
+from .chunks import Continuity, DataChunk, MergeScenario, SourceKey
+from .errors import EmptyResult, ShapeMismatch
 
 
 @dataclass
@@ -48,8 +46,8 @@ class MergeState:
     decisions maps everything a merge decides from besides the arrays --
     each member's continuity, in set order, and whether the set directly
     follows the last completed one -- to the merged continuity and each
-    member's scenario.  These inputs take few distinct values in a run,
-    so each distinct combination is computed and checked once, then
+    member's scenario (``decide``).  These inputs take few distinct
+    values in a run, so each distinct combination is decided once, then
     carried forward.
     """
 
@@ -67,16 +65,32 @@ class _Decision:
     scenarios: Tuple[MergeScenario, ...]
 
 
-def _decide(
-    n: int,
-    last_completed: Optional[int],
-    incoming: Sequence[Continuity],
-) -> _Decision:
-    subtype = decide_continuity(n, last_completed, incoming)
-    return _Decision(
-        continuity=_refine_continuity(subtype, incoming),
-        scenarios=tuple(classify_scenario(c, subtype) for c in incoming),
-    )
+def decide(codes: Tuple[Continuity, ...], follows: bool) -> _Decision:
+    """The fusion rule: the merged continuity and each member's scenario,
+    from the members' codes in set order and whether the set directly
+    follows the last completed one.
+
+    The merge is continuous only when the set follows and every member
+    is continuous; then each member merges regular continuous, and LAST
+    on any member is kept.  Otherwise the merge is discontinuous: a
+    discontinuous member merges regular discontinuous and a continuous
+    one irregular discontinuous; CALIBRATION on any member, or NEWFILE
+    on every member, is kept so consumers can react.
+    """
+    if follows and all(code.continuous for code in codes):
+        last = any(code is Continuity.LAST for code in codes)
+        return _Decision(
+            Continuity.LAST if last else Continuity.WITHPREVIOUS,
+            (MergeScenario.REGULAR_CONTINUOUS,) * len(codes))
+    if any(code is Continuity.CALIBRATION for code in codes):
+        continuity = Continuity.CALIBRATION
+    elif all(code is Continuity.NEWFILE for code in codes):
+        continuity = Continuity.NEWFILE
+    else:
+        continuity = Continuity.DISCONTINUOUS
+    return _Decision(continuity, tuple(
+        MergeScenario.IRREGULAR_DISCONTINUOUS if code.continuous
+        else MergeScenario.REGULAR_DISCONTINUOUS for code in codes))
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,52 +103,6 @@ class MergedChunk:
     continuity: Continuity
     payloads: Mapping[SourceKey, np.ndarray]
     scenarios: Mapping[SourceKey, MergeScenario]
-
-
-def decide_continuity(
-    n: int,
-    last_completed: Optional[int],
-    incoming: Sequence[Continuity],
-) -> Continuity:
-    """Continuity subtype of the merged chunk.
-
-    Discontinuous when the set does not directly follow the last
-    completed set, or when any incoming chunk broke continuity itself;
-    withprevious otherwise.
-    """
-    if not incoming:
-        raise InvalidInMerge("empty incoming continuity list")
-    for code in incoming:
-        if as_continuity(code) is Continuity.INVALID:
-            raise InvalidInMerge("invalid chunk (code -1) in merge")
-    if last_completed is None or n != last_completed + 1:
-        return Continuity.DISCONTINUOUS
-    if any(is_discontinuous_subtype(c) for c in incoming):
-        return Continuity.DISCONTINUOUS
-    return Continuity.WITHPREVIOUS
-
-
-def classify_scenario(
-    chunk_continuity: Continuity,
-    merged_continuity: Continuity,
-) -> MergeScenario:
-    """Map an (incoming, merged) continuity pair onto its merge scenario."""
-    for code in (chunk_continuity, merged_continuity):
-        if as_continuity(code) is Continuity.INVALID:
-            raise InvalidInMerge("invalid chunk (code -1) in merge")
-    chunk_cont = is_withprevious_subtype(chunk_continuity)
-    merged_cont = is_withprevious_subtype(merged_continuity)
-    if chunk_cont and merged_cont:
-        return MergeScenario.REGULAR_CONTINUOUS
-    if not chunk_cont and not merged_cont:
-        return MergeScenario.REGULAR_DISCONTINUOUS
-    if chunk_cont and not merged_cont:
-        return MergeScenario.IRREGULAR_DISCONTINUOUS
-    # A discontinuous chunk can never yield a withprevious merge under
-    # decide_continuity; reaching this means corrupted state.
-    raise ProtocolError(
-        "discontinuous chunk inside a withprevious merge is impossible"
-    )
 
 
 def merge_array(
@@ -154,12 +122,6 @@ def merge_array(
     time series follow the same rules with the frequency axis absent.
     """
     if scenario is MergeScenario.REGULAR_CONTINUOUS:
-        if prev_tail is None or prev_tail.shape[-1] != drops.d_H:
-            got = "none" if prev_tail is None else str(prev_tail.shape[-1])
-            raise MissingTail(
-                f"regular continuous merge needs a carried tail of "
-                f"{drops.d_H} columns, got {got}"
-            )
         if drops.d_H:
             current = np.concatenate([prev_tail, current], axis=-1)
         start = 0
@@ -179,26 +141,6 @@ def merge_array(
     return current[..., start:stop], current[..., stop:].copy()
 
 
-def _refine_continuity(
-    subtype: Continuity, incoming: Sequence[Continuity]
-) -> Continuity:
-    """Preserve the special codes within the decided subtype family.
-
-    Calibration and newfile travel downstream so consumers can react;
-    last marks the final chunk of a file on every path.
-    """
-    codes = [as_continuity(c) for c in incoming]
-    if subtype is Continuity.DISCONTINUOUS:
-        if any(c is Continuity.CALIBRATION for c in codes):
-            return Continuity.CALIBRATION
-        if all(c is Continuity.NEWFILE for c in codes):
-            return Continuity.NEWFILE
-        return Continuity.DISCONTINUOUS
-    if any(c is Continuity.LAST for c in codes):
-        return Continuity.LAST
-    return Continuity.WITHPREVIOUS
-
-
 def complete_merge(
     state: MergeState,
     chunk_set: Mapping[SourceKey, DataChunk],
@@ -210,22 +152,12 @@ def complete_merge(
     directly following a discontinuous one is regular continuous and
     needs them.
     """
-    if not chunk_set:
-        raise InvalidInMerge("empty chunk set")
-    chunks = chunk_set.values()
-    for chunk in chunks:
-        if chunk.number != n:
-            raise ProtocolError(
-                f"chunk {chunk.source_key} has number {chunk.number}, "
-                f"expected {n}"
-            )
-    incoming = tuple([c.continuity for c in chunks])
+    codes = tuple([c.continuity for c in chunk_set.values()])
     last = state.last_completed
     follows = last is not None and n == last + 1
-    decision = state.decisions.get((incoming, follows))
+    decision = state.decisions.get((codes, follows))
     if decision is None:
-        decision = state.decisions[incoming, follows] = _decide(
-            n, last, incoming)
+        decision = state.decisions[codes, follows] = decide(codes, follows)
 
     payloads: Dict[SourceKey, np.ndarray] = {}
     scenarios: Dict[SourceKey, MergeScenario] = {}

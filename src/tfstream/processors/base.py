@@ -24,13 +24,7 @@ from typing import (
 
 import numpy as np
 
-from ..chunks import (
-    AlignmentParams,
-    Continuity,
-    DataChunk,
-    SourceKey,
-    is_withprevious_subtype,
-)
+from ..chunks import AlignmentParams, Continuity, DataChunk, SourceKey
 from ..errors import ConfigError, EmptyResult, UnknownProcessorKind
 from ..merge import MergedChunk
 
@@ -133,7 +127,7 @@ class Processor:
             return []
         continuity = merged.continuity
         pending = self.consume_pending_continuity()
-        if pending is not None and is_withprevious_subtype(continuity):
+        if pending is not None and continuity.continuous:
             continuity = pending
         return [
             DataChunk(
@@ -274,11 +268,6 @@ class TimeWindowState:
         """Return (buffer, output slice into buffer positions)."""
         history = self.d + self.p
         if continuous and self.tail is not None:
-            if self.tail.shape[-1] != history:
-                raise EmptyResult(
-                    f"carried history has {self.tail.shape[-1]} columns, "
-                    f"need {history}"
-                )
             buf = np.concatenate([self.tail, x], axis=-1)
             out = slice(self.d, self.d + x.shape[-1])
         else:
@@ -290,13 +279,7 @@ class TimeWindowState:
                     f"for window d={self.d}, p={self.p}; minimum chunk "
                     f"length is {self.d + self.p + 1}"
                 )
-        if history:
-            if buf.shape[-1] < history:
-                raise EmptyResult(
-                    f"chunk of {buf.shape[-1]} columns is shorter than the "
-                    f"window history {history}"
-                )
-            self.tail = buf[..., -history:].copy()
-        else:
-            self.tail = buf[..., :0].copy()
+        # the buffer holds at least the history: the carried tail has
+        # exactly that many columns, and a discontinuous chunk more
+        self.tail = buf[..., buf.shape[-1] - history:].copy()
         return buf, out

@@ -13,8 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..chunks import AlignmentParams, is_withprevious_subtype
-from ..errors import SpecMismatch
+from ..chunks import AlignmentParams
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -95,7 +94,7 @@ class GammaChirpFilterbank(Processor):
 
     def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
         if self.f_max >= in_rate / 2:
-            raise SpecMismatch(
+            raise ValueError(
                 f"f_max {self.f_max} Hz is not below Nyquist for rate {in_rate}"
             )
         self.impulse_length = max(2, int(round(self.impulse_ms * in_rate / 1000.0)))
@@ -115,8 +114,6 @@ class GammaChirpFilterbank(Processor):
         return in_rate
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
-        if self.impulse_length is None:
-            raise SpecMismatch("filterbank not prepared: sample rate unknown")
         return {"E": AlignmentParams(p=0, d=self.impulse_length, l=0, s=0)}
 
     def output_freqs(
@@ -169,7 +166,6 @@ class GammaChirpFilterbank(Processor):
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         (x,) = merged.payloads.values()
-        continuous = is_withprevious_subtype(merged.continuity)
-        buf, out = self._window.feed(continuous, x)
+        buf, out = self._window.feed(merged.continuity.continuous, x)
         energy = self._energy(buf, out)
         return {"E": FeatureData(energy)}

@@ -22,12 +22,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..chunks import (
-    AlignmentParams,
-    Continuity,
-    as_continuity,
-    is_withprevious_subtype,
-)
+from ..chunks import AlignmentParams, Continuity
 from ..errors import ConfigError
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, register
@@ -281,7 +276,7 @@ class PTNProcessor(Processor):
         inputs = {feature: arr for (_, feature), arr in merged.payloads.items()}
         energy, tract = inputs["E"], inputs["T"]
 
-        if as_continuity(merged.continuity) is Continuity.CALIBRATION:
+        if merged.continuity is Continuity.CALIBRATION:
             # Estimate the sigmoid parameters from the noise tract
             # scores; calibration data never reaches the results.
             if self.theta is None or self.beta is None:
@@ -296,7 +291,7 @@ class PTNProcessor(Processor):
                 "calibration chunk"
             )
 
-        if not is_withprevious_subtype(merged.continuity):
+        if not merged.continuity.continuous:
             self._carry_et = None
             self._carry_e = None
             self._pending_discontinuity = merged.continuity

@@ -14,8 +14,8 @@ from typing import Dict
 
 import numpy as np
 
-from ..chunks import AlignmentParams, is_withprevious_subtype
-from ..errors import EmptyResult, NonIntegerRate
+from ..chunks import AlignmentParams
+from ..errors import EmptyResult
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -66,7 +66,7 @@ class Resampler(Processor):
 
     def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
         if in_rate % self.factor != 0:
-            raise NonIntegerRate(
+            raise ValueError(
                 f"factor {self.factor} does not divide sample rate {in_rate}"
             )
         return in_rate / self.factor
@@ -78,10 +78,8 @@ class Resampler(Processor):
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         (x,) = merged.payloads.values()
         R, F = self.factor, self.fir_length
-        continuous = (
-            is_withprevious_subtype(merged.continuity)
-            and self._window.tail is not None
-        )
+        continuous = (merged.continuity.continuous
+                      and self._window.tail is not None)
         count = (self._count if continuous else 0) + x.shape[-1]
         # outputs fall on the counts that are multiples of R, from the
         # first sample of this chunk that has its full filter history

@@ -38,6 +38,8 @@ def load_wav(path: Path) -> tuple[int, np.ndarray]:
         )
     if samples.ndim == 2:
         samples = samples[:, 0]
+    if not len(samples):
+        raise UnsupportedFormat(f"{path}: holds no samples")
     return int(rate), samples
 
 
@@ -111,11 +113,10 @@ class WavReader(SourceProcessor):
 class MicInput(SourceProcessor):
     """Synthetic microphone: deterministic tone + noise chunks.
 
-    A scripted buffer overflow flags the affected chunk invalid; it is
-    never published and stays here recording the processor state.  The
-    gap in chunk numbers lets downstream consumers detect the loss, so
-    the next successful chunk ships with its natural withprevious flag
-    (configurable via flag_after_overflow).
+    A scripted buffer overflow makes the affected chunk invalid, and it
+    is never published.  The gap in chunk numbers lets downstream
+    consumers detect the loss, so the next successful chunk ships with
+    its natural withprevious flag.
     """
 
     kind = "mic_input"
@@ -130,12 +131,7 @@ class MicInput(SourceProcessor):
         self.tone_freq = float(params.get("tone_freq", 440.0))
         self.tone_level = float(params.get("tone_level", 0.3))
         self.noise_level = float(params.get("noise_level", 0.05))
-        flag = params.get("flag_after_overflow", "withprevious")
-        if flag not in ("withprevious", "discontinuous"):
-            raise ValueError(f"bad flag_after_overflow {flag!r}")
-        self.flag_after_overflow = flag
         self.overflow_numbers: Set[int] = set()
-        self.last_invalid: Optional[DataChunk] = None
 
     def set_overflow_numbers(self, numbers: Set[int]) -> None:
         self.overflow_numbers = set(numbers)
@@ -160,15 +156,10 @@ class MicInput(SourceProcessor):
 
     def chunks(self) -> Iterator[DataChunk]:
         rng = np.random.default_rng(self.seed)
-        after_overflow = False
         for number in range(self.count):
             payload = self._signal(rng, number * self.size)
             if number in self.overflow_numbers:
-                # Acquisition failed: keep the invalid chunk unpublished.
-                self.last_invalid = self.make_chunk(
-                    number, payload, Continuity.INVALID
-                )
-                after_overflow = True
+                # acquisition failed: the chunk is invalid, never published
                 continue
             if number == 0:
                 continuity = Continuity.DISCONTINUOUS
@@ -176,7 +167,4 @@ class MicInput(SourceProcessor):
                 continuity = Continuity.LAST
             else:
                 continuity = Continuity.WITHPREVIOUS
-            if after_overflow and self.flag_after_overflow == "discontinuous":
-                continuity = Continuity.DISCONTINUOUS
-            after_overflow = False
             yield self.make_chunk(number, payload, continuity)

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..chunks import AlignmentParams, is_withprevious_subtype
+from ..chunks import AlignmentParams
 from ..errors import ConfigError
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
@@ -229,9 +229,8 @@ class StructureExtractor(Processor):
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         (energy,) = merged.payloads.values()
-        continuous = is_withprevious_subtype(merged.continuity)
         # d = p = w_t, so the output columns are always [w_t, T - w_t)
-        buf, _ = self._window.feed(continuous, energy)
+        buf, _ = self._window.feed(merged.continuity.continuous, energy)
         if self.direction == "horizontal":
             scores = _horizontal_valid(buf, self.w_t)
         else:

@@ -6,8 +6,7 @@ from pathlib import Path
 from typing import Dict
 
 from ..chunkfile import ChunkFileWriter
-from ..chunks import (
-    PAYLOAD_DTYPES, Continuity, DataChunk, SourceKey, as_continuity)
+from ..chunks import PAYLOAD_DTYPES, Continuity, DataChunk, SourceKey
 from .base import SinkProcessor, register
 
 
@@ -34,7 +33,7 @@ class FileWriter(SinkProcessor):
         return self.directory / f"{key[0]}.{key[1]}.tfc"
 
     def consume(self, chunk: DataChunk) -> None:
-        if as_continuity(chunk.continuity) is Continuity.CALIBRATION:
+        if chunk.continuity is Continuity.CALIBRATION:
             return
         key = chunk.source_key
         if key not in self._writers:

@@ -24,13 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .buffering import BufferCounters, InFlightBuffer
-from .chunks import (
-    Continuity,
-    DataChunk,
-    SourceKey,
-    as_continuity,
-    check_publishable,
-)
+from .chunks import Continuity, DataChunk, SourceKey, check_publishable
 from .errors import EmptyResult, IoError, TFStreamError, WireError
 from .graph import Edge, GraphPlan
 from .merge import MergeState, complete_merge
@@ -92,8 +86,7 @@ class RunReport:
                         unique.pop() if len(unique) == 1 else "mixed",
                         tuple(sorted(names.items())),
                     )
-                entries.append(MergeLogEntry(
-                    number, as_continuity(continuity), *summary))
+                entries.append(MergeLogEntry(number, continuity, *summary))
         return logs
 
     def scenario_names(self, consumer: str) -> List[str]:
@@ -276,10 +269,11 @@ class Streamboard:
         """One arrival at a transform; whatever it publishes in response
         has moved on, depth-first, when this returns.
 
-        A completed set too short for its merge (a short chunk right
-        after a fault) is dropped and counted as ``too_short``; the
-        merge state stays where it was, so the next set merges as
-        discontinuous.
+        A completed set too short for its merge or for the transform's
+        own window (a short chunk right after a fault) is dropped and
+        counted as ``too_short``.  The merge state and the merge list
+        change only when both succeed, so the next set merges as
+        discontinuous and no stale window tail is reused.
         """
         buffer = route.buffer
         completed = buffer.accept(item)
@@ -291,14 +285,16 @@ class Streamboard:
                 route.peak = occupancy
             return
         try:
-            merged, route.state = complete_merge(
+            merged, state = complete_merge(
                 route.state, completed, buffer.expected_next - 1
             )
+            outputs = route.step(merged)
         except EmptyResult:
             buffer.counters.too_short += 1
             return
+        route.state = state
         route.merges.append((merged.number, merged.continuity, merged.scenarios))
-        for out in route.step(merged):
+        for out in outputs:
             self._publish(out)
 
     # --- the loop --------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from tfstream.alignment import DropCounts, compose, drop_counts, merge_params
 from tfstream.chunks import AlignmentParams, MAX_COUNTER, ZERO_ALIGNMENT
-from tfstream.errors import CounterOverflow, EmptyInput, InconsistentParams
+from tfstream.errors import ConfigError, MetadataError
+from tfstream.graph import config_from_dict, validate_graph
 
 counters = st.integers(min_value=0, max_value=10_000)
 params = st.builds(AlignmentParams, p=counters, d=counters, l=counters, s=counters)
@@ -28,8 +29,14 @@ def test_merge_params_example():
 
 
 def test_merge_params_empty_input():
-    with pytest.raises(EmptyInput):
-        merge_params([])
+    """merge_params never sees an empty set: validation refuses a
+    transform without incoming edges before it merges anything."""
+    raw = {"processors": [
+        {"name": "mic", "kind": "mic_input", "params": {}},
+        {"name": "r", "kind": "resampler", "params": {"factor": 2}},
+    ], "edges": []}
+    with pytest.raises(ConfigError, match="'r' has no incoming edges"):
+        validate_graph(config_from_dict(raw))
 
 
 def test_drop_counts_example():
@@ -39,16 +46,10 @@ def test_drop_counts_example():
     assert drops == DropCounts(d_H=40, d_L=40, d_l=303)
 
 
-def test_drop_counts_rejects_undominated_chunk():
-    with pytest.raises(InconsistentParams):
-        drop_counts(AlignmentParams(p=1, d=1), AlignmentParams(p=2, d=0))
-    with pytest.raises(InconsistentParams):
-        drop_counts(AlignmentParams(p=1, d=1), AlignmentParams(p=0, d=2))
-
-
 def test_compose_overflow_guard():
+    """A sum past the cap fails where AlignmentParams is built."""
     big = AlignmentParams(p=MAX_COUNTER)
-    with pytest.raises(CounterOverflow):
+    with pytest.raises(MetadataError, match="exceeds"):
         compose(big, AlignmentParams(p=1))
 
 

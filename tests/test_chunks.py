@@ -1,4 +1,4 @@
-"""Chunk model: continuity codes, counters, validation."""
+"""Chunk model: continuity codes, counters, the publish check."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,6 @@ from tfstream.chunks import (
     DataChunk,
     MAX_COUNTER,
     check_publishable,
-    is_discontinuous_subtype,
-    is_withprevious_subtype,
-    validate_chunk,
 )
 from tfstream.errors import MetadataError, ShapeError
 
@@ -44,18 +41,15 @@ def test_continuity_codes_match_wire_values():
     (Continuity.LAST, False),
 ])
 def test_discontinuous_subtypes(code, expected):
-    assert is_discontinuous_subtype(code) is expected
-    if code is not Continuity.INVALID:
-        assert is_withprevious_subtype(code) is (not expected)
+    assert code.continuous is (not expected)
 
 
 def test_subtype_families_are_disjoint():
-    for code in Continuity:
-        if code is Continuity.INVALID:
-            assert not is_discontinuous_subtype(code)
-            assert not is_withprevious_subtype(code)
-        else:
-            assert is_discontinuous_subtype(code) != is_withprevious_subtype(code)
+    """One comparison splits the valid codes: WITHPREVIOUS and LAST are
+    continuous, every other valid code breaks continuity."""
+    continuous = {code for code in Continuity if code.continuous}
+    assert continuous == {Continuity.WITHPREVIOUS, Continuity.LAST}
+    assert not Continuity.INVALID.continuous
 
 
 def test_alignment_params_reject_negative():
@@ -76,33 +70,41 @@ def test_alignment_params_reject_non_integer():
 
 
 def test_validate_accepts_1d_and_2d():
-    validate_chunk(make_chunk(np.zeros(10)))
-    validate_chunk(make_chunk(np.zeros((4, 10))))
+    check_publishable(make_chunk(np.zeros(10)))
+    check_publishable(make_chunk(np.zeros((4, 10))))
 
 
 def test_validate_rejects_3d():
     with pytest.raises(ShapeError):
-        validate_chunk(make_chunk(np.zeros((2, 3, 4))))
+        check_publishable(make_chunk(np.zeros((2, 3, 4))))
 
 
 def test_validate_rejects_empty_time_axis():
     with pytest.raises(ShapeError):
-        validate_chunk(make_chunk(np.zeros((4, 0))))
+        check_publishable(make_chunk(np.zeros((4, 0))))
 
 
 def test_validate_rejects_negative_number():
     with pytest.raises(MetadataError):
-        validate_chunk(make_chunk(number=-1))
+        check_publishable(make_chunk(number=-1))
 
 
 def test_validate_rejects_unknown_continuity():
     with pytest.raises(MetadataError):
-        validate_chunk(make_chunk(continuity=7))
+        check_publishable(make_chunk(continuity=7))
+
+
+@pytest.mark.parametrize("code", [0, 10, 11])
+def test_publish_rejects_a_plain_int_continuity(code):
+    """Inside the program a continuity is always a member: a valid code
+    as a plain int is refused at the publish boundary."""
+    with pytest.raises(MetadataError, match="must be a Continuity member"):
+        check_publishable(make_chunk(continuity=code))
 
 
 def test_validation_is_idempotent():
     chunk = make_chunk(np.zeros((4, 10)))
-    assert validate_chunk(validate_chunk(chunk)) is chunk
+    assert check_publishable(check_publishable(chunk)) is chunk
 
 
 def test_invalid_chunks_are_never_publishable():

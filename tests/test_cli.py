@@ -257,3 +257,24 @@ def test_a_tcp_edge_that_cannot_open_fails_with_one_error_line(tmp_path, host):
     assert "Traceback" not in result.stderr
     assert "ResourceWarning" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_a_wav_that_holds_no_samples_is_one_error_line(tmp_path):
+    """A 44-byte header that declares 64,000 data bytes but holds none:
+    ``tfstream run`` exits with 1 and one error line naming the file, no
+    traceback, and creates no output directory."""
+    path = tmp_path / "empty.wav"
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+    path.write_bytes(b"RIFF" + struct.pack("<I", 36 + 64000) + b"WAVE"
+                     + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                     + b"data" + struct.pack("<I", 64000))
+    assert path.stat().st_size == 44
+    result = tfstream_subprocess(
+        "run", "--config", str(CONFIGS / "file_pipeline.yaml"),
+        "--input", str(path), "--output", str(tmp_path / "out"))
+    assert result.returncode == 1
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {path}: holds no samples"]
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()

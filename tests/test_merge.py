@@ -1,9 +1,11 @@
-"""Merge engine: continuity decision, scenarios, slice correctness.
+"""Merge engine: the fusion rule, scenarios, slice correctness.
 
 The slice tests label every payload value with its position on the
 physical timeline, so a merge is correct exactly when the merged values
 are the uninterrupted integer range the protocol promises.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,70 +16,81 @@ from tfstream.chunks import (
     DataChunk,
     MergeScenario,
 )
-from tfstream.errors import (
-    EmptyResult,
-    InvalidInMerge,
-    MissingTail,
-    ProtocolError,
-    ShapeMismatch,
-)
-from tfstream.merge import (
-    MergeState,
-    classify_scenario,
-    complete_merge,
-    decide_continuity,
-    merge_array,
-)
+from tfstream.errors import EmptyResult, ShapeMismatch
+from tfstream.merge import MergeState, complete_merge, decide, merge_array
 from tfstream.alignment import DropCounts, drop_counts
 
 W = Continuity.WITHPREVIOUS
 D = Continuity.DISCONTINUOUS
+VALID = [code for code in Continuity if code is not Continuity.INVALID]
 
 
 def test_decide_continuity_first_set_is_discontinuous():
-    assert decide_continuity(0, None, [W]) is D
-    assert decide_continuity(5, None, [W]) is D
+    assert decide((W,), False).continuity is D
 
 
 def test_decide_continuity_gap_is_discontinuous():
-    assert decide_continuity(3, 1, [W, W]) is D
+    assert decide((W, W), False).continuity is D
 
 
 def test_decide_continuity_any_discontinuous_member_wins():
-    assert decide_continuity(2, 1, [W, D]) is D
-    assert decide_continuity(2, 1, [Continuity.NEWFILE, W]) is D
+    assert decide((W, D), True).continuity is D
+    assert decide((Continuity.NEWFILE, W), True).continuity is D
 
 
 def test_decide_continuity_sequential_continuous():
-    assert decide_continuity(2, 1, [W, W]) is Continuity.WITHPREVIOUS
-    assert decide_continuity(2, 1, [Continuity.LAST]) is Continuity.WITHPREVIOUS
-
-
-def test_decide_continuity_rejects_invalid_members():
-    with pytest.raises(InvalidInMerge):
-        decide_continuity(2, 1, [W, Continuity.INVALID])
-
-
-def test_decide_continuity_rejects_empty():
-    with pytest.raises(InvalidInMerge):
-        decide_continuity(0, None, [])
+    assert decide((W, W), True).continuity is Continuity.WITHPREVIOUS
+    assert decide((Continuity.LAST,), True).continuity is Continuity.LAST
 
 
 def test_classify_scenario_table():
-    assert classify_scenario(W, W) is MergeScenario.REGULAR_CONTINUOUS
-    assert classify_scenario(D, D) is MergeScenario.REGULAR_DISCONTINUOUS
-    assert classify_scenario(W, D) is MergeScenario.IRREGULAR_DISCONTINUOUS
+    assert decide((W, W), True).scenarios == (
+        MergeScenario.REGULAR_CONTINUOUS,) * 2
+    assert decide((D, W), True).scenarios == (
+        MergeScenario.REGULAR_DISCONTINUOUS,
+        MergeScenario.IRREGULAR_DISCONTINUOUS)
+    assert decide((W, D), False).scenarios == (
+        MergeScenario.IRREGULAR_DISCONTINUOUS,
+        MergeScenario.REGULAR_DISCONTINUOUS)
 
 
 def test_classify_scenario_impossible_pair():
-    with pytest.raises(ProtocolError):
-        classify_scenario(D, W)
+    """Over every valid combination of up to three codes: a merge is
+    continuous exactly when the set follows and every member is, so a
+    discontinuous member never meets a continuous merge; each scenario
+    follows from its member's and the merge's continuity, and LAST and
+    CALIBRATION travel within their family."""
+    for size in (1, 2, 3):
+        for codes in itertools.product(VALID, repeat=size):
+            for follows in (False, True):
+                decision = decide(codes, follows)
+                merged = decision.continuity
+                assert merged.continuous is (
+                    follows and all(c.continuous for c in codes))
+                if merged.continuous:
+                    assert (merged is Continuity.LAST) is (
+                        Continuity.LAST in codes)
+                    assert set(decision.scenarios) == {
+                        MergeScenario.REGULAR_CONTINUOUS}
+                    continue
+                assert (merged is Continuity.CALIBRATION) is (
+                    Continuity.CALIBRATION in codes)
+                for code, scenario in zip(codes, decision.scenarios):
+                    assert scenario is (
+                        MergeScenario.IRREGULAR_DISCONTINUOUS
+                        if code.continuous
+                        else MergeScenario.REGULAR_DISCONTINUOUS)
 
 
 def test_merge_array_continuous_needs_tail():
-    with pytest.raises(MissingTail):
-        merge_array(MergeScenario.REGULAR_CONTINUOUS, None,
-                    np.arange(10.0), DropCounts(d_H=2, d_L=0, d_l=0))
+    """A continuous merge always finds a carried tail of exactly d_H
+    columns: every merge, continuous or not, leaves one per key."""
+    drops = DropCounts(d_H=2, d_L=1, d_l=3)
+    for scenario in MergeScenario:
+        continuous = scenario is MergeScenario.REGULAR_CONTINUOUS
+        tail = np.arange(2.0) if continuous else None
+        _, carried = merge_array(scenario, tail, np.arange(10.0), drops)
+        np.testing.assert_array_equal(carried, [8.0, 9.0])
 
 
 def test_merge_array_empty_result():
@@ -250,17 +263,6 @@ def test_last_marker_survives_merge():
     assert merged.continuity is Continuity.LAST
 
 
-def test_complete_merge_rejects_wrong_numbers():
-    state = MergeState(DROPS)
-    with pytest.raises(ProtocolError):
-        complete_merge(
-            state,
-            {A: producer_chunk(A, 0, ALIGN_A, D),
-             B: producer_chunk(B, 1, ALIGN_B, D)},
-            0,
-        )
-
-
 def test_complete_merge_rejects_mismatched_extents():
     state = MergeState(DROPS)
     good = producer_chunk(A, 0, ALIGN_A, D)
@@ -269,11 +271,6 @@ def test_complete_merge_rejects_mismatched_extents():
     )
     with pytest.raises(ShapeMismatch):
         complete_merge(state, {A: good, B: bad}, 0)
-
-
-def test_complete_merge_rejects_empty_set():
-    with pytest.raises(InvalidInMerge):
-        complete_merge(MergeState(DROPS), {}, 0)
 
 
 def test_merged_payloads_share_time_extent_2d():

@@ -163,28 +163,90 @@ def test_link_down_drops_a_range(tmp_path):
     assert logs[6].scenario == "IrregularDiscontinuous"
 
 
-@pytest.mark.parametrize("extra", [1, 30, 60, 200])
-def test_a_short_chunk_after_a_fault_costs_only_itself(tmp_path, extra):
+#: (edge, extra, consumer): chunk 4 dropped on ``edge`` leaves the final
+#: chunk of ``extra`` samples too short for ``consumer``, for its merge
+#: (ptn) or for its own window (every other consumer); the ptn cases
+#: keep the ids they had when ptn was the only case
+SHORT_AFTER_FAULT = [
+    ("cochlea.E->ptn", 1, "ptn"),
+    ("cochlea.E->ptn", 30, "ptn"),
+    ("cochlea.E->ptn", 60, "ptn"),
+    ("cochlea.E->ptn", 200, "ptn"),
+    ("reader.snd->resampler", 1, "resampler"),
+    ("reader.snd->resampler", 30, "resampler"),
+    ("reader.snd->resampler", 200, "cochlea"),
+    ("reader.snd->resampler", 600, "se"),
+    ("resampler.snd->cochlea", 200, "cochlea"),
+    ("resampler.snd->cochlea", 600, "se"),
+    ("cochlea.E->se", 600, "se"),
+]
+
+
+@pytest.mark.parametrize(
+    "edge, extra, consumer", SHORT_AFTER_FAULT,
+    ids=[str(extra) if edge == "cochlea.E->ptn" else f"{edge}-{extra}"
+         for edge, extra, _ in SHORT_AFTER_FAULT])
+def test_a_short_chunk_after_a_fault_costs_only_itself(
+        tmp_path, edge, extra, consumer):
     """Four 1024-sample chunks and ``extra`` more samples, with chunk 4
-    dropped on its way into ptn: the final chunk merges irregularly at
-    ptn and is too short for that merge.  That set is dropped and
-    counted; the run completes and every other chunk is written."""
+    dropped on ``edge``: the final chunk reaches ``consumer`` after the
+    break and is too short for its merge or its window.  That set is
+    dropped and counted there; the run completes and every chunk before
+    the fault is written."""
     signal = synth_tone_noise(8000, 1.0)[: 4 * 1024 + extra]
     wav = write_wav(tmp_path / "in.wav", 8000, signal)
     raw = file_pipeline_config(wav, tmp_path / "out", chunk_size=1024,
                                faults=[{"kind": "drop_chunk",
-                                        "edge": "cochlea.E->ptn", "number": 4}])
+                                        "edge": edge, "number": 4}])
     _, report = run_config(raw)
-    counters = report.buffer_counters["ptn"]
-    assert (counters.discarded, counters.too_short) == (1, 1)
-    assert all(c.too_short == 0 for name, c in report.buffer_counters.items()
-               if name != "ptn")
-    assert [e.number for e in report.merge_logs["ptn"]] == [0, 1, 2, 3]
+    too_short = {name: c.too_short
+                 for name, c in report.buffer_counters.items() if c.too_short}
+    assert too_short == {consumer: 1}
+    assert [e.number for e in report.merge_logs[consumer]] == [0, 1, 2, 3]
+    if consumer == "ptn":
+        assert report.buffer_counters["ptn"].discarded == 1
     # chunk 0 is the calibration chunk, which is never written
     for key in OUT_KEYS:
         _, records = read_chunk_file(tmp_path / "out" / f"{key[0]}.{key[1]}.tfc")
-        written = range(1, 4) if key[0] == "ptn" else range(1, 6)
-        assert [r["number"] for r in records] == list(written), key
+        numbers = [r["number"] for r in records]
+        assert numbers[:3] == [1, 2, 3], key
+        if consumer == "ptn":
+            assert numbers == ([1, 2, 3] if key[0] == "ptn"
+                               else [1, 2, 3, 4, 5]), key
+
+
+def test_a_set_too_short_for_a_window_costs_what_a_lost_chunk_costs(tmp_path):
+    """Chunk 4 lost and chunk 5 cut to 30 samples, too short for the
+    resampler's window after the break: the set is counted as too short
+    and the merge state stays at chunk 3, so chunk 6 merges as
+    discontinuous and reuses no stale window tail.  Every key writes what
+    it writes when chunk 5 is lost as well."""
+    wav = write_wav(tmp_path / "in.wav", 8000,
+                    synth_tone_noise(8000, 1.0)[: 6 * 1024])
+
+    def run(lost, out):
+        raw = file_pipeline_config(
+            wav, tmp_path / out, chunk_size=1024,
+            faults=[{"kind": "drop_chunk", "edge": "reader.snd->resampler",
+                     "number": n} for n in lost])
+        plan = validate_graph(config_from_dict(raw))
+        reader = plan.instances["reader"]
+        chunks = list(reader.chunks())
+        chunks[5] = dataclasses.replace(chunks[5],
+                                        payload=chunks[5].payload[:30])
+        reader.chunks = lambda: iter(chunks)
+        return run_plan(plan)
+
+    cut, lost = run([4], "cut"), run([4, 5], "lost")
+    assert cut.buffer_counters["resampler"].too_short == 1
+    assert lost.buffer_counters["resampler"].too_short == 0
+    assert cut.merge_logs == lost.merge_logs
+    assert cut.merge_logs["resampler"][-1].number == 6
+    assert cut.merge_logs["resampler"][-1].scenario == "IrregularDiscontinuous"
+    for key in OUT_KEYS:
+        name = f"{key[0]}.{key[1]}.tfc"
+        assert ((tmp_path / "cut" / name).read_bytes()
+                == (tmp_path / "lost" / name).read_bytes()), key
 
 
 def test_overflow_regularizes_downstream(tmp_path):
