@@ -1,15 +1,15 @@
 """Composite manager: per-consumer buffering of in-flight chunks.
 
 A consumer fed through several paths buffers arrivals per source key
-until all configured keys hold a chunk with the same number.  Edges are
-FIFO and never reorder, so a number gap on one key proves the missing
-chunks are lost; the buffer then fast-forwards to the first failure-free
-number and discards everything older.
+until every key holds a chunk with the same number.  Edges are FIFO, so
+completing set n discards every older buffered chunk.  A set that lost
+a member never completes; ``expire`` discards it once nothing up to its
+number can still arrive, which the dispatch loop knows after each round
+of pulls.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
@@ -20,6 +20,8 @@ from .chunks import DataChunk, SourceKey
 class BufferCounters:
     completed: int = 0
     discarded: int = 0
+    #: arrivals numbered below expected_next; the dispatch loop never
+    #: delivers one, so only a direct caller of the buffer can
     stale: int = 0
     #: completed sets dropped because they were too short to merge
     too_short: int = 0
@@ -27,17 +29,17 @@ class BufferCounters:
 
 @dataclass
 class InFlightBuffer:
-    """Ordered per-key queues of chunks not yet part of a completed set."""
+    """Per-key queues of chunks not yet part of a completed set."""
 
     configured_keys: FrozenSet[SourceKey]
     expected_next: int = 0
-    queues: Dict[SourceKey, "OrderedDict[int, DataChunk]"] = field(init=False)
+    queues: Dict[SourceKey, Dict[int, DataChunk]] = field(init=False)
     counters: BufferCounters = field(default_factory=BufferCounters)
     #: the configured key when there is only one, else None
     lone_key: Optional[SourceKey] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.queues = {key: OrderedDict() for key in self.configured_keys}
+        self.queues = {key: {} for key in self.configured_keys}
         self.lone_key = (next(iter(self.configured_keys))
                          if len(self.configured_keys) == 1 else None)
 
@@ -45,58 +47,42 @@ class InFlightBuffer:
         return sum(len(q) for q in self.queues.values())
 
     def accept(self, chunk: DataChunk) -> Optional[Dict[SourceKey, DataChunk]]:
-        """Enqueue one arrival; return the completed set for expected_next
-        if this arrival finished it.
+        """Enqueue one arrival; return the completed set of its number
+        if this arrival finished it, after discarding every older
+        buffered chunk.
 
-        Stale chunks (older than expected_next, typically late survivors
-        of a fast-forward) are counted and dropped, never an error.  The
-        chunk's key is one of the configured ones: the runtime wires
-        each consumer's receiver from the plan's edges.
+        Stale chunks (older than expected_next) are counted and dropped,
+        never an error.  The chunk's key is one of the configured ones:
+        the runtime wires each consumer's receiver from the plan's edges.
         """
-        if chunk.number < self.expected_next:
+        number = chunk.number
+        if number < self.expected_next:
             self.counters.stale += 1
             return None
         if self.lone_key is not None:
             # a lone key completes every set it delivers, so its queue
-            # is empty between arrivals and nothing is fast-forwarded
-            self.expected_next = chunk.number + 1
+            # stays empty
+            self.expected_next = number + 1
             self.counters.completed += 1
             return {self.lone_key: chunk}
-        self.queues[chunk.source_key][chunk.number] = chunk
+        self.queues[chunk.source_key][number] = chunk
+        if not all(number in q for q in self.queues.values()):
+            return None
+        completed = {k: q.pop(number) for k, q in self.queues.items()}
+        self.counters.completed += 1
+        self.expire(number)
+        return completed
 
-        # FIFO per edge: the head of a non-empty queue is the smallest
-        # number that key will ever deliver.  Any set older than the
-        # largest such head is missing a member forever.
-        current = self.expected_next
-        target, complete = current, True
-        for queue in self.queues.values():
-            if queue:
-                head = next(iter(queue))
-                if head > target:
-                    target = head
-            if current not in queue:
-                complete = False
-        if target > current:
-            self.fast_forward(target)
-            current = target
-            complete = all(current in q for q in self.queues.values())
-
-        if complete:
-            completed = {k: q.pop(current) for k, q in self.queues.items()}
-            self.expected_next = current + 1
-            self.counters.completed += 1
-            return completed
-        return None
-
-    def fast_forward(self, to: int) -> None:
-        """Discard every buffered chunk with number < to; resume at to."""
-        if to <= self.expected_next:
+    def expire(self, last: int) -> None:
+        """Discard every buffered chunk numbered at most ``last`` and
+        resume after it; never rewinds."""
+        if last < self.expected_next:
             return
         for queue in self.queues.values():
-            for number in [n for n in queue if n < to]:
+            for number in [n for n in queue if n <= last]:
                 del queue[number]
                 self.counters.discarded += 1
-        self.expected_next = to
+        self.expected_next = last + 1
 
     def drain(self) -> None:
         """Discard all remaining incomplete sets (at end of stream)."""

@@ -84,11 +84,11 @@ class Resampler(Processor):
         # outputs fall on the counts that are multiples of R, from the
         # first sample of this chunk that has its full filter history
         start = self._count if continuous else F - 1
-        if -(-count // R) <= -(-start // R):
+        if not continuous and -(-count // R) <= -(-start // R):
             raise EmptyResult(
                 f"chunk of {x.shape[-1]} samples yields no resampled output; "
                 f"minimum chunk length is {self.drop * R + 1} after a "
-                f"discontinuity and {R} otherwise"
+                f"discontinuity"
             )
         buf, _ = self._window.feed(continuous, x)
         self._count = count
@@ -96,4 +96,5 @@ class Resampler(Processor):
         # and "valid" output j is the filter ending at position j + F - 1
         first = (buf.shape[-1] - F + 1 - count) % R
         y = np.convolve(buf, self.h, mode="valid")[first::R]
-        return {"snd": FeatureData(y)}
+        # a continuous chunk between two outputs publishes nothing
+        return {"snd": FeatureData(y)} if y.size else {}

@@ -285,9 +285,7 @@ class Streamboard:
                 route.peak = occupancy
             return
         try:
-            merged, state = complete_merge(
-                route.state, completed, buffer.expected_next - 1
-            )
+            merged, state = complete_merge(route.state, completed, item.number)
             outputs = route.step(merged)
         except EmptyResult:
             buffer.counters.too_short += 1
@@ -301,17 +299,27 @@ class Streamboard:
 
     def _pump(self, sources: List[str]) -> None:
         """Pull one chunk from each live source in turn, in plan order,
-        and publish it before pulling the next, until every source ends."""
+        and publish it before pulling the next, until every source ends.
+        Sources number their chunks upwards, so after a round nothing
+        numbered at or below its smallest number can still arrive: every
+        buffer that joins several keys expires up to that number."""
         live = [self.plan.instances[name].chunks() for name in sources]
         publish = self._publish
+        joins = [route.buffer for route in self._routes.values()
+                 if route.buffer.lone_key is None]
         while live:
-            pulled = []
+            pulled, numbers = [], []
             for chunks in live:
                 chunk = next(chunks, None)
                 if chunk is not None:
                     publish(chunk)
                     pulled.append(chunks)
+                    numbers.append(chunk.number)
             live = pulled
+            if numbers:
+                last = min(numbers)
+                for buffer in joins:
+                    buffer.expire(last)
 
     def run(self) -> RunReport:
         plan = self.plan
@@ -334,7 +342,6 @@ class Streamboard:
                     self._receivers[name] = partial(self._arrive, route)
                     report.merges[name] = route.merges
                     report.buffer_counters[name] = buffer.counters
-                    report.max_occupancy[name] = 0
             edges: Dict[SourceKey, List[Edge]] = {}
             for name in plan.order:
                 for edge in plan.out_edges[name]:

@@ -1,4 +1,4 @@
-"""In-flight buffering: set completion, gap inference, fast-forward."""
+"""In-flight buffering: set completion, discard on completion, expiry."""
 
 import itertools
 
@@ -38,31 +38,53 @@ def test_gap_on_one_key_discards_unmatchable_buffered_chunks():
     buf.accept(chunk(A, 0))
     buf.accept(chunk(B, 0))
     buf.accept(chunk(A, 1))      # waits for B1
-    done = buf.accept(chunk(B, 2))  # B1 lost: edge FIFO proves it
-    assert done is None
-    assert buf.expected_next == 2
-    assert buf.counters.discarded == 1  # A1 can never complete
+    assert buf.accept(chunk(B, 2)) is None  # B1 lost on its edge
+    assert buf.occupancy() == 2
+    assert buf.counters.discarded == 0
     done = buf.accept(chunk(A, 2))
+    # set 2 is complete, so edge FIFO proves A1 can never complete
     assert done is not None and done[A].number == 2
+    assert buf.expected_next == 3
+    assert buf.counters.discarded == 1
+    assert buf.occupancy() == 0
+
+
+def test_expire_discards_what_can_no_longer_complete():
+    buf = InFlightBuffer(configured_keys=frozenset({A, B}))
+    buf.accept(chunk(A, 0))
+    buf.accept(chunk(A, 1))
+    buf.accept(chunk(B, 2))
+    buf.expire(1)
+    assert buf.expected_next == 2
+    assert buf.counters.discarded == 2
+    assert buf.occupancy() == 1
+    done = buf.accept(chunk(A, 2))
+    assert done is not None and done[B].number == 2
 
 
 def test_stale_arrivals_counted_and_dropped():
     buf = InFlightBuffer(configured_keys=frozenset({A, B}))
     buf.accept(chunk(A, 0))
-    buf.accept(chunk(B, 2))      # fast-forwards past 0 and 1
+    buf.expire(1)                # nothing up to 1 can still arrive
     assert buf.expected_next == 2
-    buf.accept(chunk(A, 1))      # late survivor from before the jump
+    buf.accept(chunk(A, 1))      # a direct caller breaks that promise
     assert buf.counters.stale == 1
+    assert buf.occupancy() == 0
+    buf.accept(chunk(B, 2))
     done = buf.accept(chunk(A, 2))
     assert done is not None
 
 
-def test_fast_forward_never_rewinds():
-    buf = InFlightBuffer(configured_keys=frozenset({A}))
+def test_expire_never_rewinds():
+    buf = InFlightBuffer(configured_keys=frozenset({A, B}))
     buf.accept(chunk(A, 5))
+    buf.accept(chunk(B, 5))
     assert buf.expected_next == 6
-    buf.fast_forward(3)
+    buf.accept(chunk(A, 6))
+    buf.expire(3)
     assert buf.expected_next == 6
+    assert buf.occupancy() == 1
+    assert buf.counters.discarded == 0
 
 
 def test_result_is_interleaving_independent():

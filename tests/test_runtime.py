@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import socket
 import struct
+import tempfile
 import threading
 import weakref
 import zlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
     file_pipeline_config, mic_pipeline_config, synth_tone_noise, write_wav)
@@ -163,6 +165,72 @@ def test_link_down_drops_a_range(tmp_path):
     assert logs[6].scenario == "IrregularDiscontinuous"
 
 
+def test_a_dead_edge_leaves_one_chunk_buffered(tmp_path):
+    """se.T->ptn down from chunk 3 to the end of a 200-chunk run: each
+    cochlea.E chunk that reaches ptn alone is discarded at the end of
+    its round, so ptn never holds more than one chunk."""
+    _, report = run_config(mic_pipeline_config(
+        tmp_path / "out", num_chunks=200,
+        faults=[{"kind": "link_down", "edge": "se.T->ptn",
+                 "from_number": 3, "to_number": 199}],
+    ))
+    counters = report.buffer_counters["ptn"]
+    assert report.max_occupancy["ptn"] <= 1
+    assert (counters.completed, counters.discarded, counters.stale) == (
+        3, 197, 0)
+    assert [e.number for e in report.merge_logs["ptn"]] == [0, 1, 2]
+
+
+INTO_PTN = ("cochlea.E->ptn", "se.T->ptn")
+fault_numbers = st.integers(min_value=0, max_value=11)
+fault_events = st.one_of(
+    st.builds(lambda edge, n: {"kind": "drop_chunk", "edge": edge,
+                               "number": n},
+              st.sampled_from(INTO_PTN), fault_numbers),
+    st.builds(lambda edge, a, b: {"kind": "link_down", "edge": edge,
+                                  "from_number": min(a, b),
+                                  "to_number": max(a, b)},
+              st.sampled_from(INTO_PTN), fault_numbers, fault_numbers),
+    st.builds(lambda n: {"kind": "overflow", "input": "mic", "number": n},
+              fault_numbers),
+)
+
+
+def lost_numbers(faults, edge):
+    lost = set()
+    for f in faults:
+        if f["kind"] == "drop_chunk" and f["edge"] == edge:
+            lost.add(f["number"])
+        elif f["kind"] == "link_down" and f["edge"] == edge:
+            lost.update(range(f["from_number"], f["to_number"] + 1))
+    return lost
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(fault_events, max_size=5))
+def test_ptn_merges_exactly_the_numbers_no_fault_hit(faults):
+    """Any drops and outages into ptn and overflows at the mic, on a
+    12-chunk run: ptn merges every number that was emitted and lost on
+    neither edge into it, holds at most one chunk, and counts every
+    arrival once, as part of a completed set or as a loss."""
+    with tempfile.TemporaryDirectory() as out:
+        _, report = run_config(mic_pipeline_config(
+            Path(out), num_chunks=12, faults=faults))
+    emitted = set(range(12)) - {
+        f["number"] for f in faults if f["kind"] == "overflow"}
+    lost = {edge: lost_numbers(faults, edge) for edge in INTO_PTN}
+    assert [e.number for e in report.merge_logs["ptn"]] == sorted(
+        emitted - lost["cochlea.E->ptn"] - lost["se.T->ptn"])
+    assert report.max_occupancy["ptn"] <= 1
+    for key in [("cochlea", "E"), ("se", "T")]:
+        assert report.key_stats[key].published == len(emitted)
+    arrivals = sum(len(emitted - numbers) for numbers in lost.values())
+    c = report.buffer_counters["ptn"]
+    assert 2 * c.completed + c.discarded + c.stale == arrivals
+    assert c.too_short == 0
+
+
 #: (edge, extra, consumer): chunk 4 dropped on ``edge`` leaves the final
 #: chunk of ``extra`` samples too short for ``consumer``, for its merge
 #: (ptn) or for its own window (every other consumer); the ptn cases
@@ -213,6 +281,22 @@ def test_a_short_chunk_after_a_fault_costs_only_itself(
         if consumer == "ptn":
             assert numbers == ([1, 2, 3] if key[0] == "ptn"
                                else [1, 2, 3, 4, 5]), key
+
+
+def test_a_final_chunk_between_two_resampled_outputs_costs_nothing(tmp_path):
+    """Chunks of 1025 samples and a final one of 1 sample, no fault: the
+    last chunk falls between two /2 outputs, so the resampler takes it
+    into its history and publishes nothing.  No set is too short, and
+    every written key equals the whole-signal reference."""
+    wav = write_wav(tmp_path / "in.wav", 8000,
+                    synth_tone_noise(8000, 1.0)[: 3 * 1025 + 1])
+    out_dir = tmp_path / "out"
+    _, report = assert_streamed_matches_reference(
+        file_pipeline_config(wav, out_dir, chunk_size=1025), out_dir)
+    assert all(c.too_short == 0 for c in report.buffer_counters.values())
+    # chunk 0 is the calibration chunk and chunk 4 the one-sample one
+    assert report.merge_logs["resampler"][-1].number == 4
+    assert report.merge_logs["cochlea"][-1].number == 3
 
 
 def test_a_set_too_short_for_a_window_costs_what_a_lost_chunk_costs(tmp_path):
@@ -678,6 +762,30 @@ def test_runs_with_several_sources_repeat_their_counters(tmp_path):
         report = run_config(two_mic_config(tmp_path / f"r{i}"))[1]
         assert report.merge_logs == first.merge_logs
         assert report.buffer_counters == first.buffer_counters
+        for name in ["ptn.E_T.tfc", "ptn.E_blocks.tfc"]:
+            got = (tmp_path / f"r{i}" / name).read_bytes()
+            assert got == (tmp_path / "r0" / name).read_bytes()
+
+
+def test_skewed_sources_repeat_their_merges_and_stay_bounded(tmp_path):
+    """An overflow on mic_a puts its numbers one ahead of mic_b's pulls
+    from then on.  Each round then ends with mic_a's newest chunk
+    waiting at ptn for mic_b's, so ptn holds at most two chunks, and
+    merges, counters and bytes repeat across runs."""
+    def config(out_dir):
+        raw = two_mic_config(out_dir)
+        raw["faults"].append({"kind": "overflow", "input": "mic_a",
+                              "number": 3})
+        return raw
+
+    first = run_config(config(tmp_path / "r0"))[1]
+    assert 3 not in {e.number for e in first.merge_logs["ptn"]}
+    assert first.max_occupancy["ptn"] <= 2
+    for i in range(1, 4):
+        report = run_config(config(tmp_path / f"r{i}"))[1]
+        assert report.merge_logs == first.merge_logs
+        assert report.buffer_counters == first.buffer_counters
+        assert report.max_occupancy == first.max_occupancy
         for name in ["ptn.E_T.tfc", "ptn.E_blocks.tfc"]:
             got = (tmp_path / f"r{i}" / name).read_bytes()
             assert got == (tmp_path / "r0" / name).read_bytes()
