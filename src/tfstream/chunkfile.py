@@ -4,17 +4,17 @@ File layout:
 
     4 bytes   magic b"TFCF"
     u32       header length (little-endian)
-    header    UTF-8 JSON with sorted keys: producer, feature,
-              sample_rate, dtype, channel_freqs (list or null)
-    records   repeated until EOF:
-                u64  chunk number
-                i32  continuity code
-                u32  p, u32 d, u32 l, u32 s
-                u8   ndim, u32 per-dimension extent (time last)
-                raw  little-endian payload
+    header    UTF-8 JSON with sorted keys: alignment ([p, d, l, s]),
+              channel_freqs (list or null), dtype, feature, producer,
+              sample_rate
+    records   one wire frame per chunk (``tfstream.wire``), until EOF
 
-The counters of every record are the key's cumulative counters, which
-the writer takes from the plan when it is made: chunks do not carry them.
+What stays fixed for a key is written once, in the header: its name,
+sample rate, frequency axis, payload dtype and cumulative counters, which
+the writer takes from the plan when it is made.  A record is the frame a
+TCP edge would carry: number, continuity, time extent, payload and a
+CRC.  The reader decodes it with the lead shape a TCP edge uses,
+``(len(channel_freqs),)``, or ``()`` when the key has no frequency axis.
 Chunks are appended in publication order, which is deterministic for a
 fixed config, input and fault schedule.
 """
@@ -22,32 +22,30 @@ fixed config, input and fault schedule.
 from __future__ import annotations
 
 import json
-import math
-import os
 import struct
+from io import BytesIO
 from pathlib import Path
 from typing import BinaryIO, List, Optional, Tuple
 
 import numpy as np
 
-from .chunks import AlignmentParams, DataChunk, SourceKey, as_continuity
-from .errors import IoError
+from .chunks import PAYLOAD_DTYPES, AlignmentParams, DataChunk, SourceKey
+from .errors import IoError, MetadataError, WireError
+from .wire import decode_stream, encode
 
 MAGIC = b"TFCF"
-#: number, continuity, p, d, l, s and ndim of one record
-RECORD_HEAD = struct.Struct("<Qi4IB")
-#: per ndim, a record's head and extents, packed at once
-_RECORD_STARTS = {ndim: struct.Struct(f"<Qi4IB{ndim}I") for ndim in (1, 2)}
 #: Bytes a writer gathers before it writes to the file, so that a
-#: record's head and payload cost no system call of their own.
+#: small record costs no system call of its own.
 WRITE_BUFFER = 1 << 16
 #: the header keys, each written by ChunkFileWriter
 HEADER_KEYS = frozenset(
-    {"producer", "feature", "sample_rate", "dtype", "channel_freqs"})
+    {"producer", "feature", "sample_rate", "dtype", "channel_freqs",
+     "alignment"})
 
 
 class ChunkFileWriter:
-    """Appends published chunks of one source key to a file."""
+    """Appends published chunks of one source key to a file, creating
+    its directory; a file-system failure raises ``IoError``."""
 
     def __init__(
         self,
@@ -60,7 +58,6 @@ class ChunkFileWriter:
     ):
         self.path = Path(path)
         self.dtype = np.dtype(dtype)
-        self._counters = alignment.as_tuple()
         header = json.dumps(
             {
                 "producer": source_key[0],
@@ -70,96 +67,89 @@ class ChunkFileWriter:
                 "channel_freqs": None
                 if channel_freqs is None
                 else [float(f) for f in channel_freqs],
+                "alignment": list(alignment.as_tuple()),
             },
             sort_keys=True,
         ).encode("utf-8")
-        self._fh: BinaryIO = open(self.path, "wb", buffering=WRITE_BUFFER)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh: BinaryIO = open(self.path, "wb", buffering=WRITE_BUFFER)
+        except OSError as exc:
+            raise IoError(f"cannot write {exc.filename or self.path}: "
+                          f"{exc.strerror or exc}") from None
         self._fh.write(MAGIC + struct.pack("<I", len(header)) + header)
 
     def append(self, chunk: DataChunk) -> None:
-        shape = chunk.payload.shape
-        self._fh.write(_RECORD_STARTS[len(shape)].pack(
-            chunk.number, int(chunk.continuity), *self._counters,
-            len(shape), *shape))
-        self._fh.write(np.ascontiguousarray(chunk.payload, dtype=self.dtype))
+        self._fh.write(encode(chunk, self.dtype))
 
     def close(self) -> None:
         self._fh.close()
 
 
-def _read_exactly(fh: BinaryIO, size: int, path: Path, what: str) -> bytes:
-    """The next ``size`` bytes; IoError, before any read, when the file
-    holds fewer."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size > left:
-        raise IoError(f"{path}: truncated {what}: {size} bytes declared, {left} left")
-    data = fh.read(size)
-    if len(data) != size:
-        raise IoError(f"{path}: truncated {what}")
-    return data
-
-
-def _parse_header(raw: bytes, path: Path) -> Tuple[dict, np.dtype]:
-    """The header and its payload dtype; IoError when either is damaged."""
+def _parse_header(raw: bytes, path: Path) -> Tuple[dict, tuple]:
+    """The header and the frame layout it fixes, ``(key, lead, dtype)``;
+    IoError when the header is damaged."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise IoError(f"{path}: damaged header: {exc}") from None
     if not isinstance(header, dict) or not HEADER_KEYS <= header.keys():
         raise IoError(f"{path}: header needs the keys {sorted(HEADER_KEYS)}")
+    if header["dtype"] not in PAYLOAD_DTYPES:
+        raise IoError(f"{path}: header dtype {header['dtype']!r} is not one "
+                      f"of {PAYLOAD_DTYPES}")
+    freqs = header["channel_freqs"]
+    if freqs is not None and not (
+            isinstance(freqs, list)
+            and all(type(f) in (int, float) for f in freqs)):
+        raise IoError(f"{path}: header channel_freqs must be null or a list "
+                      f"of numbers")
+    counters = header["alignment"]
+    if not isinstance(counters, list) or len(counters) != 4:
+        raise IoError(f"{path}: header alignment must be [p, d, l, s], "
+                      f"got {counters!r}")
     try:
-        dtype = np.dtype(header["dtype"])
-    except (TypeError, ValueError):
-        dtype = None
-    if dtype is None or dtype.kind not in "biufc":
-        raise IoError(f"{path}: header dtype {header['dtype']!r} is not numeric")
-    return header, dtype
+        AlignmentParams(*counters)
+    except MetadataError as exc:
+        raise IoError(f"{path}: header alignment: {exc}") from None
+    key = (header["producer"], header["feature"])
+    lead = () if freqs is None else (len(freqs),)
+    return header, (key, lead, np.dtype(header["dtype"]))
 
 
 def read_chunk_file(path: Path) -> Tuple[dict, List[dict]]:
     """Read a chunk file back; returns (header, records).
 
-    Each record is a dict with number, continuity, alignment and payload.
-    A file cut anywhere but between two records, or a damaged header or
-    record head, raises ``IoError``.
+    Each record is a dict with number, continuity and payload, a
+    read-only array; the key's counters are the header's ``alignment``.
+    A file that cannot be read, a damaged header, or a record that fails
+    the wire decoder's checks (a cut, a flipped bit, an unknown
+    continuity code) raises ``IoError``; for a record, it names the byte
+    offset where the record starts.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise IoError(f"{path} is not a chunk file")
-        (header_len,) = struct.unpack("<I", _read_exactly(fh, 4, path, "header"))
-        header, dtype = _parse_header(
-            _read_exactly(fh, header_len, path, "header"), path)
-        records = []
-        while True:
-            head = fh.read(RECORD_HEAD.size)
-            if not head:
-                break
-            if len(head) != RECORD_HEAD.size:
-                raise IoError(f"{path}: truncated record header")
-            number, continuity, p, d, l, s, ndim = RECORD_HEAD.unpack(head)
-            try:
-                continuity = as_continuity(continuity)
-            except ValueError:
-                raise IoError(
-                    f"{path}: record {number} has unknown continuity code "
-                    f"{continuity}") from None
-            if ndim not in (1, 2):
-                raise IoError(f"{path}: record {number} has ndim {ndim}")
-            shape = struct.unpack(
-                f"<{ndim}I", _read_exactly(fh, 4 * ndim, path, "record shape"))
-            # exact: a damaged extent must not wrap, overflow or ask
-            # for more memory than the file holds
-            nbytes = math.prod(shape) * dtype.itemsize
-            raw = _read_exactly(fh, nbytes, path, "payload")
-            records.append(
-                {
-                    "number": number,
-                    "continuity": continuity,
-                    "alignment": AlignmentParams(p, d, l, s),
-                    "payload": np.frombuffer(raw, dtype=dtype).reshape(shape).copy(),
-                }
-            )
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from None
+    if data[:4] != MAGIC:
+        raise IoError(f"{path} is not a chunk file")
+    if len(data) < 8 or len(data) < (
+            start := 8 + struct.unpack_from("<I", data, 4)[0]):
+        raise IoError(f"{path}: truncated header")
+    header, layout = _parse_header(data[8:start], path)
+    # in memory: a damaged time extent asks for no more than the file holds
+    stream = BytesIO(data)
+    stream.seek(start)
+    records = []
+    while (offset := stream.tell()) < len(data):
+        try:
+            chunk = decode_stream(stream, *layout)
+        except WireError as exc:
+            raise IoError(f"{path}: damaged record at byte {offset}: {exc}") from None
+        records.append({"number": chunk.number,
+                        "continuity": chunk.continuity,
+                        "payload": chunk.payload})
     return header, records
 
 
@@ -176,4 +166,7 @@ def export_csv(path: Path, csv_path: Path) -> None:
     data = concatenate_payloads(records)
     if data.ndim == 1:
         data = data[None, :]
-    np.savetxt(csv_path, data, delimiter=",")
+    try:
+        np.savetxt(csv_path, data, delimiter=",")
+    except OSError as exc:
+        raise IoError(f"cannot write {csv_path}: {exc.strerror or exc}") from None

@@ -6,7 +6,7 @@ Inside the program a chunk's continuity is always a ``Continuity``
 member: sources and ``Processor.step`` build members, the publish
 boundary (``check_publishable``) refuses anything else, and outside
 bytes become members only where they are read (``as_continuity``, called
-by the wire decoder and the chunk-file reader).  The four alignment
+by the wire decoder, which also reads chunk files).  The four alignment
 counters that make re-alignment possible belong to the chunk's key, not
 to the chunk: graph validation composes them once per key
 (``GraphPlan.cumulative``).

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .chunkfile import export_csv
-from .errors import TFStreamError
+from .errors import IoError, TFStreamError
 from .graph import PipelineConfig, ProcessorSpec, load_config, validate_graph
 from .oracle import run_unchunked
 from .runtime import run_plan
@@ -112,11 +112,15 @@ def _cmd_oracle(args) -> int:
     plan = validate_graph(config)
     results = run_unchunked(plan)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    for key in sorted(results):
-        path = out / f"{key[0]}.{key[1]}.npy"
-        np.save(path, results[key].payload)
-        print(f"wrote {path} shape {results[key].payload.shape}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for key in sorted(results):
+            path = out / f"{key[0]}.{key[1]}.npy"
+            np.save(path, results[key].payload)
+            print(f"wrote {path} shape {results[key].payload.shape}")
+    except OSError as exc:
+        raise IoError(f"cannot write {exc.filename or out}: "
+                      f"{exc.strerror or exc}") from None
     return 0
 
 

@@ -14,9 +14,10 @@ from .base import SinkProcessor, register
 class FileWriter(SinkProcessor):
     """Appends arriving chunks to per-key files in the output directory.
 
-    Each file's header holds its key's sample rate and frequency axis,
-    and each record its key's cumulative counters, as graph validation
-    handed them over.  Calibration chunks are consumed but never written.
+    Each file's header holds its key's sample rate, frequency axis and
+    cumulative counters, as graph validation handed them over, and each
+    record is the chunk's wire frame.  Calibration chunks are consumed
+    but never written.
     """
 
     kind = "file_writer"
@@ -37,7 +38,6 @@ class FileWriter(SinkProcessor):
             return
         key = chunk.source_key
         if key not in self._writers:
-            self.directory.mkdir(parents=True, exist_ok=True)
             self._writers[key] = ChunkFileWriter(
                 self.path_for(key),
                 key,

@@ -1,4 +1,4 @@
-"""Framed binary transport for chunks.
+"""Framed binary transport for chunks; chunk files store the same frames.
 
 Frame layout (all integers little-endian):
 

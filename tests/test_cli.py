@@ -1,13 +1,13 @@
 """Command line interface on the two shipped configurations."""
 
 import json
-import math
 import os
 import re
 import socket
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +16,11 @@ import yaml
 
 from conftest import miswired_config, synth_tone_noise, write_wav
 from tfstream.chunkfile import (
-    RECORD_HEAD,
     ChunkFileWriter,
     concatenate_payloads,
     read_chunk_file,
 )
-from tfstream.chunks import Continuity, DataChunk, ZERO_ALIGNMENT
+from tfstream.chunks import AlignmentParams, Continuity, DataChunk, ZERO_ALIGNMENT
 from tfstream.cli import main
 from tfstream.errors import IoError
 from tfstream.graph import load_config, validate_graph
@@ -114,50 +113,67 @@ def test_a_cut_chunk_file_reads_to_its_last_record_or_fails_clearly(
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def damaged_chunk_files(tmp_path):
-    """Complete chunk files, each damaged in its header or record head."""
-    def with_header(text):
-        raw = text.encode("utf-8")
-        return b"TFCF" + struct.pack("<I", len(raw)) + raw
-
-    good = tmp_path / "good.tfc"
-    writer = ChunkFileWriter(good, ("ptn", "E_T"), 4000.0, None, ZERO_ALIGNMENT)
-    writer.append(DataChunk(
-        number=0, source_key=("ptn", "E_T"), payload=np.zeros((3, 5)),
-        continuity=Continuity.WITHPREVIOUS))
+def written_chunk_file(path, shapes=((3, 5),)):
+    """A ``ptn.E_T`` file of one record per shape, with three channels
+    when the shapes are 2-D; returns its bytes."""
+    axis = np.geomspace(100.0, 1500.0, 3) if len(shapes[0]) == 2 else None
+    writer = ChunkFileWriter(path, ("ptn", "E_T"), 4000.0, axis,
+                             AlignmentParams(1, 2, 0, 1))
+    for number, shape in enumerate(shapes):
+        writer.append(DataChunk(
+            number=number, source_key=("ptn", "E_T"),
+            payload=np.full(shape, float(number)),
+            continuity=Continuity.WITHPREVIOUS))
     writer.close()
-    data = good.read_bytes()
+    return path.read_bytes()
+
+
+def damaged_chunk_files(tmp_path):
+    """Complete chunk files, each damaged in its header or its frame."""
+    data = written_chunk_file(tmp_path / "good.tfc")
     (header_len,) = struct.unpack_from("<I", data, 4)
-    record = 8 + header_len
-    header = json.loads(data[8:record])
+    frame = 8 + header_len
+    header = json.loads(data[8:frame])
 
-    def with_record(continuity, shape):
-        # a record whose extents and payload agree with its head
-        return (data[:record]
-                + RECORD_HEAD.pack(0, continuity, 0, 0, 0, 0, len(shape))
-                + struct.pack(f"<{len(shape)}I", *shape)
-                + bytes(8 * math.prod(shape)))
+    def with_header(drop=None, **fields):
+        raw = json.dumps({k: v for k, v in {**header, **fields}.items()
+                          if k != drop}).encode("utf-8")
+        return b"TFCF" + struct.pack("<I", len(raw)) + raw + data[frame:]
 
-    def with_extent(shape):
-        # the written record with its extents damaged
-        return (data[:record]
-                + RECORD_HEAD.pack(0, int(Continuity.WITHPREVIOUS), 0, 0, 0, 0, 2)
-                + struct.pack("<2I", *shape)
-                + data[record + RECORD_HEAD.size + 8 :])
+    def with_frame(version=4, continuity=int(Continuity.WITHPREVIOUS),
+                   columns=5):
+        # the written frame with its head changed and its CRC recomputed
+        body = (data[frame + 6 : frame + 14] + struct.pack("<iI", continuity, columns)
+                + data[frame + 22 : -4])
+        return (data[:frame] + b"TFSB" + struct.pack("<H", version) + body
+                + struct.pack("<I", zlib.crc32(body)))
 
+    flipped = bytearray(data)
+    flipped[frame + 22] ^= 0x01
     return {
-        "not json": with_header("{bad}"),
-        "no keys": with_header("{}"),
-        "not an object": with_header("[]"),
-        "bad dtype": with_header(json.dumps({**header, "dtype": "<i9"})),
-        "unknown continuity": with_record(7, (3, 5)),
-        "ndim 0": with_record(int(Continuity.WITHPREVIOUS), ()),
-        "ndim 3": with_record(int(Continuity.WITHPREVIOUS), (2, 2, 2)),
-        # extents whose payload would overflow a C long, ask for 32 GB,
-        # or wrap a product in int64
-        "extent 2**31": with_extent((2**31, 2**31)),
-        "extent 2**16": with_extent((2**16, 2**16)),
-        "extent 2**32 - 1": with_extent((2**32 - 1, 2**32 - 1)),
+        "not json": b"TFCF" + struct.pack("<I", 5) + b"{bad}",
+        "not an object": b"TFCF" + struct.pack("<I", 2) + b"[]",
+        "no keys": b"TFCF" + struct.pack("<I", 2) + b"{}",
+        "no alignment": with_header(drop="alignment"),
+        "bad dtype": with_header(dtype="<i9"),
+        "integer dtype": with_header(dtype="<i8"),
+        "alignment not a list": with_header(alignment="1201"),
+        "alignment of three": with_header(alignment=[1, 2, 0]),
+        "alignment negative": with_header(alignment=[1, -2, 0, 1]),
+        "alignment fractional": with_header(alignment=[1, 2.5, 0, 1]),
+        "alignment over the cap": with_header(alignment=[2**31, 2, 0, 1]),
+        "alignment of strings": with_header(alignment=["1", "2", "0", "1"]),
+        "channel_freqs a number": with_header(channel_freqs=3),
+        "channel_freqs of strings": with_header(channel_freqs=["a", "b", "c"]),
+        "flipped payload byte": bytes(flipped),
+        "unknown continuity": with_frame(continuity=7),
+        "invalid continuity": with_frame(continuity=int(Continuity.INVALID)),
+        "version 3": with_frame(version=3),
+        # time extents that declare 51 GB, 1.5 MB and 103 GB of payload,
+        # each more than the file holds
+        "extent 2**31": with_frame(columns=2**31),
+        "extent 2**16": with_frame(columns=2**16),
+        "extent 2**32 - 1": with_frame(columns=2**32 - 1),
     }
 
 
@@ -172,6 +188,62 @@ def test_a_damaged_chunk_file_fails_clearly(tmp_path, capsys):
         assert main(["export", "--chunkfile", str(path),
                      "--csv", str(tmp_path / "x.csv")]) == 1, case
         assert capsys.readouterr().err.startswith("error: "), case
+
+
+def test_a_flipped_payload_byte_is_an_error_naming_its_record(tmp_path):
+    """A record carries a CRC: one flipped bit in the last record's
+    payload raises IoError naming the byte offset where that record
+    starts, instead of reading back as data."""
+    path = tmp_path / "k.tfc"
+    data = bytearray(written_chunk_file(path, [(3, 5), (3, 2)]))
+    last = len(data) - (26 + 3 * 2 * 8)
+    data[-5] ^= 0x10
+    path.write_bytes(bytes(data))
+    with pytest.raises(IoError, match=rf"damaged record at byte {last}: CRC"):
+        read_chunk_file(path)
+
+
+def test_a_file_in_the_record_format_before_wire_frames_is_refused(tmp_path):
+    """A file written before records became wire frames, its header
+    without ``alignment`` and each record with its own counters and
+    extents, is an IoError, not data."""
+    raw = json.dumps({"channel_freqs": None, "dtype": "<f8", "feature": "snd",
+                      "producer": "mic", "sample_rate": 16000.0},
+                     sort_keys=True).encode("utf-8")
+    record = struct.pack("<Qi4IBI", 0, int(Continuity.NEWFILE), 0, 0, 0, 0, 1, 4)
+    path = tmp_path / "mic.snd.tfc"
+    path.write_bytes(b"TFCF" + struct.pack("<I", len(raw)) + raw + record
+                     + np.arange(4.0).tobytes())
+    with pytest.raises(IoError, match="header needs the keys"):
+        read_chunk_file(path)
+
+
+@pytest.mark.parametrize("command", [
+    "export-missing-file", "export-directory", "export-to-directory",
+    "run-into-a-file", "oracle-into-a-file"])
+def test_a_file_system_error_is_one_error_line(tmp_path, capsys, command):
+    """A chunk file that is missing or a directory, a CSV path that is a
+    directory, and an output directory that is a regular file: each
+    command exits with 1 and an error line naming the path."""
+    written_chunk_file(tmp_path / "k.tfc")
+    a_file = tmp_path / "not_a_dir"
+    a_file.write_bytes(b"")
+    argv, named = {
+        "export-missing-file": (["export", "--chunkfile", "missing.tfc",
+                                 "--csv", "x.csv"], "missing.tfc"),
+        "export-directory": (["export", "--chunkfile", str(tmp_path),
+                              "--csv", "x.csv"], str(tmp_path)),
+        "export-to-directory": (["export", "--chunkfile", str(tmp_path / "k.tfc"),
+                                 "--csv", str(tmp_path)], str(tmp_path)),
+        "run-into-a-file": (["run", "--config", MIC, "--output", str(a_file)],
+                            str(a_file)),
+        "oracle-into-a-file": (["oracle", "--config", MIC,
+                                "--output", str(a_file)], str(a_file)),
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("shapes, rows", [([(3, 5), (3, 2)], 3),

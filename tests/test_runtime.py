@@ -112,10 +112,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.mark.parametrize("name", ["mic_pipeline.yaml", "file_pipeline.yaml"])
 def test_every_record_holds_its_keys_planned_counters(tmp_path, name):
     """Chunks do not carry counters: a key's are the plan's, composed at
-    validation.  Every record written on the shipped pipelines holds
-    exactly its key's ``plan.cumulative``, on the mic pipeline behind its
-    TCP edge, a dropped chunk and an overflow, and on the file pipeline
-    across its calibration chunk and both rates."""
+    validation, and its file's header holds them once for every record.
+    Each written file's header holds exactly its key's
+    ``plan.cumulative``, on the mic pipeline behind its TCP edge, a
+    dropped chunk and an overflow, and on the file pipeline across its
+    calibration chunk and both rates."""
     wav = write_wav(tmp_path / "in.wav", 16000, synth_tone_noise(16000, 2.0))
     args = argparse.Namespace(input=str(wav), output=str(tmp_path / "out"),
                               seed=None)
@@ -125,9 +126,10 @@ def test_every_record_holds_its_keys_planned_counters(tmp_path, name):
         assert "IrregularDiscontinuous" in report.scenario_names("ptn")
     assert sorted(report.written) == sorted(plan.in_keys["out"])
     for key in report.written:
-        _, records = read_chunk_file(tmp_path / "out" / f"{key[0]}.{key[1]}.tfc")
+        header, records = read_chunk_file(
+            tmp_path / "out" / f"{key[0]}.{key[1]}.tfc")
         assert records
-        assert {r["alignment"] for r in records} == {plan.cumulative[key]}, key
+        assert header["alignment"] == list(plan.cumulative[key].as_tuple()), key
 
 
 def test_mic_pipeline_scenarios_without_faults(tmp_path):

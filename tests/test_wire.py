@@ -1,11 +1,13 @@
 """Framed transport codec: round trips, corruption detection, atomicity."""
 
+import json
 from io import BytesIO
 
 import numpy as np
 import pytest
 
-from tfstream.chunks import Continuity, DataChunk
+from tfstream.chunkfile import ChunkFileWriter, read_chunk_file
+from tfstream.chunks import AlignmentParams, Continuity, DataChunk
 from tfstream.errors import ChecksumError, VersionError, WireError
 from tfstream.graph import Edge
 from tfstream.runtime import _TcpLink
@@ -190,6 +192,36 @@ def test_frame_overhead_is_26_bytes_whatever_the_key(key, lead):
         frame = encode(chunk, dtype)
         assert len(frame) - chunk.payload.size * np.dtype(dtype).itemsize == 26
         assert_chunks_equal(decode(frame, *layout(chunk, dtype)), chunk)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["1-D", "2-D"])
+@pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+def test_a_chunk_file_is_its_header_and_one_frame_per_record(
+        tmp_path, lead, dtype):
+    """A chunk file's records are its chunks' wire frames: its size is
+    8 bytes, then the header, then 26 bytes and the payload per record;
+    and its records read back as the chunks, in the file's dtype, each
+    payload read-only."""
+    rng = np.random.default_rng(21)
+    chunks = [random_chunk(rng, ("k", "f"), lead) for _ in range(5)]
+    path = tmp_path / "k.f.tfc"
+    axis = np.geomspace(100.0, 1500.0, lead[0]) if lead else None
+    writer = ChunkFileWriter(path, ("k", "f"), 40.0, axis,
+                             AlignmentParams(3, 1, 0, 2), dtype=dtype)
+    for chunk in chunks:
+        writer.append(chunk)
+    writer.close()
+    header, records = read_chunk_file(path)
+    header_len = len(json.dumps(header, sort_keys=True).encode("utf-8"))
+    assert path.stat().st_size == 8 + header_len + sum(
+        26 + c.payload.size * np.dtype(dtype).itemsize for c in chunks)
+    assert header["alignment"] == [3, 1, 0, 2]
+    for record, chunk in zip(records, chunks, strict=True):
+        assert record["number"] == chunk.number
+        assert record["continuity"] is chunk.continuity
+        assert record["payload"].dtype == np.dtype(dtype)
+        assert not record["payload"].flags.writeable
+        np.testing.assert_array_equal(record["payload"], chunk.payload)
 
 
 def test_magic_constant_stable():
