@@ -184,8 +184,8 @@ def _topological_order(names: List[str], edges: List[Edge]) -> List[str]:
     return order
 
 
-def _checked_axis(name: str, feature: str, axis) -> Optional[np.ndarray]:
-    """A published feature's frequency axis as a read-only float array;
+def _checked_axis(name: str, axis) -> Optional[np.ndarray]:
+    """A transform's published frequency axis as a read-only float array;
     ConfigError unless it is 1-D and strictly monotone."""
     if axis is None:
         return None
@@ -193,8 +193,8 @@ def _checked_axis(name: str, feature: str, axis) -> Optional[np.ndarray]:
     steps = axis[1:] - axis[:-1] if axis.ndim == 1 else None
     if steps is None or not ((steps > 0).all() or (steps < 0).all()):
         raise ConfigError(
-            f"processor {name!r} feature {feature!r}: frequency axis "
-            f"is not a strictly monotone 1-D array"
+            f"processor {name!r}: published frequency axis is not a "
+            f"strictly monotone 1-D array"
         )
     axis.setflags(write=False)
     return axis
@@ -218,6 +218,11 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
     instances: Dict[str, object] = {}
     for spec in config.processors:
         cls = resolve_kind(spec.kind)
+        for param in spec.params:
+            if param not in cls.parameters:
+                raise ConfigError(
+                    f"processor {spec.name!r}: {param} is not a parameter "
+                    f"of {spec.kind}; it takes {', '.join(cls.parameters)}")
         try:
             instances[spec.name] = cls(spec.name, spec.params)
         except (KeyError, ValueError) as exc:
@@ -309,16 +314,15 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                 + ", ".join(".".join(key) for key in keys)
             )
         try:
-            rate_out = inst.prepare(rate_in, merged)
+            rate_out, axis, merged_out = inst.prepare(rate_in, merged, in_freqs)
         except ValueError as exc:
             raise ConfigError(f"processor {name!r}: {exc}") from exc
-        merged_out = inst.convert_alignment(merged)
+        axis = _checked_axis(name, axis)
         for feature, align in inst.feature_alignment().items():
             key = (name, feature)
             cumulative[key] = compose(merged_out, align)
             rates[key] = rate_out
-            freqs[key] = _checked_axis(
-                name, feature, inst.output_freqs(feature, in_freqs))
+            freqs[key] = axis
         # output time steps per input time step
         chunk_lengths[f"{name}:out"] = e_in * (rate_out / rate_in)
 

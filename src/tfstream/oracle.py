@@ -2,9 +2,9 @@
 
 Feeds each source's whole signal through the processor graph as a single
 discontinuous chunk (after an optional calibration pass), using the same
-merge slicing and the same transform step (``Processor.step``: NaN
-policy, kernels, continuity) as the streaming runtime.  Every
-kernel computes each output value by a fixed expression over that
+merge slicing and the same transform step (``Processor.step``: kernels
+and continuity, a carried break included) as the streaming runtime.
+Every kernel computes each output value by a fixed expression over that
 value's own input window, whatever the chunk length or start, so
 streaming results must equal these arrays bit for bit, NaN placement
 included, up to the stream tail that streaming legitimately withholds.

@@ -9,7 +9,7 @@ processing reproduces the unchunked computation exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     ClassVar,
     Dict,
@@ -41,6 +41,9 @@ class Processor:
     """Base for transform processors (one merged input set, n features)."""
 
     kind: ClassVar[str] = ""
+    #: The names of the parameters the kind reads; validation rejects
+    #: any other.
+    parameters: ClassVar[Tuple[str, ...]] = ()
     #: Input contract, checked once at validation: the features merged,
     #: one key each (empty: one key of any feature), and whether each key
     #: has a frequency axis (2-D) or not (a time series).
@@ -59,41 +62,30 @@ class Processor:
     def __init__(self, name: str, params: dict):
         self.name = name
         self.params = dict(params)
-        #: "propagate" keeps quiet NaN in invalid scale rows; "zero"
-        #: overwrites them on the receiving side before processing.
-        self.nan_policy = self.params.get("nan_policy", "propagate")
-        if self.nan_policy not in ("propagate", "zero"):
-            raise ValueError(
-                f"nan_policy must be 'propagate' or 'zero', "
-                f"got {self.nan_policy!r}"
-            )
+        #: continuity of a break that published nothing yet
+        self._carried: Optional[Continuity] = None
 
     # --- static metadata used by graph validation ------------------------
 
-    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
-        """Fix the input sample rate and the merged input counters before
-        a run; returns the one sample rate of every published feature."""
-        return in_rate
+    def prepare(
+        self,
+        in_rate: float,
+        merged: AlignmentParams,
+        in_freqs: Optional[np.ndarray],
+    ) -> Tuple[float, Optional[np.ndarray], AlignmentParams]:
+        """Fix the input sample rate, the merged input counters and the
+        frequency axis the inputs share (None for time series) before a
+        run.
+
+        Returns the one sample rate and the one frequency axis of every
+        published feature, and the merged counters in output time steps:
+        a processor that changes the time scale converts them.
+        """
+        return in_rate, in_freqs, merged
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         """Relative alignment counters per published feature."""
         raise NotImplementedError
-
-    def output_freqs(
-        self, feature: str, in_freqs: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """Frequency axis of a published feature, given the one its
-        inputs share (None for time series)."""
-        return in_freqs
-
-    def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:
-        """Re-express incoming cumulative counters in output time steps.
-
-        Identity for rate-preserving processors; a processor that changes
-        the time scale must override this so counters keep counting steps
-        of its own output stream.
-        """
-        return merged
 
     # --- streaming -------------------------------------------------------
 
@@ -101,34 +93,31 @@ class Processor:
         """Consume one merged chunk, return payloads per feature name."""
         raise NotImplementedError
 
-    def consume_pending_continuity(self) -> Optional[Continuity]:
-        """Continuity for the next published chunk when it must override
-        the merged one (a break that published nothing yet), else None."""
-        return None
-
     def reset(self) -> None:
-        """Drop any carried state (called once before a run)."""
+        """Drop any carried state (called once before a run); an override
+        calls ``super().reset()``."""
+        self._carried = None
 
     def step(self, merged: MergedChunk) -> List[DataChunk]:
         """The chunks to publish for one merged chunk.
 
         The one transform step of both the streaming runtime and the
-        whole-signal reference: apply the NaN policy, process and settle
-        the continuity.  The features' counters are plan constants,
-        composed at validation only.
+        whole-signal reference: process and settle the continuity.  A
+        break that publishes nothing is carried to the next chunk that
+        publishes and overrides its continuity if that is continuous, so
+        every consumer sees the break.  The features' counters are plan
+        constants, composed at validation only.
         """
-        if self.nan_policy == "zero":
-            merged = replace(merged, payloads={
-                key: np.nan_to_num(arr, nan=0.0)
-                for key, arr in merged.payloads.items()
-            })
         outputs = self.process(merged)
-        if not outputs:
-            return []
         continuity = merged.continuity
-        pending = self.consume_pending_continuity()
-        if pending is not None and continuity.continuous:
-            continuity = pending
+        if not outputs:
+            if not (continuity.continuous
+                    or continuity is Continuity.CALIBRATION):
+                self._carried = continuity
+            return []
+        if self._carried is not None and continuity.continuous:
+            continuity = self._carried
+        self._carried = None
         return [
             DataChunk(
                 number=merged.number,
@@ -144,6 +133,7 @@ class SourceProcessor:
     """Base for input processors; they assign chunk numbers at ingress."""
 
     kind: ClassVar[str] = ""
+    parameters: ClassVar[Tuple[str, ...]] = ()
     feature: ClassVar[str] = "snd"
 
     def __init__(self, name: str, params: dict):
@@ -196,6 +186,7 @@ class SinkProcessor:
     """Base for output processors; they consume chunks without merging."""
 
     kind: ClassVar[str] = ""
+    parameters: ClassVar[Tuple[str, ...]] = ()
 
     def __init__(self, name: str, params: dict):
         self.name = name

@@ -9,7 +9,7 @@ chunked output equals the whole-signal output bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -65,16 +65,13 @@ class GammaChirpFilterbank(Processor):
     """
 
     kind = "gammachirp_filterbank"
+    parameters = ("channels", "f_min", "f_max", "impulse_ms", "order", "chirp")
 
     def __init__(self, name: str, params: dict):
         super().__init__(name, params)
         self.channels = int(params.get("channels", 64))
         if self.channels < 4:
             raise ValueError("filterbank needs at least 4 channels")
-        if "sample_rate" in params:
-            raise ValueError(
-                "sample_rate is not a filterbank parameter: the bank is "
-                "designed at the rate of its input key")
         self.f_min = float(params.get("f_min", 100.0))
         self.f_max = float(params.get("f_max", 1500.0))
         self.impulse_ms = float(params.get("impulse_ms", 50.0))
@@ -92,7 +89,9 @@ class GammaChirpFilterbank(Processor):
         self._product: Optional[np.ndarray] = None
         self._block: Optional[np.ndarray] = None
 
-    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
+    def prepare(
+        self, in_rate: float, merged: AlignmentParams, in_freqs: None
+    ) -> Tuple[float, np.ndarray, AlignmentParams]:
         if self.f_max >= in_rate / 2:
             raise ValueError(
                 f"f_max {self.f_max} Hz is not below Nyquist for rate {in_rate}"
@@ -111,17 +110,13 @@ class GammaChirpFilterbank(Processor):
         self._h_imag = self._taps[::-1, channels:].T
         self._windows = None
         self._window = TimeWindowState(declared_d=self.impulse_length, declared_p=0)
-        return in_rate
+        return in_rate, self.center_freqs, merged
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {"E": AlignmentParams(p=0, d=self.impulse_length, l=0, s=0)}
 
-    def output_freqs(
-        self, feature: str, in_freqs: Optional[np.ndarray]
-    ) -> np.ndarray:
-        return self.center_freqs
-
     def reset(self) -> None:
+        super().reset()
         if self._window is not None:
             self._window.reset()
 

@@ -110,6 +110,8 @@ class PTNProcessor(Processor):
     """
 
     kind = "ptn"
+    parameters = ("theta", "beta", "theta_quantile", "beta_quantile",
+                  "block_dt", "block_df")
     input_features = ("E", "T")
     takes_2d = True
     #: gating cannot run without (theta, beta); the graph validator
@@ -135,7 +137,6 @@ class PTNProcessor(Processor):
         #: incomplete-block tails (fewer than block_dt columns), owned
         self._carry_et: Optional[np.ndarray] = None
         self._carry_e: Optional[np.ndarray] = None
-        self._pending_discontinuity: Optional[Continuity] = None
 
     @property
     def theta(self):
@@ -173,25 +174,23 @@ class PTNProcessor(Processor):
         zero = AlignmentParams()
         return {"E_T": zero, "E_T_valid": zero, "E_blocks": zero}
 
-    def output_freqs(self, feature: str, in_freqs: np.ndarray) -> np.ndarray:
-        return group_means(in_freqs, self.block_df)
-
-    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
-        return in_rate / self.block_dt
-
-    def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:
+    def prepare(
+        self, in_rate: float, merged: AlignmentParams, in_freqs: np.ndarray
+    ) -> Tuple[float, np.ndarray, AlignmentParams]:
         """Block values are final once published: only complete blocks go
         out and incomplete tails are carried, so p = d = 0 in block steps.
         A block row is invalid only when every member channel is."""
-        return AlignmentParams(
+        merged_out = AlignmentParams(
             p=0, d=0, l=merged.l // self.block_df, s=merged.s // self.block_df
         )
+        return (in_rate / self.block_dt, group_means(in_freqs, self.block_df),
+                merged_out)
 
     def reset(self) -> None:
+        super().reset()
         self.valid_columns = 0
         self._carry_et = None
         self._carry_e = None
-        self._pending_discontinuity = None
 
     def calibrate(self, scores: np.ndarray) -> None:
         """Set per-channel (theta, beta) from calibration noise scores.
@@ -283,7 +282,6 @@ class PTNProcessor(Processor):
                 self.calibrate(tract)
             self._carry_et = None
             self._carry_e = None
-            self._pending_discontinuity = None
             return {}
         if self.theta is None or self.beta is None:
             raise ConfigError(
@@ -294,7 +292,6 @@ class PTNProcessor(Processor):
         if not merged.continuity.continuous:
             self._carry_et = None
             self._carry_e = None
-            self._pending_discontinuity = merged.continuity
         channels, width = energy.shape
         self.valid_columns += width
         if channels != self._channels:
@@ -350,10 +347,3 @@ class PTNProcessor(Processor):
             "E_T_valid": FeatureData(counts[0]),
             "E_blocks": FeatureData(means[1]),
         }
-
-    def consume_pending_continuity(self) -> Optional[Continuity]:
-        """Continuity override for the next published chunk when a
-        discontinuous merged chunk produced no complete block."""
-        pending = self._pending_discontinuity
-        self._pending_discontinuity = None
-        return pending

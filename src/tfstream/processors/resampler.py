@@ -10,7 +10,7 @@ exactly, column for column.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class Resampler(Processor):
     """
 
     kind = "resampler"
+    parameters = ("factor", "fir_length")
 
     def __init__(self, name: str, params: dict):
         super().__init__(name, params)
@@ -58,20 +59,19 @@ class Resampler(Processor):
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {"snd": AlignmentParams(p=0, d=self.drop, l=0, s=0)}
 
-    def convert_alignment(self, merged: AlignmentParams) -> AlignmentParams:
+    def prepare(
+        self, in_rate: float, merged: AlignmentParams, in_freqs: None
+    ) -> Tuple[float, None, AlignmentParams]:
         R = self.factor
-        return AlignmentParams(
+        if in_rate % R != 0:
+            raise ValueError(f"factor {R} does not divide sample rate {in_rate}")
+        merged_out = AlignmentParams(
             p=-(-merged.p // R), d=-(-merged.d // R), l=merged.l, s=merged.s
         )
-
-    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
-        if in_rate % self.factor != 0:
-            raise ValueError(
-                f"factor {self.factor} does not divide sample rate {in_rate}"
-            )
-        return in_rate / self.factor
+        return in_rate / R, in_freqs, merged_out
 
     def reset(self) -> None:
+        super().reset()
         self._window.reset()
         self._count = 0
 

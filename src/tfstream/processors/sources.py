@@ -59,6 +59,7 @@ class WavReader(SourceProcessor):
     """
 
     kind = "wav_reader"
+    parameters = ("path", "chunk_size", "calibration")
     feature = "snd"
 
     def __init__(self, name: str, params: dict):
@@ -120,6 +121,8 @@ class MicInput(SourceProcessor):
     """
 
     kind = "mic_input"
+    parameters = ("sample_rate", "chunk_size", "num_chunks", "seed",
+                  "tone_freq", "tone_level", "noise_level")
     feature = "snd"
 
     def __init__(self, name: str, params: dict):

@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..chunks import AlignmentParams
-from ..errors import ConfigError
 from ..merge import MergedChunk
 from .base import FeatureData, Processor, TimeWindowState, register
 
@@ -190,6 +189,7 @@ class StructureExtractor(Processor):
     """Publishes the tract feature T with alignment (w_t, w_t, w_s, w_s)."""
 
     kind = "structure_extractor"
+    parameters = ("w_t", "w_s", "direction")
     takes_2d = True
 
     def __init__(self, name: str, params: dict):
@@ -205,26 +205,25 @@ class StructureExtractor(Processor):
         #: T's cumulative invalid scale margins (l, s), set by prepare
         self._margins: Optional[Tuple[int, int]] = None
 
-    def prepare(self, in_rate: float, merged: AlignmentParams) -> float:
+    def prepare(
+        self, in_rate: float, merged: AlignmentParams, in_freqs: np.ndarray
+    ) -> Tuple[float, np.ndarray, AlignmentParams]:
+        """ValueError when the input has fewer than 2 w_s + 1 channels."""
+        if len(in_freqs) < 2 * self.w_s + 1:
+            raise ValueError(
+                f"structure extraction needs >= {2 * self.w_s + 1} "
+                f"channels, got {len(in_freqs)}"
+            )
         self._margins = (merged.l + self.w_s, merged.s + self.w_s)
-        return in_rate
+        return in_rate, in_freqs, merged
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {
             "T": AlignmentParams(p=self.w_t, d=self.w_t, l=self.w_s, s=self.w_s)
         }
 
-    def output_freqs(self, feature: str, in_freqs: np.ndarray) -> np.ndarray:
-        """The input axis; ConfigError when it has fewer than
-        2 w_s + 1 channels."""
-        if len(in_freqs) < 2 * self.w_s + 1:
-            raise ConfigError(
-                f"processor {self.name!r}: structure extraction needs "
-                f">= {2 * self.w_s + 1} channels, got {len(in_freqs)}"
-            )
-        return in_freqs
-
     def reset(self) -> None:
+        super().reset()
         self._window.reset()
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:

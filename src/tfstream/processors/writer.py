@@ -21,6 +21,7 @@ class FileWriter(SinkProcessor):
     """
 
     kind = "file_writer"
+    parameters = ("directory", "dtype")
 
     def __init__(self, name: str, params: dict):
         super().__init__(name, params)

@@ -125,14 +125,16 @@ def test_frequency_axis_that_is_not_strictly_monotone_is_rejected(
     raw = mic_pipeline_config(tmp_path / "out")
     if case == "equal_bounds":
         raw["processors"][2]["params"]["f_max"] = 100
-        name, feature = "cochlea", "E"
+        name = "cochlea"
     else:
-        def swapped(self, feature, in_freqs):
-            return in_freqs[[1, 0, *range(2, len(in_freqs))]]
-        monkeypatch.setattr(StructureExtractor, "output_freqs", swapped)
-        name, feature = "se", "T"
-    with pytest.raises(ConfigError,
-                       match=f"'{name}' feature '{feature}'.*monotone"):
+        prepare = StructureExtractor.prepare
+
+        def swapped(self, in_rate, merged, in_freqs):
+            rate, axis, merged_out = prepare(self, in_rate, merged, in_freqs)
+            return rate, axis[[1, 0, *range(2, len(axis))]], merged_out
+        monkeypatch.setattr(StructureExtractor, "prepare", swapped)
+        name = "se"
+    with pytest.raises(ConfigError, match=f"'{name}': .*monotone"):
         build(raw)
 
 
@@ -255,6 +257,21 @@ def test_bad_processor_params_reported_with_name(tone_wav, tmp_path):
     raw = file_pipeline_config(tone_wav, tmp_path / "out")
     raw["processors"][3]["params"] = {"w_t": 0, "w_s": 3}
     with pytest.raises(ConfigError, match="se"):
+        build(raw)
+
+
+@pytest.mark.parametrize("name, param", [
+    ("se", "w_tt"), ("mic", "rate"), ("out", "format"),
+])
+def test_a_parameter_the_kind_does_not_read_is_rejected(tmp_path, name, param):
+    """A misspelt parameter is refused, never run with the default of the
+    one it meant."""
+    raw = mic_pipeline_config(tmp_path / "out")
+    spec = next(p for p in raw["processors"] if p["name"] == name)
+    spec["params"][param] = 4
+    with pytest.raises(ConfigError, match=(
+            f"processor '{name}': {param} is not a parameter of "
+            f"{spec['kind']}; it takes ")):
         build(raw)
 
 

@@ -15,12 +15,14 @@ from tfstream.errors import (
     UnsupportedFormat,
 )
 from tfstream.graph import config_from_dict, validate_graph
-from tfstream.merge import MergeState, complete_merge
+from tfstream.merge import MergedChunk, MergeState, complete_merge
 from tfstream.runtime import run_plan
 from tfstream.processors import (
+    FeatureData,
     GammaChirpFilterbank,
     MicInput,
     PTNProcessor,
+    Processor,
     Resampler,
     StructureExtractor,
     TimeWindowState,
@@ -61,7 +63,7 @@ def designed_bank(params, rate):
     """A filterbank designed at ``rate``, as graph validation prepares one
     fed by a source."""
     fb = GammaChirpFilterbank("fb", params)
-    fb.prepare(rate, ZERO_ALIGNMENT)
+    fb.prepare(rate, ZERO_ALIGNMENT, None)
     return fb
 
 
@@ -370,7 +372,8 @@ def test_filterbank_refuses_a_pinned_sample_rate(tmp_path):
     another one is refused, never silently redesigned."""
     config = mic_pipeline_with_cochlea(tmp_path, sample_rate=8000)
     with pytest.raises(ConfigError, match="processor 'cochlea': sample_rate "
-                                          "is not a filterbank parameter"):
+                                          "is not a parameter of "
+                                          "gammachirp_filterbank"):
         validate_graph(config)
 
 
@@ -446,7 +449,8 @@ def test_structure_extractor_marks_scale_margins():
     prepare fixed them) plus w_s = 2 at each edge."""
     l, s = 1, 3
     se = StructureExtractor("se", {"w_t": 10, "w_s": 2})
-    se.prepare(8000.0, AlignmentParams(p=5, d=5, l=l, s=s))
+    se.prepare(8000.0, AlignmentParams(p=5, d=5, l=l, s=s),
+               np.geomspace(100, 1500, 16))
     rng = np.random.default_rng(8)
     energy = rng.exponential(size=(16, 300))
     merged = as_merged("se", ("fb", "E"), energy,
@@ -590,15 +594,85 @@ def test_ptn_discontinuity_resets_block_phase():
 
 
 def test_ptn_pending_discontinuity_surfaces_on_next_output():
+    """A break whose chunk completes no block reaches the next published
+    chunk through ``step``, and no later one; ``reset`` drops it."""
     params = {"block_dt": 50, "block_df": 2, "theta": 0.5, "beta": 0.1}
     ptn = PTNProcessor("p", params)
     rng = np.random.default_rng(14)
-    merged, state = make_ptn_merged(rng.exponential(size=(4, 30)),
-                                    rng.uniform(0, 1, size=(4, 30)),
-                                    Continuity.DISCONTINUOUS)
-    assert ptn.process(merged) == {}           # no complete block yet
-    assert ptn.consume_pending_continuity() is Continuity.DISCONTINUOUS
-    assert ptn.consume_pending_continuity() is None
+    state = None
+
+    def published(number, continuity, width):
+        nonlocal state
+        merged, state = make_ptn_merged(rng.exponential(size=(4, width)),
+                                        rng.uniform(0, 1, size=(4, width)),
+                                        continuity, number=number, state=state)
+        return {chunk.continuity for chunk in ptn.step(merged)}
+
+    # 30 columns complete no block; 30 + 30 complete one, 10 + 60 another
+    assert published(0, Continuity.DISCONTINUOUS, 30) == set()
+    assert published(1, Continuity.WITHPREVIOUS, 30) == {Continuity.DISCONTINUOUS}
+    assert published(2, Continuity.WITHPREVIOUS, 60) == {Continuity.WITHPREVIOUS}
+    assert published(3, Continuity.DISCONTINUOUS, 30) == set()
+    ptn.reset()
+    assert published(4, Continuity.WITHPREVIOUS, 60) == {Continuity.WITHPREVIOUS}
+
+
+class Gate(Processor):
+    """A one-key transform that publishes its input, or nothing while
+    ``hold`` is set."""
+
+    def __init__(self):
+        super().__init__("gate", {})
+        self.hold = False
+
+    def feature_alignment(self):
+        return {"x": ZERO_ALIGNMENT}
+
+    def process(self, merged):
+        (x,) = merged.payloads.values()
+        return {} if self.hold else {"x": FeatureData(x)}
+
+
+def gate_step(gate, continuity, hold=False):
+    """The continuity ``gate`` publishes one chunk with, or None when it
+    publishes nothing."""
+    gate.hold = hold
+    merged = MergedChunk(number=0, continuity=continuity,
+                         payloads={("src", "snd"): np.zeros(4)}, scenarios={})
+    chunks = gate.step(merged)
+    return chunks[0].continuity if chunks else None
+
+
+@pytest.mark.parametrize("code", [Continuity.DISCONTINUOUS, Continuity.NEWFILE],
+                         ids=lambda code: code.name.lower())
+def test_a_break_that_publishes_nothing_overrides_the_next_continuous_publish(
+        code):
+    gate = Gate()
+    assert gate_step(gate, code, hold=True) is None
+    # a continuous set that publishes nothing keeps the break
+    assert gate_step(gate, Continuity.WITHPREVIOUS, hold=True) is None
+    assert gate_step(gate, Continuity.LAST) is code
+    assert gate_step(gate, Continuity.WITHPREVIOUS) is Continuity.WITHPREVIOUS
+
+
+def test_a_calibration_that_publishes_nothing_carries_nothing():
+    gate = Gate()
+    assert gate_step(gate, Continuity.CALIBRATION, hold=True) is None
+    assert gate_step(gate, Continuity.WITHPREVIOUS) is Continuity.WITHPREVIOUS
+
+
+def test_a_break_that_publishes_clears_the_carried_break():
+    gate = Gate()
+    gate_step(gate, Continuity.DISCONTINUOUS, hold=True)
+    assert gate_step(gate, Continuity.NEWFILE) is Continuity.NEWFILE
+    assert gate_step(gate, Continuity.WITHPREVIOUS) is Continuity.WITHPREVIOUS
+
+
+def test_reset_clears_the_carried_break():
+    gate = Gate()
+    gate_step(gate, Continuity.DISCONTINUOUS, hold=True)
+    gate.reset()
+    assert gate_step(gate, Continuity.WITHPREVIOUS) is Continuity.WITHPREVIOUS
 
 
 def test_ptn_requires_threshold_without_calibration():

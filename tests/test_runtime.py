@@ -348,15 +348,6 @@ def test_overflow_regularizes_downstream(tmp_path):
     assert downstream[6].scenario == "RegularDiscontinuous"
 
 
-def test_nan_policy_zero_removes_nans(tone_wav, tmp_path):
-    raw = file_pipeline_config(tone_wav, tmp_path / "out")
-    for spec in raw["processors"]:
-        if spec["name"] == "ptn":
-            spec["params"]["nan_policy"] = "zero"
-    streamed, _ = assert_streamed_matches_reference(raw, tmp_path / "out")
-    assert not np.isnan(streamed[("ptn", "E_T")]).any()
-
-
 def test_invalid_fraction_matches_declared(tone_wav, tmp_path):
     plan, report = run_config(file_pipeline_config(tone_wav, tmp_path / "o"))
     key = ("se", "T")
