@@ -7,8 +7,9 @@ number gap, exactly like a lost transmission.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Iterable, List, Set, Tuple, Union
 
 from .errors import ConfigError
 
@@ -117,23 +118,37 @@ class FaultSchedule:
         }
 
 
-def parse_fault_events(raw: Optional[Iterable[dict]]) -> FaultSchedule:
-    """Build a FaultSchedule from the configuration file representation."""
+def _field(item: dict, name: str, kind: type):
+    """One field of a fault entry, a str or an int (any integral type);
+    ConfigError naming the entry when it is missing or of another type."""
+    value = item.get(name)
+    if (isinstance(value, numbers.Integral if kind is int else kind)
+            and not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"fault entry {item} needs {name!r} as "
+                      f"{'a string' if kind is str else 'an integer'}, "
+                      f"got {value!r}")
+
+
+def parse_fault_events(raw: Iterable[dict]) -> FaultSchedule:
+    """Build a FaultSchedule from the configuration's fault mappings."""
     events: List[FaultEvent] = []
-    for item in raw or []:
+    for item in raw:
         kind = item.get("kind")
         if kind == "drop_chunk":
-            events.append(DropChunk(edge=item["edge"], number=int(item["number"])))
+            events.append(DropChunk(edge=_field(item, "edge", str),
+                                    number=_field(item, "number", int)))
         elif kind == "link_down":
             events.append(
                 LinkDown(
-                    edge=item["edge"],
-                    from_number=int(item["from_number"]),
-                    to_number=int(item["to_number"]),
+                    edge=_field(item, "edge", str),
+                    from_number=_field(item, "from_number", int),
+                    to_number=_field(item, "to_number", int),
                 )
             )
         elif kind == "overflow":
-            events.append(OverflowAt(input=item["input"], number=int(item["number"])))
+            events.append(OverflowAt(input=_field(item, "input", str),
+                                     number=_field(item, "number", int)))
         else:
             raise ConfigError(f"unknown fault kind {kind!r}")
     return FaultSchedule(events)

@@ -4,10 +4,11 @@ A pipeline is a DAG of named processors (forks and merges, no loops)
 with per-edge transports and an optional fault schedule.  Validation
 topologically sorts the graph, propagates sample rates, frequency axes,
 chunk lengths and cumulative alignment counters, and rejects
-configurations whose chunk size cannot satisfy d + p < length at some
-merge point.  A key's rate, axis and counters live in the plan only:
-sinks get them from validation, merges their drop counts from the plan,
-and chunks carry none of them.
+configurations whose chunk size cannot satisfy d + p + history < length
+at some merge point, history being the consumer's own window.  A key's
+rate, axis and counters live in the plan only: sinks get them from
+validation, merges their drop counts from the plan, and chunks carry
+none of them.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ class GraphPlan:
     freqs: Dict[SourceKey, Optional[np.ndarray]]
 
     def minimum_chunk_length(self) -> int:
-        """Smallest source chunk length the deepest merge point allows.
+        """Smallest source chunk length the deepest merge point allows:
+        each transform's merged d + p and its own window's history must
+        leave a column after a break.
 
         Sinks are excluded: they concatenate whatever arrives and have no
         window depth of their own.
@@ -85,7 +88,8 @@ class GraphPlan:
             if isinstance(self.instances[name], SinkProcessor):
                 continue
             scale = self.chunk_lengths[name] / source_len
-            need = (params.d + params.p + 1) / scale
+            history = self.instances[name].history
+            need = (params.d + params.p + history + 1) / scale
             worst = max(worst, int(-(-need // 1)))
         return worst
 
@@ -112,24 +116,36 @@ def load_config(path: Path) -> PipelineConfig:
     return config_from_dict(raw)
 
 
+def _entries(raw: dict, section: str) -> list:
+    """The entries of one top-level section: a list of mappings, or
+    ConfigError naming the entry that is not one."""
+    items = raw.get(section) or []
+    if not isinstance(items, list):
+        raise ConfigError(f"{section} must be a list, got {items!r}")
+    for item in items:
+        if not isinstance(item, dict):
+            raise ConfigError(f"{section} entry must be a mapping: {item!r}")
+    return items
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     processors = []
-    for item in raw.get("processors", []):
+    for item in _entries(raw, "processors"):
         if "name" not in item or "kind" not in item:
             raise ConfigError(f"processor entry needs name and kind: {item}")
+        params = item.get("params")
+        params = {} if params is None else params
+        if not isinstance(params, dict):
+            raise ConfigError(f"processor {item['name']!r}: params must be "
+                              f"a mapping, got {params!r}")
         processors.append(
-            ProcessorSpec(
-                name=item["name"],
-                kind=item["kind"],
-                params=item.get("params", {}) or {},
-            )
-        )
+            ProcessorSpec(name=item["name"], kind=item["kind"], params=params))
     edges, seen = [], set()
-    for item in raw.get("edges", []):
+    for item in _entries(raw, "edges"):
         source = item.get("from", "")
-        producer, dot, feature = source.partition(".")
-        if not dot:
+        if not (isinstance(source, str) and "." in source):
             raise ConfigError(f"edge 'from' must be producer.feature: {source!r}")
+        producer, _, feature = source.partition(".")
         edge = Edge(
             producer=producer,
             feature=feature,
@@ -152,7 +168,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             raise ConfigError(f"duplicate edge {source} -> {edge.consumer}")
         seen.add((producer, feature, edge.consumer))
         edges.append(edge)
-    faults = parse_fault_events(raw.get("faults"))
+    faults = parse_fault_events(_entries(raw, "faults"))
     return PipelineConfig(processors=processors, edges=edges, faults=faults)
 
 
@@ -298,14 +314,6 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
                 f"source emits a calibration chunk; configure theta/beta "
                 f"or enable calibration on the input"
             )
-        # a fractional nominal length means short/long chunks alternate;
-        # the short ones are the binding case
-        if merged.d + merged.p >= int(e_in):
-            raise ChunkTooShortForDepth(
-                f"processor {name!r}: merged window d+p = "
-                f"{merged.d + merged.p} does not fit the chunk length "
-                f"{int(e_in)}; minimum is {merged.d + merged.p + 1}"
-            )
         in_freqs = freqs[keys[0]]
         if in_freqs is not None and any(
                 not np.array_equal(freqs[key], in_freqs) for key in keys):
@@ -317,6 +325,14 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
             rate_out, axis, merged_out = inst.prepare(rate_in, merged, in_freqs)
         except ValueError as exc:
             raise ConfigError(f"processor {name!r}: {exc}") from exc
+        # a fractional nominal length means short/long chunks alternate;
+        # the short ones are the binding case
+        depth = merged.d + merged.p + inst.history
+        if depth >= int(e_in):
+            raise ChunkTooShortForDepth(
+                f"processor {name!r}: merged d+p = {merged.d + merged.p} and "
+                f"history {inst.history} do not fit the chunk length "
+                f"{int(e_in)}; minimum is {depth + 1}")
         axis = _checked_axis(name, axis)
         for feature, align in inst.feature_alignment().items():
             key = (name, feature)

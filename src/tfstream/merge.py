@@ -6,7 +6,9 @@ members' continuity codes and whether the set directly follows the last
 completed one, it gives the merged continuity and each member's merge
 scenario.  ``merge_array`` then slices each incoming array according to
 its scenario and carries forward the column tails needed by the next
-continuous merge.
+continuous merge: the d_H columns it holds back and the consumer's
+``history`` columns before them.  So, like the overlap in overlap-add,
+the merge is the one owner of carried input; no transform keeps any.
 
 A merge trusts what validation and the two boundaries guarantee: every
 member's code is a valid ``Continuity`` member (the publish check
@@ -39,9 +41,10 @@ class MergeState:
     merged ones, which are plan constants, so they are derived once per
     run (``GraphPlan.drops``), never per chunk.
 
-    carried_tails maps each source key to the last d_H columns of the
-    previously merged incoming array; these become the prepended past of
-    the next regular continuous merge.
+    carried_tails maps each source key to the last d_H + history columns
+    of the previously merged incoming array (history: the consumer's
+    ``Processor.history``); these become the prepended past of the next
+    regular continuous merge.
 
     decisions maps everything a merge decides from besides the arrays --
     each member's continuity, in set order, and whether the set directly
@@ -52,6 +55,7 @@ class MergeState:
     """
 
     drops: Mapping[SourceKey, DropCounts]
+    history: int = 0
     last_completed: Optional[int] = None
     carried_tails: Dict[SourceKey, np.ndarray] = field(default_factory=dict)
     decisions: Dict[tuple, "_Decision"] = field(default_factory=dict)
@@ -96,8 +100,10 @@ def decide(codes: Tuple[Continuity, ...], follows: bool) -> _Decision:
 @dataclass(frozen=True, slots=True)
 class MergedChunk:
     """The aligned result of one completed set; all arrays share one
-    time extent and one continuity.  The merged counters are the
-    consumer's plan constant (``GraphPlan.merged_at``)."""
+    time extent and one continuity.  A continuous merge begins with the
+    last ``history`` columns of the previous one, then the new columns.
+    The merged counters are the consumer's plan constant
+    (``GraphPlan.merged_at``)."""
 
     number: int
     continuity: Continuity
@@ -110,6 +116,7 @@ def merge_array(
     prev_tail: Optional[np.ndarray],
     current: np.ndarray,
     drops: DropCounts,
+    history: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Slice (and for continuous operation, concatenate) one incoming array.
 
@@ -117,12 +124,15 @@ def merge_array(
     Both come from one sequence: prev_tail ++ current for a continuous
     merge, current alone otherwise.  The merged array is that sequence
     without its first d_L (or d_l) and last d_H columns, and the tail is
-    its last d_H columns, so a continuous chunk shorter than d_H merges
-    carried columns and carries the rest.  The time axis is last; 1-D
-    time series follow the same rules with the frequency axis absent.
+    its last d_H + history columns, so a continuous merge begins with
+    the previous merge's last ``history`` columns, and a continuous
+    chunk shorter than d_H merges carried columns and carries the rest.
+    A merge that keeps no column past ``history`` raises EmptyResult.
+    The time axis is last; 1-D time series follow the same rules with
+    the frequency axis absent.
     """
     if scenario is MergeScenario.REGULAR_CONTINUOUS:
-        if drops.d_H:
+        if drops.d_H + history:
             current = np.concatenate([prev_tail, current], axis=-1)
         start = 0
     elif scenario is MergeScenario.REGULAR_DISCONTINUOUS:
@@ -130,15 +140,13 @@ def merge_array(
     else:
         start = drops.d_l
     stop = current.shape[-1] - drops.d_H
-    if stop <= start:
+    if stop - start <= history:
         raise EmptyResult(
-            f"merge produced a zero-length chunk (array length "
-            f"{current.shape[-1]}, drops {drops}); the chunk time interval "
-            f"is too short"
-        )
+            f"merge of {current.shape[-1]} columns (drops {drops}) keeps "
+            f"none past a history of {history}; the chunk is too short")
     # Copy, not a view: published chunks may be released by transport,
     # and a view would keep the whole concatenation alive.
-    return current[..., start:stop], current[..., stop:].copy()
+    return current[..., start:stop], current[..., stop - history:].copy()
 
 
 def complete_merge(
@@ -166,8 +174,8 @@ def complete_merge(
     length, uneven = None, False
     for (key, chunk), scenario in zip(chunk_set.items(), decision.scenarios):
         payload, tails[key] = merge_array(
-            scenario, carried.get(key), chunk.payload, drops[key]
-        )
+            scenario, carried.get(key), chunk.payload, drops[key],
+            state.history)
         payloads[key] = payload
         scenarios[key] = scenario
         if length is None:
@@ -184,4 +192,4 @@ def complete_merge(
         payloads=payloads,
         scenarios=scenarios,
     )
-    return merged, MergeState(drops, n, tails, state.decisions)
+    return merged, MergeState(drops, state.history, n, tails, state.decisions)

@@ -45,7 +45,8 @@ def _feed_pass(
         if any(key not in available for key in keys):
             continue
         chunk_set = {key: available[key] for key in keys}
-        merged, _ = complete_merge(MergeState(plan.drops(name)), chunk_set, 0)
+        merged, _ = complete_merge(
+            MergeState(plan.drops(name), inst.history), chunk_set, 0)
         for chunk in inst.step(merged):
             available[chunk.source_key] = chunk
     return available
@@ -57,7 +58,8 @@ def run_unchunked(plan: GraphPlan) -> Dict[SourceKey, DataChunk]:
     Runs the calibration pass first when a source provides one, so
     processors that estimate (theta, beta) see the same noise statistics
     as in the streaming run.  The plan's processor instances are mutated
-    (window state, calibration); use a freshly validated plan.
+    (calibration, the resampler's sample count, ptn's block carry); use a
+    freshly validated plan.
     """
     calibration_arrays = {}
     source_arrays = {}

@@ -5,7 +5,6 @@ from .base import (
     Processor,
     SinkProcessor,
     SourceProcessor,
-    TimeWindowState,
     register,
     registered_kinds,
     resolve_kind,
@@ -28,7 +27,6 @@ __all__ = [
     "SinkProcessor",
     "SourceProcessor",
     "StructureExtractor",
-    "TimeWindowState",
     "WavReader",
     "register",
     "registered_kinds",

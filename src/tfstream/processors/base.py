@@ -1,10 +1,11 @@
-"""Processor base classes, the kind registry and streaming-window state.
+"""Processor base classes and the kind registry.
 
 A transform processor consumes one merged chunk per time interval and
 publishes one or more features, each with its own relative alignment
-counters, which graph validation composes once per key.  The
-time-window state keeps just enough input history that chunked
-processing reproduces the unchunked computation exactly.
+counters, which graph validation composes once per key.  A transform
+declares in ``history`` how many past input columns its kernel reads;
+the merge carries them, so chunked processing reproduces the unchunked
+computation exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import (
 import numpy as np
 
 from ..chunks import AlignmentParams, Continuity, DataChunk, SourceKey
-from ..errors import ConfigError, EmptyResult, UnknownProcessorKind
+from ..errors import ConfigError, UnknownProcessorKind
 from ..merge import MergedChunk
 
 
@@ -56,6 +57,11 @@ class Processor:
     #: processor has none).
     theta = None
     beta = None
+    #: Input columns before a new column that the kernel reads: a
+    #: continuous merged chunk begins with that many columns of the
+    #: previous one (see ``merge_array``).  A plan constant, final after
+    #: ``prepare``.
+    history: int = 0
     #: Input columns processed outside calibration, when counted.
     valid_columns: Optional[int] = None
 
@@ -236,41 +242,3 @@ def resolve_kind(kind: str) -> type:
 
 def registered_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-class TimeWindowState:
-    """Carried input history for a feature with declared counters (d, p).
-
-    On a continuous chunk the last d + p input columns of the previous
-    chunk are prepended, so every output position sees the identical
-    window it would see in an unchunked run.  On a discontinuous chunk
-    the state resets and the first d / last p positions are dropped.
-    """
-
-    def __init__(self, declared_d: int, declared_p: int):
-        self.d = int(declared_d)
-        self.p = int(declared_p)
-        self.tail: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        self.tail = None
-
-    def feed(self, continuous: bool, x: np.ndarray) -> Tuple[np.ndarray, slice]:
-        """Return (buffer, output slice into buffer positions)."""
-        history = self.d + self.p
-        if continuous and self.tail is not None:
-            buf = np.concatenate([self.tail, x], axis=-1)
-            out = slice(self.d, self.d + x.shape[-1])
-        else:
-            buf = x
-            out = slice(self.d, x.shape[-1] - self.p)
-            if out.stop <= out.start:
-                raise EmptyResult(
-                    f"chunk of {x.shape[-1]} columns leaves no valid output "
-                    f"for window d={self.d}, p={self.p}; minimum chunk "
-                    f"length is {self.d + self.p + 1}"
-                )
-        # the buffer holds at least the history: the carried tail has
-        # exactly that many columns, and a discontinuous chunk more
-        self.tail = buf[..., buf.shape[-1] - history:].copy()
-        return buf, out

@@ -2,9 +2,10 @@
 
 Each channel is a complex gammachirp band-pass filter (gammatone for
 chirp 0); the published value is the squared magnitude of the filter
-output.  Filter history is carried across continuous chunks, and every
-output column is one fixed-shape GEMM row over its own input window, so
-chunked output equals the whole-signal output bit for bit.
+output.  The merge carries the filter's history across continuous chunks
+(``history``, the impulse length), and every output column is one
+fixed-shape GEMM row over its own input window, so chunked output equals
+the whole-signal output bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ..chunks import AlignmentParams
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, TimeWindowState, register
+from .base import FeatureData, Processor, register
 
 #: Rows of every filterbank GEMM call.  BLAS may take a different code
 #: path (and so give different bits) for a different matrix shape, so
@@ -81,7 +82,6 @@ class GammaChirpFilterbank(Processor):
         self._h_imag: Optional[np.ndarray] = None
         self.impulse_length: Optional[int] = None
         self.center_freqs = np.geomspace(self.f_min, self.f_max, self.channels)
-        self._window: Optional[TimeWindowState] = None
         #: (L, 2C) reversed taps, set by prepare
         self._taps: Optional[np.ndarray] = None
         #: GEMM scratch blocks (windows, product, energy), set on first use
@@ -109,25 +109,21 @@ class GammaChirpFilterbank(Processor):
         self._h_real = self._taps[::-1, :channels].T
         self._h_imag = self._taps[::-1, channels:].T
         self._windows = None
-        self._window = TimeWindowState(declared_d=self.impulse_length, declared_p=0)
+        self.history = self.impulse_length
         return in_rate, self.center_freqs, merged
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
         return {"E": AlignmentParams(p=0, d=self.impulse_length, l=0, s=0)}
 
-    def reset(self) -> None:
-        super().reset()
-        if self._window is not None:
-            self._window.reset()
+    def _energy(self, x: np.ndarray) -> np.ndarray:
+        """Energy at the positions [L, len(x)) of x (channels x positions).
 
-    def _energy(self, buf: np.ndarray, out: slice) -> np.ndarray:
-        """Energy at buffer positions ``out`` (channels x positions).
-
-        Position t is the dot product of buf[t - L + 1 .. t] with the
-        reversed taps, so it needs out.start >= L - 1 (the window state
-        guarantees out.start = d = L).  Rows go through GEMM_ROWS-row
-        blocks in per-instance scratch arrays, so every value comes from
-        the same BLAS call shape wherever its chunk starts or ends.
+        Position t is the dot product of x[t - L + 1 .. t] with the
+        reversed taps; the first L positions are the declared drop d = L
+        after a break, or the history that the merge carried.  Rows go
+        through GEMM_ROWS-row blocks in per-instance scratch arrays, so
+        every value comes from the same BLAS call shape wherever its
+        chunk starts or ends.
         """
         length = self.impulse_length
         channels = self.channels
@@ -140,17 +136,17 @@ class GammaChirpFilterbank(Processor):
             self._product = np.empty((GEMM_ROWS, 2 * channels))
             self._block = np.empty((GEMM_ROWS, channels))
         windows, product, block = self._windows, self._product, self._block
-        first = out.start - length + 1
-        count = out.stop - out.start
-        # row i is buf[i : i + length], a strided view over buf
-        buf = np.ascontiguousarray(buf)
-        step = buf.itemsize
-        sliding = np.ndarray((buf.size - length + 1, length), buf.dtype,
-                             buffer=buf, strides=(step, step))
+        count = x.shape[-1] - length
+        # row i is x[i + 1 : i + 1 + length], position L + i's window, a
+        # strided view over x
+        x = np.ascontiguousarray(x)
+        step = x.itemsize
+        sliding = np.ndarray((count, length), x.dtype, buffer=x,
+                             offset=step, strides=(step, step))
         energy = np.empty((channels, count))
         for start in range(0, count, GEMM_ROWS):
             rows = min(GEMM_ROWS, count - start)
-            windows[:rows] = sliding[first + start : first + start + rows]
+            windows[:rows] = sliding[start : start + rows]
             windows[rows:] = 0.0
             np.matmul(windows, self._taps, out=product)
             # real^2 + imag^2: square is x * x, one contiguous pass
@@ -161,6 +157,4 @@ class GammaChirpFilterbank(Processor):
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         (x,) = merged.payloads.values()
-        buf, out = self._window.feed(merged.continuity.continuous, x)
-        energy = self._energy(buf, out)
-        return {"E": FeatureData(energy)}
+        return {"E": FeatureData(self._energy(x))}

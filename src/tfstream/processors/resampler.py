@@ -1,10 +1,10 @@
 """Integer-factor decimating resampler with a windowed-sinc FIR.
 
-The last fir_length - 1 input samples are carried across continuous
-chunks in a ``TimeWindowState``, as the other windowed transforms carry
-theirs, and the count of samples since the last discontinuity fixes the
-decimation phase; so the chunked result equals the unchunked filtering
-exactly, column for column.
+The merge carries the last fir_length - 1 input samples across
+continuous chunks (``history``), as it does for every windowed
+transform, and the count of samples since the last discontinuity fixes
+the decimation phase; so the chunked result equals the unchunked
+filtering exactly, column for column.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from ..chunks import AlignmentParams
 from ..errors import EmptyResult
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, TimeWindowState, register
+from .base import FeatureData, Processor, register
 
 
 def design_lowpass(fir_length: int, factor: int) -> np.ndarray:
@@ -53,7 +53,7 @@ class Resampler(Processor):
         self.fir_length = int(params.get("fir_length", 127))
         self.h = design_lowpass(self.fir_length, self.factor)
         self.drop = math.ceil((self.fir_length - 1) / self.factor)
-        self._window = TimeWindowState(declared_d=self.fir_length - 1, declared_p=0)
+        self.history = self.fir_length - 1
         self._count = 0  # input samples since the last discontinuity
 
     def feature_alignment(self) -> Dict[str, AlignmentParams]:
@@ -72,29 +72,27 @@ class Resampler(Processor):
 
     def reset(self) -> None:
         super().reset()
-        self._window.reset()
         self._count = 0
 
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         (x,) = merged.payloads.values()
         R, F = self.factor, self.fir_length
-        continuous = (merged.continuity.continuous
-                      and self._window.tail is not None)
-        count = (self._count if continuous else 0) + x.shape[-1]
+        # a continuous chunk begins with the F - 1 samples it shares with
+        # the previous one
+        continuous = merged.continuity.continuous
+        count = (self._count - (F - 1) if continuous else 0) + x.shape[-1]
         # outputs fall on the counts that are multiples of R, from the
-        # first sample of this chunk that has its full filter history
-        start = self._count if continuous else F - 1
-        if not continuous and -(-count // R) <= -(-start // R):
+        # first sample after a discontinuity that has its full history
+        if not continuous and -(-count // R) <= self.drop:
             raise EmptyResult(
                 f"chunk of {x.shape[-1]} samples yields no resampled output; "
                 f"minimum chunk length is {self.drop * R + 1} after a "
                 f"discontinuity"
             )
-        buf, _ = self._window.feed(continuous, x)
         self._count = count
-        # buffer position i holds the sample counted count - len(buf) + i,
+        # position i of x holds the sample counted count - len(x) + i,
         # and "valid" output j is the filter ending at position j + F - 1
-        first = (buf.shape[-1] - F + 1 - count) % R
-        y = np.convolve(buf, self.h, mode="valid")[first::R]
+        first = (x.shape[-1] - F + 1 - count) % R
+        y = np.convolve(x, self.h, mode="valid")[first::R]
         # a continuous chunk between two outputs publishes nothing
         return {"snd": FeatureData(y)} if y.size else {}

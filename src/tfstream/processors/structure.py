@@ -18,7 +18,7 @@ import numpy as np
 
 from ..chunks import AlignmentParams
 from ..merge import MergedChunk
-from .base import FeatureData, Processor, TimeWindowState, register
+from .base import FeatureData, Processor, register
 
 
 #: Cells (channels x columns) per tile of a per-cell kernel: the
@@ -201,7 +201,8 @@ class StructureExtractor(Processor):
         self.direction = params.get("direction", "horizontal")
         if self.direction not in ("horizontal", "vertical"):
             raise ValueError(f"bad direction {self.direction!r}")
-        self._window = TimeWindowState(declared_d=self.w_t, declared_p=self.w_t)
+        # a score reads w_t columns on either side of its own
+        self.history = 2 * self.w_t
         #: T's cumulative invalid scale margins (l, s), set by prepare
         self._margins: Optional[Tuple[int, int]] = None
 
@@ -222,18 +223,14 @@ class StructureExtractor(Processor):
             "T": AlignmentParams(p=self.w_t, d=self.w_t, l=self.w_s, s=self.w_s)
         }
 
-    def reset(self) -> None:
-        super().reset()
-        self._window.reset()
-
     def process(self, merged: MergedChunk) -> Dict[str, FeatureData]:
         (energy,) = merged.payloads.values()
         # d = p = w_t, so the output columns are always [w_t, T - w_t)
-        buf, _ = self._window.feed(merged.continuity.continuous, energy)
+        # of the merged chunk, carried history included
         if self.direction == "horizontal":
-            scores = _horizontal_valid(buf, self.w_t)
+            scores = _horizontal_valid(energy, self.w_t)
         else:
-            scores = _vertical_valid(buf, self.w_t, self.w_s)
+            scores = _vertical_valid(energy, self.w_t, self.w_s)
         # mark the cumulative invalid scale margins
         l_cum, s_cum = self._margins
         scores[:l_cum, :] = np.nan

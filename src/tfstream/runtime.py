@@ -269,11 +269,11 @@ class Streamboard:
         """One arrival at a transform; whatever it publishes in response
         has moved on, depth-first, when this returns.
 
-        A completed set too short for its merge or for the transform's
-        own window (a short chunk right after a fault) is dropped and
-        counted as ``too_short``.  The merge state and the merge list
-        change only when both succeed, so the next set merges as
-        discontinuous and no stale window tail is reused.
+        A completed set too short for its merge, which counts the
+        transform's window, or for the transform (a short chunk right
+        after a fault) is dropped and counted as ``too_short``.  The
+        merge state and the merge list change only when both succeed, so
+        the next set merges as discontinuous and no stale tail is reused.
         """
         buffer = route.buffer
         completed = buffer.accept(item)
@@ -336,7 +336,8 @@ class Streamboard:
                 elif isinstance(inst, Processor):
                     inst.reset()
                     buffer = InFlightBuffer(frozenset(plan.in_keys[name]))
-                    route = _Route(buffer, MergeState(plan.drops(name)),
+                    route = _Route(buffer,
+                                   MergeState(plan.drops(name), inst.history),
                                    inst.step)
                     self._routes[name] = route
                     self._receivers[name] = partial(self._arrive, route)

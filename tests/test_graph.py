@@ -12,6 +12,7 @@ from conftest import (
     file_pipeline_config,
     mic_pipeline_config,
     miswired_config,
+    synth_tone_noise,
     write_wav,
 )
 from tfstream.chunks import AlignmentParams
@@ -24,6 +25,7 @@ from tfstream.errors import (
 from tfstream.graph import config_from_dict, load_config, validate_graph
 from tfstream.processors import StructureExtractor
 from tfstream.processors.ptn import group_means
+from tfstream.runtime import run_plan
 
 
 def build(raw):
@@ -180,6 +182,42 @@ def test_minimum_chunk_length_is_honest(tone_wav, tmp_path):
                                    chunk_size=need - 1))
 
 
+def test_minimum_chunk_length_counts_each_consumers_own_window(tmp_path):
+    """16 kHz audio, resampled /2, into a 50 ms filterbank: after a break
+    the filterbank drops the resampler's 63 columns and then reads 400
+    of history before its first output, so at 8 kHz it needs 464
+    columns, 928 source samples.  At 927 the graph is refused; at 928
+    every chunk of a 2 s file is written and none is too short."""
+    wav = write_wav(tmp_path / "in.wav", 16000, synth_tone_noise(16000, 2.0))
+
+    def config(chunk_size):
+        return {
+            "processors": [
+                {"name": "reader", "kind": "wav_reader",
+                 "params": {"path": str(wav), "chunk_size": chunk_size}},
+                {"name": "resampler", "kind": "resampler",
+                 "params": {"factor": 2}},
+                {"name": "cochlea", "kind": "gammachirp_filterbank",
+                 "params": {"impulse_ms": 50}},
+                {"name": "out", "kind": "file_writer",
+                 "params": {"directory": str(tmp_path / "out")}},
+            ],
+            "edges": [
+                {"from": "reader.snd", "to": "resampler"},
+                {"from": "resampler.snd", "to": "cochlea"},
+                {"from": "cochlea.E", "to": "out"},
+            ],
+        }
+
+    assert build(config(1024)).minimum_chunk_length() == 928
+    with pytest.raises(ChunkTooShortForDepth,
+                       match="processor 'cochlea'.* minimum is 464"):
+        build(config(927))
+    report = run_plan(build(config(928)))
+    assert report.written[("cochlea", "E")] == -(-32000 // 928) == 35
+    assert all(c.too_short == 0 for c in report.buffer_counters.values())
+
+
 def test_chunk_too_short_message_names_processor(tone_wav, tmp_path):
     with pytest.raises(ChunkTooShortForDepth, match="minimum"):
         build(file_pipeline_config(tone_wav, tmp_path / "out", chunk_size=256))
@@ -237,6 +275,55 @@ def test_edge_from_must_have_feature(tone_wav, tmp_path):
     raw["edges"][0] = {"from": "reader", "to": "resampler"}
     with pytest.raises(ConfigError, match="producer.feature"):
         build(raw)
+
+
+def _set_se_params(raw, value):
+    next(p for p in raw["processors"] if p["name"] == "se")["params"] = value
+
+
+#: (id, a change to the mic pipeline's dict, the message expected)
+MALFORMED = [
+    ("params-int", lambda raw: _set_se_params(raw, 40),
+     "processor 'se': params must be a mapping, got 40"),
+    ("params-list", lambda raw: _set_se_params(raw, [40, 3]),
+     "processor 'se': params must be a mapping"),
+    ("params-string", lambda raw: _set_se_params(raw, "w_t: 40"),
+     "processor 'se': params must be a mapping"),
+    ("fault-not-mapping", lambda raw: raw.update(faults=["drop_chunk"]),
+     "faults entry must be a mapping: 'drop_chunk'"),
+    ("fault-without-edge",
+     lambda raw: raw.update(faults=[{"kind": "drop_chunk", "number": 2}]),
+     "fault entry .* needs .edge. as a string, got None"),
+    ("fault-without-number",
+     lambda raw: raw.update(faults=[{"kind": "drop_chunk",
+                                     "edge": "se.T->ptn"}]),
+     "fault entry .* needs .number. as an integer, got None"),
+    ("fault-number-not-integer",
+     lambda raw: raw.update(faults=[{"kind": "overflow", "input": "mic",
+                                     "number": "five"}]),
+     "fault entry .* needs .number. as an integer, got .five."),
+    ("fault-number-float",
+     lambda raw: raw.update(faults=[{"kind": "link_down", "edge": "se.T->ptn",
+                                     "from_number": 2, "to_number": 3.5}]),
+     "fault entry .* needs .to_number. as an integer, got 3.5"),
+    ("edge-not-mapping", lambda raw: raw["edges"].append("se.T -> ptn"),
+     "edges entry must be a mapping: 'se.T -> ptn'"),
+    ("edge-from-not-string",
+     lambda raw: raw["edges"].append({"from": 5, "to": "ptn"}),
+     "edge 'from' must be producer.feature: 5"),
+]
+
+
+@pytest.mark.parametrize("change, message", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_a_malformed_entry_is_a_config_error_naming_it(tmp_path, change,
+                                                       message):
+    """Each of these once escaped as a TypeError, ValueError, KeyError or
+    AttributeError, which the command line prints as a traceback."""
+    raw = mic_pipeline_config(tmp_path / "out")
+    change(raw)
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(raw)
 
 
 def test_cycle_detection(tone_wav, tmp_path):

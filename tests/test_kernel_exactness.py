@@ -75,7 +75,7 @@ def test_filterbank_matches_direct_convolution():
     }, 8000)
     taps = fb.impulse_length
     x = np.random.default_rng(6).standard_normal(3000)
-    got = fb._energy(x, slice(taps, x.size))
+    got = fb._energy(x)
     yr = np.stack([np.convolve(x, h)[: x.size] for h in fb._h_real])
     yi = np.stack([np.convolve(x, h)[: x.size] for h in fb._h_imag])
     np.testing.assert_allclose(got, (yr * yr + yi * yi)[:, taps:], rtol=1e-12,

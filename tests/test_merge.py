@@ -305,3 +305,69 @@ def test_a_warm_state_merges_a_reordered_set_by_its_keys():
         for key in (A, B):
             np.testing.assert_array_equal(merged.payloads[key],
                                           merged_range(n, merged.continuity))
+
+
+def test_merge_carries_history_for_a_chunk_exact_moving_sum():
+    """A consumer whose kernel reads d = 4 columns before and p = 3 after
+    each output declares history 7, and merges A (p = 0, so d_H = 2) with
+    B (p = 2), so one merge carries both d_H and the history.  Over
+    uneven chunks, continuous ones of 1 and 2 columns and a lost number,
+    each continuous merge begins with the previous one's last 7 columns,
+    and a moving sum over each merged chunk alone equals the whole-signal
+    moving sum at every position it covers, without a gap or a repeat
+    except across the break.  A merge after the break that would keep
+    only 7 columns raises EmptyResult."""
+    d, p = 4, 3
+    history = d + p
+    align_a, align_b = AlignmentParams(p=0, d=0), AlignmentParams(p=2, d=0)
+    merged_align = AlignmentParams(p=2, d=0)
+    # integers, so that every summation order gives the same bits
+    signal = np.random.default_rng(16).integers(-999, 999, 200).astype(float)
+    # value at t: signal[t - d .. t + p]
+    ref = np.convolve(signal, np.ones(history + 1), mode="valid")
+
+    def chunk(key, align, n, lo, hi, continuity):
+        """Source columns [lo, hi) as ``key`` publishes them: A its
+        positions, B the signal values there."""
+        shift = -align.p if continuity.continuous else align.d
+        positions = np.arange(lo + shift, hi - align.p)
+        payload = positions.astype(float) if key == A else signal[positions]
+        return DataChunk(number=n, source_key=key, payload=payload,
+                         continuity=continuity)
+
+    state = MergeState({A: drop_counts(merged_align, align_a),
+                        B: drop_counts(merged_align, align_b)}, history)
+    bounds = {0: (0, 30), 1: (30, 31), 2: (31, 33), 3: (33, 71),
+              4: (71, 72), 5: (72, 90),    # 6 is lost
+              7: (101, 110), 8: (110, 150), 9: (150, 152), 10: (152, 200)}
+    covered, previous = [], None
+    for n, (lo, hi) in bounds.items():
+        continuity = D if n == 0 else W
+        chunk_set = {key: chunk(key, align, n, lo, hi, continuity)
+                     for key, align in ((A, align_a), (B, align_b))}
+        if n == 7:
+            # the first set after the gap keeps 9 - 2 = 7 columns
+            with pytest.raises(EmptyResult):
+                complete_merge(state, chunk_set, n)
+            continue
+        merged, state = complete_merge(state, chunk_set, n)
+        positions = merged.payloads[A].astype(int)
+        np.testing.assert_array_equal(merged.payloads[B], signal[positions])
+        if merged.continuity.continuous:
+            np.testing.assert_array_equal(positions[:history],
+                                          previous[-history:])
+            assert positions.size == history + hi - lo
+        else:
+            # n = 8: 8 follows 5, not 7, so it merges irregular
+            # discontinuous, without carried columns
+            assert n in (0, 8)
+        window_sums = np.convolve(merged.payloads[B], np.ones(history + 1),
+                                  mode="valid")
+        out = positions[d : positions.size - p]
+        np.testing.assert_array_equal(window_sums, ref[out - d])
+        covered.append(out)
+        previous = positions
+    covered = np.concatenate(covered)
+    # set 5 merges up to position 87, set 8 from 110 and set 10 up to 197
+    expected = np.concatenate([np.arange(d, 88 - p), np.arange(110 + d, 198 - p)])
+    np.testing.assert_array_equal(covered, expected)

@@ -25,7 +25,6 @@ from tfstream.processors import (
     Processor,
     Resampler,
     StructureExtractor,
-    TimeWindowState,
     WavReader,
     registered_kinds,
     resolve_kind,
@@ -196,7 +195,7 @@ def test_resampler_chunked_equals_unchunked():
 
     chunked = Resampler("r", {"factor": 2})
     parts = []
-    state = MergeState({key: NO_DROPS})
+    state = MergeState({key: NO_DROPS}, chunked.history)
     for i, continuity in zip(range(4), [Continuity.DISCONTINUOUS] + 3 * [
             Continuity.WITHPREVIOUS]):
         chunk = DataChunk(
@@ -239,7 +238,7 @@ def test_resampler_declared_drop_is_honest():
 
     r2 = Resampler("r", {"factor": 2})
     r2.process(as_merged("r", key, past, Continuity.DISCONTINUOUS))
-    state = MergeState({key: NO_DROPS})
+    state = MergeState({key: NO_DROPS}, r2.history)
     chunk0 = DataChunk(number=0, source_key=key, payload=past,
                        continuity=Continuity.DISCONTINUOUS)
     _, state = complete_merge(state, {key: chunk0}, 0)
@@ -388,7 +387,7 @@ def test_filterbank_chunked_equals_unchunked():
     )["E"].payload
 
     fb = designed_bank(params, 4000)
-    state = MergeState({key: NO_DROPS})
+    state = MergeState({key: NO_DROPS}, fb.history)
     parts = []
     bounds = [(0, 1000), (1000, 2000), (2000, 3000)]
     for i, (lo, hi) in enumerate(bounds):
@@ -684,29 +683,3 @@ def test_ptn_requires_threshold_without_calibration():
                                 Continuity.DISCONTINUOUS)
     with pytest.raises(ConfigError):
         ptn.process(merged)
-
-
-# --- window state -------------------------------------------------------
-
-def test_time_window_state_reproduces_unchunked_moving_sum():
-    rng = np.random.default_rng(16)
-    x = rng.standard_normal((2, 300))
-    d, p = 4, 3
-
-    def windowed(buf):
-        # value at t needs buf[t-d .. t+p]: a (d+p+1)-point moving sum
-        kernel = np.ones(d + p + 1)
-        full = np.apply_along_axis(
-            lambda row: np.convolve(row, kernel, mode="full"), -1, buf)
-        return full[:, d + p:buf.shape[-1]]
-
-    ref = windowed(x)[:, : x.shape[-1] - d - p]
-
-    state = TimeWindowState(d, p)
-    parts = []
-    for i, (lo, hi) in enumerate([(0, 100), (100, 200), (200, 300)]):
-        buf, out = state.feed(i > 0, x[:, lo:hi])
-        got = windowed(buf)
-        parts.append(got[:, : buf.shape[-1] - d - p][:, (out.start - d):(out.stop - d)])
-    chunked = np.concatenate(parts, axis=-1)
-    np.testing.assert_array_equal(chunked, ref)

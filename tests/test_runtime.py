@@ -305,7 +305,7 @@ def test_a_set_too_short_for_a_window_costs_what_a_lost_chunk_costs(tmp_path):
     """Chunk 4 lost and chunk 5 cut to 30 samples, too short for the
     resampler's window after the break: the set is counted as too short
     and the merge state stays at chunk 3, so chunk 6 merges as
-    discontinuous and reuses no stale window tail.  Every key writes what
+    discontinuous and reuses no stale carried tail.  Every key writes what
     it writes when chunk 5 is lost as well."""
     wav = write_wav(tmp_path / "in.wav", 8000,
                     synth_tone_noise(8000, 1.0)[: 6 * 1024])
