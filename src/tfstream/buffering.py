@@ -1,11 +1,10 @@
 """Composite manager: per-consumer buffering of in-flight chunks.
 
-A consumer fed through several paths buffers arrivals per source key
-until every key holds a chunk with the same number.  Edges are FIFO, so
-completing set n discards every older buffered chunk.  A set that lost
-a member never completes; ``expire`` discards it once nothing up to its
-number can still arrive, which the dispatch loop knows after each round
-of pulls.
+A consumer fed through several paths collects, per number, one chunk
+from each source key; the set completes when every key holds one.  The
+dispatch loop publishes in number order, so a join holds at most the
+one set it is collecting: an arrival with a higher number proves that
+set can no longer complete, and discards it.
 """
 
 from __future__ import annotations
@@ -19,9 +18,10 @@ from .chunks import DataChunk, SourceKey
 @dataclass
 class BufferCounters:
     completed: int = 0
+    #: chunks of sets replaced by a later number or left at the end
     discarded: int = 0
-    #: arrivals numbered below expected_next; the dispatch loop never
-    #: delivers one, so only a direct caller of the buffer can
+    #: arrivals numbered below the set being collected; the dispatch
+    #: loop never delivers one, so only a direct caller of the buffer can
     stale: int = 0
     #: completed sets dropped because they were too short to merge
     too_short: int = 0
@@ -29,63 +29,45 @@ class BufferCounters:
 
 @dataclass
 class InFlightBuffer:
-    """Per-key queues of chunks not yet part of a completed set."""
+    """The one set of same-numbered chunks being collected."""
 
     configured_keys: FrozenSet[SourceKey]
-    expected_next: int = 0
-    queues: Dict[SourceKey, Dict[int, DataChunk]] = field(init=False)
+    #: the number of the set being collected; after a set completes, the
+    #: number after it
+    number: int = 0
+    members: Dict[SourceKey, DataChunk] = field(default_factory=dict)
     counters: BufferCounters = field(default_factory=BufferCounters)
-    #: the configured key when there is only one, else None
-    lone_key: Optional[SourceKey] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.queues = {key: {} for key in self.configured_keys}
-        self.lone_key = (next(iter(self.configured_keys))
-                         if len(self.configured_keys) == 1 else None)
 
     def occupancy(self) -> int:
-        return sum(len(q) for q in self.queues.values())
+        return len(self.members)
 
     def accept(self, chunk: DataChunk) -> Optional[Dict[SourceKey, DataChunk]]:
-        """Enqueue one arrival; return the completed set of its number
-        if this arrival finished it, after discarding every older
-        buffered chunk.
+        """Add one arrival; return the set of its number if this arrival
+        completed it.
 
-        Stale chunks (older than expected_next) are counted and dropped,
-        never an error.  The chunk's key is one of the configured ones:
-        the runtime wires each consumer's receiver from the plan's edges.
+        A later number discards the set being collected; an earlier one
+        is counted stale and dropped, never an error.  The chunk's key is
+        one of the configured ones: the runtime wires each consumer's
+        receiver from the plan's edges.
         """
         number = chunk.number
-        if number < self.expected_next:
-            self.counters.stale += 1
+        if number != self.number:
+            if number < self.number:
+                self.counters.stale += 1
+                return None
+            self.drain()
+            self.number = number
+        members = self.members
+        members[chunk.source_key] = chunk
+        if len(members) < len(self.configured_keys):
             return None
-        if self.lone_key is not None:
-            # a lone key completes every set it delivers, so its queue
-            # stays empty
-            self.expected_next = number + 1
-            self.counters.completed += 1
-            return {self.lone_key: chunk}
-        self.queues[chunk.source_key][number] = chunk
-        if not all(number in q for q in self.queues.values()):
-            return None
-        completed = {k: q.pop(number) for k, q in self.queues.items()}
         self.counters.completed += 1
-        self.expire(number)
-        return completed
-
-    def expire(self, last: int) -> None:
-        """Discard every buffered chunk numbered at most ``last`` and
-        resume after it; never rewinds."""
-        if last < self.expected_next:
-            return
-        for queue in self.queues.values():
-            for number in [n for n in queue if n <= last]:
-                del queue[number]
-                self.counters.discarded += 1
-        self.expected_next = last + 1
+        self.number = number + 1
+        self.members = {}
+        return members
 
     def drain(self) -> None:
-        """Discard all remaining incomplete sets (at end of stream)."""
-        for queue in self.queues.values():
-            self.counters.discarded += len(queue)
-            queue.clear()
+        """Discard the incomplete set (at a later number or at the end
+        of the stream)."""
+        self.counters.discarded += len(self.members)
+        self.members.clear()

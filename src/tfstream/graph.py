@@ -4,15 +4,17 @@ A pipeline is a DAG of named processors (forks and merges, no loops)
 with per-edge transports and an optional fault schedule.  Validation
 topologically sorts the graph, propagates sample rates, frequency axes,
 chunk lengths and cumulative alignment counters, and rejects
-configurations whose chunk size cannot satisfy d + p + history < length
-at some merge point, history being the consumer's own window.  A key's
-rate, axis and counters live in the plan only: sinks get them from
+configurations whose chunk size leaves some transform no output column
+after a break: its merged d + p and its own declared d + p, scaled to
+its input steps, must be shorter than its input chunk.  A key's rate,
+axis and counters live in the plan only: sinks get them from
 validation, merges their drop counts from the plan, and chunks carry
 none of them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,27 +73,14 @@ class GraphPlan:
     #: per key, its read-only frequency axis, one value per channel
     #: (None: the key has none, and one channel)
     freqs: Dict[SourceKey, Optional[np.ndarray]]
+    #: per transform, the smallest source chunk length, in samples of the
+    #: longest source chunk, that leaves it an output column after a
+    #: break (sinks have no depth of their own)
+    minimum_lengths: Dict[str, int]
 
     def minimum_chunk_length(self) -> int:
-        """Smallest source chunk length the deepest merge point allows:
-        each transform's merged d + p and its own window's history must
-        leave a column after a break.
-
-        Sinks are excluded: they concatenate whatever arrives and have no
-        window depth of their own.
-        """
-        worst = 1
-        source_len = max(
-            self.chunk_lengths[src] for src in self._source_names()
-        )
-        for name, params in self.merged_at.items():
-            if isinstance(self.instances[name], SinkProcessor):
-                continue
-            scale = self.chunk_lengths[name] / source_len
-            history = self.instances[name].history
-            need = (params.d + params.p + history + 1) / scale
-            worst = max(worst, int(-(-need // 1)))
-        return worst
+        """Smallest source chunk length that every transform allows."""
+        return max(self.minimum_lengths.values(), default=1)
 
     def drops(self, name: str) -> Dict[SourceKey, DropCounts]:
         """Drop counts of each key merged at ``name``, from the key's
@@ -99,12 +88,6 @@ class GraphPlan:
         merged = self.merged_at[name]
         return {key: drop_counts(merged, self.cumulative[key])
                 for key in self.in_keys[name]}
-
-    def _source_names(self) -> List[str]:
-        return [
-            n for n, inst in self.instances.items()
-            if isinstance(inst, SourceProcessor)
-        ]
 
 
 def load_config(path: Path) -> PipelineConfig:
@@ -257,8 +240,10 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
     rates: Dict[SourceKey, float] = {}
     chunk_lengths: Dict[str, float] = {}
     freqs: Dict[SourceKey, Optional[np.ndarray]] = {}
+    minimum_lengths: Dict[str, int] = {}
 
     calibrated = set()  # nodes that emit or receive a calibration chunk
+    source_len = 0.0  # the longest source chunk (sources come first)
     for name in order:
         inst = instances[name]
         if isinstance(inst, SourceProcessor):
@@ -267,6 +252,7 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
             rates[key] = inst.sample_rate()
             chunk_lengths[name] = float(inst.chunk_size())
             chunk_lengths[f"{name}:out"] = chunk_lengths[name]
+            source_len = max(chunk_lengths[name], source_len)
             freqs[key] = None
             if inst.params.get("calibration"):
                 calibrated.add(name)
@@ -325,22 +311,31 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
             rate_out, axis, merged_out = inst.prepare(rate_in, merged, in_freqs)
         except ValueError as exc:
             raise ConfigError(f"processor {name!r}: {exc}") from exc
-        # a fractional nominal length means short/long chunks alternate;
-        # the short ones are the binding case
-        depth = merged.d + merged.p + inst.history
-        if depth >= int(e_in):
-            raise ChunkTooShortForDepth(
-                f"processor {name!r}: merged d+p = {merged.d + merged.p} and "
-                f"history {inst.history} do not fit the chunk length "
-                f"{int(e_in)}; minimum is {depth + 1}")
         axis = _checked_axis(name, axis)
-        for feature, align in inst.feature_alignment().items():
+        alignment = inst.feature_alignment()
+        # after a break a chunk must keep a column past the merged d + p
+        # and the transform's own d + p, scaled to its input steps
+        need = merged.d + merged.p + 1 + max(
+            math.ceil((a.d + a.p) * rate_in / rate_out)
+            for a in alignment.values())
+        minimum_lengths[name] = math.ceil(need * source_len / e_in)
+        for feature, align in alignment.items():
             key = (name, feature)
             cumulative[key] = compose(merged_out, align)
             rates[key] = rate_out
             freqs[key] = axis
         # output time steps per input time step
         chunk_lengths[f"{name}:out"] = e_in * (rate_out / rate_in)
+
+    # a fractional nominal length means short/long chunks alternate; the
+    # short ones are the binding case, and the ceiling counts them
+    name = max(minimum_lengths, key=minimum_lengths.get, default=None)
+    if name is not None and minimum_lengths[name] > source_len:
+        raise ChunkTooShortForDepth(
+            f"processor {name!r}: a chunk of {int(source_len)} source samples "
+            f"keeps no column past the merged d+p and the processor's own "
+            f"after a break; minimum chunk length is {minimum_lengths[name]} "
+            f"source samples")
 
     edge_triples = [(e.producer, e.feature, e.consumer) for e in config.edges]
     source_names = [
@@ -361,4 +356,5 @@ def validate_graph(config: PipelineConfig) -> GraphPlan:
         rates=rates,
         chunk_lengths=chunk_lengths,
         freqs=freqs,
+        minimum_lengths=minimum_lengths,
     )

@@ -1,10 +1,10 @@
 """Streamboard runtime: one dispatch loop runs every source, transform and sink.
 
-The loop, in the calling thread, pulls one chunk from each live source
-in turn and pushes it depth-first along the edges by direct call before
-it pulls the next, so a run starts no threads.  A local send is a call;
-a TCP send writes the frame, reads it back from the other end of the
-socket and decodes it in the loop, at the same point in that order.
+The loop, in the calling thread, publishes the sources' chunks in
+number order and pushes each depth-first along the edges by direct call
+before it pulls the next, so a run starts no threads.  A local send is a
+call; a TCP send writes the frame, reads it back from the other end of
+the socket and decodes it in the loop, at the same point in that order.
 Every run of one plan therefore delivers in one order, and runs are
 deterministic end to end.
 
@@ -298,28 +298,27 @@ class Streamboard:
     # --- the loop --------------------------------------------------------
 
     def _pump(self, sources: List[str]) -> None:
-        """Pull one chunk from each live source in turn, in plan order,
-        and publish it before pulling the next, until every source ends.
-        Sources number their chunks upwards, so after a round nothing
-        numbered at or below its smallest number can still arrive: every
-        buffer that joins several keys expires up to that number."""
-        live = [self.plan.instances[name].chunks() for name in sources]
+        """Publish the sources' chunks in number order until every source
+        ends.
+
+        Each live source's next chunk waits as its head.  A round
+        publishes every head at the lowest number, in plan order, and
+        only then pulls the next chunk from each of those sources, so a
+        paced source's wait never holds up another source's chunk of the
+        same number.  Every join therefore receives all the chunks
+        numbered n before any numbered above n, and holds at most the one
+        set it is collecting.
+        """
         publish = self._publish
-        joins = [route.buffer for route in self._routes.values()
-                 if route.buffer.lone_key is None]
-        while live:
-            pulled, numbers = [], []
-            for chunks in live:
-                chunk = next(chunks, None)
-                if chunk is not None:
-                    publish(chunk)
-                    pulled.append(chunks)
-                    numbers.append(chunk.number)
-            live = pulled
-            if numbers:
-                last = min(numbers)
-                for buffer in joins:
-                    buffer.expire(last)
+        pulls = [self.plan.instances[name].chunks() for name in sources]
+        heads = [(next(chunks, None), chunks) for chunks in pulls]
+        while heads := [pair for pair in heads if pair[0] is not None]:
+            lowest = min(head.number for head, _ in heads)
+            for head, _ in heads:
+                if head.number == lowest:
+                    publish(head)
+            heads = [(next(chunks, None) if head.number == lowest else head,
+                      chunks) for head, chunks in heads]
 
     def run(self) -> RunReport:
         plan = self.plan

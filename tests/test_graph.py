@@ -184,10 +184,11 @@ def test_minimum_chunk_length_is_honest(tone_wav, tmp_path):
 
 def test_minimum_chunk_length_counts_each_consumers_own_window(tmp_path):
     """16 kHz audio, resampled /2, into a 50 ms filterbank: after a break
-    the filterbank drops the resampler's 63 columns and then reads 400
-    of history before its first output, so at 8 kHz it needs 464
-    columns, 928 source samples.  At 927 the graph is refused; at 928
-    every chunk of a 2 s file is written and none is too short."""
+    the filterbank drops the resampler's 63 columns and then its own 400
+    before its first output, so at 8 kHz it needs 464 columns, 928
+    source samples.  At 927 the graph is refused, and the error gives
+    the minimum in source samples; at 928 every chunk of a 2 s file is
+    written and none is too short."""
     wav = write_wav(tmp_path / "in.wav", 16000, synth_tone_noise(16000, 2.0))
 
     def config(chunk_size):
@@ -211,11 +212,45 @@ def test_minimum_chunk_length_counts_each_consumers_own_window(tmp_path):
 
     assert build(config(1024)).minimum_chunk_length() == 928
     with pytest.raises(ChunkTooShortForDepth,
-                       match="processor 'cochlea'.* minimum is 464"):
+                       match="processor 'cochlea'.* minimum chunk length "
+                             "is 928 source samples"):
         build(config(927))
     report = run_plan(build(config(928)))
     assert report.written[("cochlea", "E")] == -(-32000 // 928) == 35
     assert all(c.too_short == 0 for c in report.buffer_counters.values())
+
+
+def test_minimum_chunk_length_counts_the_resamplers_own_depth(tmp_path):
+    """An 8 kHz mic resampled /4 by a 31-tap FIR, straight to a writer:
+    after a break the resampler's first output needs 8 dropped outputs
+    of 4 samples each and one more sample, 33 in all, although the
+    filter reads only 30 samples of history.  32 is refused; at 33 all
+    6 chunks are written and none is too short."""
+    def config(chunk_size):
+        return {
+            "processors": [
+                {"name": "mic", "kind": "mic_input", "params": {
+                    "sample_rate": 8000, "chunk_size": chunk_size,
+                    "num_chunks": 6}},
+                {"name": "resampler", "kind": "resampler",
+                 "params": {"factor": 4, "fir_length": 31}},
+                {"name": "out", "kind": "file_writer",
+                 "params": {"directory": str(tmp_path / "out")}},
+            ],
+            "edges": [
+                {"from": "mic.snd", "to": "resampler"},
+                {"from": "resampler.snd", "to": "out"},
+            ],
+        }
+
+    assert build(config(1024)).minimum_chunk_length() == 33
+    with pytest.raises(ChunkTooShortForDepth,
+                       match="processor 'resampler'.* minimum chunk length "
+                             "is 33 source samples"):
+        build(config(32))
+    report = run_plan(build(config(33)))
+    assert report.written[("resampler", "snd")] == 6
+    assert report.buffer_counters["resampler"].too_short == 0
 
 
 def test_chunk_too_short_message_names_processor(tone_wav, tmp_path):

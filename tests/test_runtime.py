@@ -169,8 +169,8 @@ def test_link_down_drops_a_range(tmp_path):
 
 def test_a_dead_edge_leaves_one_chunk_buffered(tmp_path):
     """se.T->ptn down from chunk 3 to the end of a 200-chunk run: each
-    cochlea.E chunk that reaches ptn alone is discarded at the end of
-    its round, so ptn never holds more than one chunk."""
+    cochlea.E chunk that reaches ptn alone is discarded by the next
+    number, so ptn never holds more than one chunk."""
     _, report = run_config(mic_pipeline_config(
         tmp_path / "out", num_chunks=200,
         faults=[{"kind": "link_down", "edge": "se.T->ptn",
@@ -742,15 +742,15 @@ def two_mic_config(out_dir):
 
 
 def test_runs_with_several_sources_repeat_their_counters(tmp_path):
-    """Sources are pulled in turn in one order, so with two sources
-    joined at ptn the split of lost chunks between discarded and stale
-    repeats as well as the output bytes."""
+    """Sources are published in number order, in plan order within a
+    number, so with two sources joined at ptn the split of lost chunks
+    between discarded and stale repeats as well as the output bytes."""
     first = run_config(two_mic_config(tmp_path / "r0"))[1]
     assert sum(c.discarded + c.stale
                for c in first.buffer_counters.values()) > 0
-    # in turn, not one source to its end first, which would make ptn
-    # buffer 9 chunks of the first source
-    assert first.max_occupancy["ptn"] <= 3
+    # in number order, not one source to its end first, which would make
+    # ptn buffer 9 chunks of the first source
+    assert first.max_occupancy["ptn"] == 1
     for i in range(1, 8):
         report = run_config(two_mic_config(tmp_path / f"r{i}"))[1]
         assert report.merge_logs == first.merge_logs
@@ -761,10 +761,10 @@ def test_runs_with_several_sources_repeat_their_counters(tmp_path):
 
 
 def test_skewed_sources_repeat_their_merges_and_stay_bounded(tmp_path):
-    """An overflow on mic_a puts its numbers one ahead of mic_b's pulls
-    from then on.  Each round then ends with mic_a's newest chunk
-    waiting at ptn for mic_b's, so ptn holds at most two chunks, and
-    merges, counters and bytes repeat across runs."""
+    """An overflow on mic_a skips a number that mic_b emits.  The loop
+    publishes in number order, so mic_a's later chunks do not run ahead
+    of mic_b's: ptn holds one chunk at most, and merges, counters and
+    bytes repeat across runs."""
     def config(out_dir):
         raw = two_mic_config(out_dir)
         raw["faults"].append({"kind": "overflow", "input": "mic_a",
@@ -773,7 +773,7 @@ def test_skewed_sources_repeat_their_merges_and_stay_bounded(tmp_path):
 
     first = run_config(config(tmp_path / "r0"))[1]
     assert 3 not in {e.number for e in first.merge_logs["ptn"]}
-    assert first.max_occupancy["ptn"] <= 2
+    assert first.max_occupancy["ptn"] == 1
     for i in range(1, 4):
         report = run_config(config(tmp_path / f"r{i}"))[1]
         assert report.merge_logs == first.merge_logs
@@ -782,6 +782,103 @@ def test_skewed_sources_repeat_their_merges_and_stay_bounded(tmp_path):
         for name in ["ptn.E_T.tfc", "ptn.E_blocks.tfc"]:
             got = (tmp_path / f"r{i}" / name).read_bytes()
             assert got == (tmp_path / "r0" / name).read_bytes()
+
+
+INTO_TWO_MIC_PTN = ("cochlea_a.E->ptn", "se.T->ptn")
+two_mic_fault_events = st.one_of(
+    st.builds(lambda edge, n: {"kind": "drop_chunk", "edge": edge,
+                               "number": n},
+              st.sampled_from(INTO_TWO_MIC_PTN), fault_numbers),
+    st.builds(lambda edge, a, b: {"kind": "link_down", "edge": edge,
+                                  "from_number": min(a, b),
+                                  "to_number": max(a, b)},
+              st.sampled_from(INTO_TWO_MIC_PTN), fault_numbers,
+              fault_numbers),
+    st.builds(lambda mic, n: {"kind": "overflow", "input": mic, "number": n},
+              st.sampled_from(["mic_a", "mic_b"]), fault_numbers),
+)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(two_mic_fault_events, max_size=6))
+def test_two_sources_merge_exactly_the_numbers_no_fault_hit(faults):
+    """Overflows on either microphone and drops and outages into ptn, on
+    the 12-chunk two-microphone graph: ptn merges every number that both
+    microphones emitted and neither edge into it lost, holds at most one
+    chunk however the overflows skew the two sources, and counts every
+    arrival once, as part of a completed set or as a loss."""
+    with tempfile.TemporaryDirectory() as out:
+        raw = two_mic_config(Path(out))
+        raw["faults"] = faults
+        _, report = run_config(raw)
+    emitted = {mic: set(range(12)) - {
+        f["number"] for f in faults
+        if f["kind"] == "overflow" and f["input"] == mic}
+        for mic in ("mic_a", "mic_b")}
+    arriving = [emitted["mic_a"] - lost_numbers(faults, "cochlea_a.E->ptn"),
+                emitted["mic_b"] - lost_numbers(faults, "se.T->ptn")]
+    assert [e.number for e in report.merge_logs["ptn"]] == sorted(
+        arriving[0] & arriving[1])
+    assert report.max_occupancy["ptn"] <= 1
+    c = report.buffer_counters["ptn"]
+    assert 2 * c.completed + c.discarded + c.stale == sum(map(len, arriving))
+    assert c.too_short == 0
+
+
+def test_each_number_is_consumed_before_the_next_is_pulled(tmp_path):
+    """Two sources into one sink: both chunks numbered n reach the sink
+    before either source is asked for chunk n + 1.  So a paced source,
+    whose pull waits until its next chunk is due, never holds up the
+    other source's chunk of the number already pulled."""
+    n_chunks = 6
+    names = ("mic0", "mic1")
+    plan = validate_graph(config_from_dict({
+        "processors": [
+            {"name": name, "kind": "mic_input", "params": {
+                "sample_rate": 8000, "chunk_size": 64,
+                "num_chunks": n_chunks, "seed": seed}}
+            for seed, name in enumerate(names)
+        ] + [{"name": "out", "kind": "file_writer",
+              "params": {"directory": str(tmp_path)}}],
+        "edges": [{"from": f"{name}.snd", "to": "out"} for name in names],
+    }))
+    events = []
+
+    def recorded(name, chunks):
+        def asked():
+            it = chunks()
+            while True:
+                events.append(("ask", name))
+                chunk = next(it, None)
+                if chunk is None:
+                    return
+                yield chunk
+        return asked
+
+    for name in names:
+        inst = plan.instances[name]
+        inst.chunks = recorded(name, inst.chunks)
+    out = plan.instances["out"]
+    consume = out.consume
+
+    def recorded_consume(chunk):
+        events.append(("consume", chunk.source_key[0], chunk.number))
+        consume(chunk)
+
+    out.consume = recorded_consume
+    run_plan(plan)
+    asked, consumed = {}, {}
+    for index, (kind, name, *number) in enumerate(events):
+        if kind == "ask":
+            count = sum(1 for key in asked if key[0] == name)
+            asked[name, count] = index
+        else:
+            consumed[name, number[0]] = index
+    assert len(consumed) == 2 * n_chunks
+    for n in range(n_chunks - 1):
+        assert max(consumed[name, n] for name in names) < min(
+            asked[name, n + 1] for name in names)
 
 
 def test_transport_failing_at_set_up_closes_the_links_made(tmp_path,
@@ -886,8 +983,8 @@ def test_a_failure_stops_pulling_the_sources(tmp_path, monkeypatch):
 
 
 def test_many_sources_feed_one_loop(tmp_path):
-    """Four sources pulled in turn into one sink: every chunk of every
-    source reaches the sink once, in order."""
+    """Four sources pulled in number order into one sink: every chunk of
+    every source reaches the sink once, in order."""
     n_sources, n_chunks = 4, 40
     raw = {
         "processors": [
