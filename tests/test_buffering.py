@@ -48,6 +48,40 @@ def test_gap_on_one_key_discards_unmatchable_buffered_chunks():
     assert buf.occupancy() == 0
 
 
+def test_expire_discards_what_can_no_longer_complete():
+    """A set expires when a later number arrives: each later arrival
+    discards what can no longer complete, and the set it starts still
+    completes."""
+    buf = InFlightBuffer(configured_keys=frozenset({A, B}))
+    buf.accept(chunk(A, 0))
+    buf.accept(chunk(A, 1))
+    assert (buf.counters.discarded, buf.occupancy()) == (1, 1)
+    buf.accept(chunk(B, 2))
+    assert buf.number == 2
+    assert buf.counters.discarded == 2
+    assert buf.occupancy() == 1
+    done = buf.accept(chunk(A, 2))
+    assert done is not None and done[B].number == 2
+    assert buf.number == 3
+
+
+def test_expire_never_rewinds():
+    """An arrival below the set being collected is stale: it neither
+    moves the buffer back nor expires what it holds."""
+    buf = InFlightBuffer(configured_keys=frozenset({A, B}))
+    buf.accept(chunk(A, 5))
+    buf.accept(chunk(B, 5))
+    assert buf.number == 6
+    buf.accept(chunk(A, 6))
+    assert buf.accept(chunk(B, 3)) is None
+    assert buf.number == 6
+    assert buf.occupancy() == 1
+    assert buf.counters.discarded == 0
+    assert buf.counters.stale == 1
+    done = buf.accept(chunk(B, 6))
+    assert done is not None and done[A].number == 6
+
+
 def test_a_later_number_discards_the_incomplete_set():
     """The buffer holds one set: each later number discards the set being
     collected, whatever keys it holds, and the last one still
